@@ -16,10 +16,12 @@ functions u(m); the vertical generator acts on them as multiplication by
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 from .errors import NotQuantomorphismError
 from .expr import Expr, HBAR, IMAG, PI, ZERO, add, mul, power, rational
-from .forms import KForm, VectorField, exterior_derivative, scalar_form
-from .sample import expr_equal
+from .forms import KForm, VectorField, exterior_derivative, lie_derivative, scalar_form
+from .sample import expr_equal, worst_residual
 from .symplectic import SymplecticChart, hamiltonian_vf
 
 TWO_PI_I = mul(rational(2), PI, IMAG)
@@ -39,33 +41,22 @@ class PrequantCircle:
         if validate:
             d_beta = exterior_derivative(beta)
             for a, b in zip(d_beta.coeffs, sympl.omega.coeffs):
-                delta = add(a, mul(rational(-1), b))
-                if not delta.is_zero():
-                    ok, res = expr_equal(a, b, self.chart.sampler)
-                    if not ok:
-                        raise NotQuantomorphismError(
-                            "d(beta) != omega for the supplied potential", res)
+                ok, res = expr_equal(a, b, self.chart.sampler)
+                if not ok:
+                    raise NotQuantomorphismError(
+                        "d(beta) != omega for the supplied potential", res)
 
     def beta_of(self, v: VectorField) -> Expr:
         return self.beta(v)
 
 
+@dataclass(frozen=True, slots=True)
 class CircleLiftedVF:
     """base + c(m) * vertical, with gamma(zeta) = (1/(i hbar)) beta(base) + 2 pi i c."""
 
-    __slots__ = ("bundle", "base", "fiber")
-
-    def __init__(self, bundle: PrequantCircle, base: VectorField, fiber: Expr):
-        self.bundle = bundle
-        self.base = base
-        self.fiber = fiber
-
-    def __eq__(self, other):
-        return (isinstance(other, CircleLiftedVF)
-                and self.base == other.base and self.fiber == other.fiber)
-
-    def __hash__(self):
-        return hash((self.base, self.fiber))
+    bundle: PrequantCircle = field(compare=False)
+    base: VectorField
+    fiber: Expr
 
     def __repr__(self):
         return f"{self.base!r} + ({self.fiber!r}) * vertical"
@@ -106,24 +97,24 @@ def bracket_lifted(z1: CircleLiftedVF, z2: CircleLiftedVF) -> CircleLiftedVF:
     return CircleLiftedVF(z1.bundle, base, fiber)
 
 
+def connection_lie_derivative(y: PrequantCircle, base: VectorField,
+                              central: Expr) -> KForm:
+    """L_zeta gamma as a 1-form on the base, for a field zeta over ``base``
+    with gamma(zeta) = (1/(i hbar)) beta(base) + central, central a function
+    of the base: (1/(i hbar)) L_base beta + d(central).  The fiber directions
+    contribute nothing because gamma(zeta) is a function of the base alone."""
+    lb = lie_derivative(base, y.beta).scale(I_HBAR_INV)
+    return lb.plus(exterior_derivative(scalar_form(y.chart, central)))
+
+
 def gamma_lie_derivative(z: CircleLiftedVF) -> KForm:
-    """L_zeta gamma as a 1-form on the base: (1/(i hbar)) L_base beta
-    + d(2 pi i c).  The fiber direction contributes nothing because
-    gamma(zeta) is a function of the base alone."""
-    from .forms import lie_derivative
-    y = z.bundle
-    lb = lie_derivative(z.base, y.beta).scale(I_HBAR_INV)
-    dc = exterior_derivative(scalar_form(y.chart, mul(TWO_PI_I, z.fiber)))
-    return lb.plus(dc)
+    """L_zeta gamma; the central part of gamma(zeta) is 2 pi i c."""
+    return connection_lie_derivative(z.bundle, z.base, mul(TWO_PI_I, z.fiber))
 
 
 def quantomorphism_residual(z: CircleLiftedVF) -> float:
-    la = gamma_lie_derivative(z)
-    worst = 0.0
-    for c in la.coeffs:
-        _, r = expr_equal(c, ZERO, z.bundle.chart.sampler)
-        worst = max(worst, r)
-    return worst
+    return worst_residual(((c, ZERO) for c in gamma_lie_derivative(z).coeffs),
+                          z.bundle.chart.sampler)
 
 
 def F_circle(z: CircleLiftedVF, y: PrequantCircle, check: bool = True) -> Expr:
@@ -143,20 +134,12 @@ def F_circle(z: CircleLiftedVF, y: PrequantCircle, check: bool = True) -> Expr:
 # sections of the associated line bundle and the operator representation
 
 
+@dataclass(frozen=True, slots=True)
 class EquivariantSection:
     """Encodes the section through u(m): the equivariant function is
     s(m, t) = e^{-2 pi i t} u(m)."""
 
-    __slots__ = ("u",)
-
-    def __init__(self, u: Expr):
-        self.u = u
-
-    def __eq__(self, other):
-        return isinstance(other, EquivariantSection) and self.u == other.u
-
-    def __hash__(self):
-        return hash(self.u)
+    u: Expr
 
     def __repr__(self):
         return f"section({self.u!r})"

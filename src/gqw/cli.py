@@ -18,7 +18,7 @@ from typing import Optional
 
 from .errors import GqwError
 from .parse import parse_expr
-from .suites import SUITE_NAMES, run_suite
+from .suites import SUITE_NAMES, Report, run_suite
 from .symplectic import hamiltonian_vf, poisson
 from .system import SystemSpec, load_bundled, load_spec
 
@@ -34,14 +34,13 @@ def _load(args) -> SystemSpec:
     return load_bundled(**overrides)
 
 
-def _cmd_check(args) -> int:
-    spec = _load(args)
-    report = run_suite(spec, args.suite)
-    if args.format == "json":
-        print(report.to_json())
-    else:
-        print(report.to_text())
+def _print_report(report: Report, fmt: str) -> int:
+    print(report.to_json() if fmt == "json" else report.to_text())
     return 0 if report.passed else 1
+
+
+def _cmd_check(args) -> int:
+    return _print_report(run_suite(_load(args), args.suite), args.format)
 
 
 def _cmd_poisson(args) -> int:
@@ -65,7 +64,7 @@ def _cmd_demo(args) -> int:
     spec = _load(args)
     bundle = spec.mpc_bundle()
     if args.which == "a1":
-        rep = example_fiberwise_twist(bundle, hbar=spec.hbar)
+        rep = example_fiberwise_twist(bundle)
         print("fiberwise twist of the trivialized bundle over the punctured plane")
         print(f"  connection form preserved: residual {rep.gamma_residual:.3e} "
               f"(half-step {rep.gamma_residual_half_step:.3e})")
@@ -74,7 +73,7 @@ def _cmd_demo(args) -> int:
         print("  finding: no frame-bundle map exists under this twist"
               if rep.passed else "  finding: UNEXPECTED (check failed)")
         return 0 if rep.passed else 1
-    rep = example_base_rotation(bundle, mul(rational(1, 2), PI), hbar=spec.hbar)
+    rep = example_base_rotation(bundle, mul(rational(1, 2), PI))
     print("base rotation by pi/2 lifted trivially to the bundle")
     print(f"  connection form preserved symbolically: {rep.gamma_symbolic}")
     print(f"  equivariant under the structure group: {rep.equivariant}")
@@ -89,13 +88,7 @@ def _cmd_group(args) -> int:
     if args.action != "selftest":
         print(f"unknown group action '{args.action}'", file=sys.stderr)
         return 2
-    spec = load_bundled(seed=args.seed) if args.seed is not None else load_bundled()
-    report = run_suite(spec, "group")
-    if args.format == "json":
-        print(report.to_json())
-    else:
-        print(report.to_text())
-    return 0 if report.passed else 1
+    return _print_report(run_suite(_load(args), "group"), args.format)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 from .errors import EvaluationError
 
@@ -147,7 +147,6 @@ HBAR = Constant("hbar")
 ZERO = Rational(Fraction(0))
 ONE = Rational(Fraction(1))
 MINUS_ONE = Rational(Fraction(-1))
-HALF = Rational(Fraction(1, 2))
 
 
 class Add(Expr):
@@ -259,16 +258,6 @@ def _split_coeff(term: Expr):
 
 def _monomial_factors(mono: Expr) -> tuple:
     return mono.factors if isinstance(mono, Mul) else (mono,)
-
-
-def _rebuild_monomial(factors: Iterable[Expr]) -> Expr:
-    factors = [f for f in factors if not f.is_one()]
-    if not factors:
-        return ONE
-    if len(factors) == 1:
-        return factors[0]
-    factors.sort(key=_key)
-    return Mul(tuple(factors))
 
 
 def _pythagoras(terms: dict) -> None:

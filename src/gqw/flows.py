@@ -1,6 +1,8 @@
 """Numeric flow machinery: RK4 integration, flow commutators, and a
 pullback-under-flow derivative.  These are the independent oracles that the
-symbolic bracket and Lie-derivative code is checked against."""
+symbolic bracket and Lie-derivative code is checked against.  Fields and
+forms are evaluated in their chart's context (``chart.sampler.env``), so
+``hbar`` is the system's value."""
 
 from __future__ import annotations
 
@@ -39,24 +41,20 @@ def flow_commutator(f1: RHS, f2: RHS, x: Sequence[float], t: float = 1e-3) -> Li
     return [a / 3.0 - 2.0 * b + 8.0 * c / 3.0 for a, b, c in zip(e1, e2, e3)]
 
 
-def vf_rhs(v: VectorField, params=None) -> RHS:
+def vf_rhs(v: VectorField) -> RHS:
     """Numeric right-hand side of a symbolic vector field on its chart."""
-    names = v.chart.coords
-    extra = {"hbar": 1.0}
-    if params:
-        extra.update(params)
+    env = v.chart.sampler.env
 
     def f(x):
-        env = dict(zip(names, x))
-        env.update(extra)
-        return [evalf(c, env).real for c in v.components]
+        e = env(x)
+        return [evalf(c, e).real for c in v.components]
 
     return f
 
 
-def flow_point(v: VectorField, x: Sequence[float], t: float, steps: int = 16,
-               params=None) -> List[float]:
-    f = vf_rhs(v, params)
+def flow_point(v: VectorField, x: Sequence[float], t: float,
+               steps: int = 16) -> List[float]:
+    f = vf_rhs(v)
     h = t / steps
     y = list(x)
     for _ in range(steps):
@@ -64,22 +62,18 @@ def flow_point(v: VectorField, x: Sequence[float], t: float, steps: int = 16,
     return y
 
 
-def _pullback_at(v: VectorField, a: KForm, x: Sequence[float], t: float,
-                 params=None) -> List[float]:
+def _pullback_at(v: VectorField, a: KForm, x: Sequence[float],
+                 t: float) -> List[float]:
     """Coefficients at x of the pullback of ``a`` under the time-t flow of v,
     with the flow's Jacobian taken by central differences."""
     chart = v.chart
     n = chart.dim
-    extra = {"hbar": 1.0}
-    if params:
-        extra.update(params)
 
     def flowed(pt):
-        return flow_point(v, pt, t, steps=4, params=params)
+        return flow_point(v, pt, t, steps=4)
 
     def coeffs_at(pt):
-        env = dict(zip(chart.coords, pt))
-        env.update(extra)
+        env = chart.sampler.env(pt)
         return [evalf(c, env).real for c in a.coeffs]
 
     y = flowed(list(x))
@@ -109,9 +103,9 @@ def _pullback_at(v: VectorField, a: KForm, x: Sequence[float], t: float,
 
 
 def pullback_under_flow(v: VectorField, a: KForm, x: Sequence[float],
-                        h: float = 1e-4, params=None) -> List[float]:
+                        h: float = 1e-4) -> List[float]:
     """Centered finite-difference Lie derivative:
     (phi_h^* a - phi_{-h}^* a) / (2h) evaluated at x."""
-    hi = _pullback_at(v, a, x, h, params)
-    lo = _pullback_at(v, a, x, -h, params)
+    hi = _pullback_at(v, a, x, h)
+    lo = _pullback_at(v, a, x, -h)
     return [(p - m) / (2 * h) for p, m in zip(hi, lo)]

@@ -157,11 +157,6 @@ class KForm:
         return add(*terms)
 
 
-def zero_form(chart: Chart, degree: int) -> KForm:
-    n = {0: 1, 1: chart.dim, 2: len(chart.pairs())}[degree]
-    return KForm(chart, degree, [ZERO] * n)
-
-
 def scalar_form(chart: Chart, f: Expr) -> KForm:
     return KForm(chart, 0, [f])
 

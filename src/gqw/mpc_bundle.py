@@ -31,23 +31,24 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, List, Sequence, Tuple
 
-from .circle import I_HBAR_INV, TWO_PI_HBAR_INV, TWO_PI_I
+from .circle import I_HBAR_INV, TWO_PI_HBAR_INV, TWO_PI_I, connection_lie_derivative
 from .errors import (
     DegenerateParameterError, NotQuantomorphismError, UnsupportedFieldError,
 )
 from .expr import Expr, HBAR, IMAG, ZERO, add, diff, evalf, mul, rational, symbol
 from .flows import flow_commutator
-from .forms import ChartMap, KForm, VectorField, lie_derivative, pullback, zero_vf
+from .forms import ChartMap, VectorField, pullback, zero_vf
 from .mpc_group import (
-    IDENTITY, Mat, MpcElement, MpElement, eta, mat_mul, mat_sub_norm,
-    mp_mul, mpc_mul, mu_loop, rotation,
+    IDENTITY, Mat, MpcElement, MpElement, eta, mat_exp, mat_mul, mat_sub_norm,
+    mp_inv, mp_mul, mpc_mul, mu_loop, random_algebra, random_mpc,
+    random_traceless, rotation,
 )
-from .sample import expr_equal
-from .symplectic import SymplecticChart, hamiltonian_vf
+from .sample import worst_residual
+from .symplectic import hamiltonian_vf
 from .circle import PrequantCircle
 
 EMat = Tuple[Expr, Expr, Expr, Expr]  # 2x2 matrix of expressions, row-major
@@ -87,66 +88,47 @@ def jacobian(v: VectorField) -> EMat:
 
 
 class MpcPrequant:
-    """Bundle data for P = M x Mp^c over (M, dp^dq) with potential beta."""
+    """Bundle data for P = M x Mp^c over (M, dp^dq), with the potential beta
+    of the circle bundle (which validated d(beta) = omega)."""
 
-    def __init__(self, sympl: SymplecticChart, beta: KForm, validate: bool = True):
-        chart = sympl.chart
-        if chart.dim != 2:
+    def __init__(self, circle: PrequantCircle, validate: bool = True):
+        if circle.chart.dim != 2:
             raise UnsupportedFieldError("the trivialized construction needs a 2-dimensional chart")
-        if validate and not sympl.omega.coeffs[0].is_one():
+        if validate and not circle.sympl.omega.coeffs[0].is_one():
             raise UnsupportedFieldError(
                 "the coordinate frame must be symplectic: omega must equal dp^dq")
-        self.sympl = sympl
-        self.chart = chart
-        self.beta = beta
-        # the circle-bundle layer performs the d(beta) = omega validation
-        self.circle = PrequantCircle(sympl, beta, validate=validate)
-
-    def beta_of(self, v: VectorField) -> Expr:
-        return self.beta(v)
+        self.circle = circle
+        self.sympl = circle.sympl
+        self.chart = circle.chart
+        self.beta = circle.beta
 
 
+@dataclass(frozen=True, slots=True)
 class StructuredVF:
     """base + right-invariant (A(m), tau(m)) + left-invariant constant (B, c)."""
 
-    __slots__ = ("bundle", "base", "a_r", "tau_r", "a_l", "tau_l")
+    bundle: MpcPrequant = field(compare=False, repr=False)
+    base: VectorField
+    a_r: EMat = E_ZERO
+    tau_r: Expr = ZERO
+    a_l: Mat = M_ZERO
+    tau_l: complex = 0j
 
-    def __init__(self, bundle: MpcPrequant, base: VectorField,
-                 a_r: EMat = E_ZERO, tau_r: Expr = ZERO,
-                 a_l: Mat = M_ZERO, tau_l: complex = 0j):
-        tr = add(a_r[0], a_r[3])
+    def __post_init__(self):
+        tr = add(self.a_r[0], self.a_r[3])
         if not tr.is_zero():
             raise UnsupportedFieldError(
                 f"right-invariant matrix coefficient has trace {tr}")
-        if abs(a_l[0] + a_l[3]) > 1e-12:
+        if abs(self.a_l[0] + self.a_l[3]) > 1e-12:
             raise UnsupportedFieldError("left-invariant matrix part must be traceless")
-        if abs(tau_l.real) > 1e-12:
+        if abs(self.tau_l.real) > 1e-12:
             raise UnsupportedFieldError("left-invariant u(1) part must be imaginary")
-        self.bundle = bundle
-        self.base = base
-        self.a_r = a_r
-        self.tau_r = tau_r
-        self.a_l = a_l
-        self.tau_l = tau_l
-
-    def __eq__(self, other):
-        return (isinstance(other, StructuredVF)
-                and self.base == other.base and self.a_r == other.a_r
-                and self.tau_r == other.tau_r and self.a_l == other.a_l
-                and self.tau_l == other.tau_l)
-
-    def __hash__(self):
-        return hash((self.base, self.a_r, self.tau_r, self.a_l, self.tau_l))
-
-    def __repr__(self):
-        return (f"StructuredVF(base={self.base!r}, a_r={self.a_r!r}, "
-                f"tau_r={self.tau_r!r}, a_l={self.a_l!r}, tau_l={self.tau_l!r})")
 
     def gamma(self) -> Expr:
         """gamma(zeta) as a function on the base; the adjoint twist on the
         right-invariant part is invisible because the determinant character
         is a character."""
-        return add(mul(I_HBAR_INV, self.bundle.beta_of(self.base)),
+        return add(mul(I_HBAR_INV, self.bundle.beta(self.base)),
                    self.tau_r, imag_expr(self.tau_l))
 
     def is_zero(self) -> bool:
@@ -185,7 +167,7 @@ def hat_lift(f: Expr, bundle: MpcPrequant) -> StructuredVF:
     """Horizontal lift to P: the frame lift plus the central coefficient
     solving (1/(i hbar)) beta(xi_f) + tau = 0."""
     z = frame_lift(f, bundle)
-    tau = mul(rational(-1), I_HBAR_INV, bundle.beta_of(z.base))
+    tau = mul(rational(-1), I_HBAR_INV, bundle.beta(z.base))
     return StructuredVF(bundle, z.base, a_r=z.a_r, tau_r=tau)
 
 
@@ -212,21 +194,8 @@ def structured_bracket(z1: StructuredVF, z2: StructuredVF) -> StructuredVF:
                 for x, y, z in zip(a_r, emat_apply(z2.base, z1.a_r),
                                    emat_commutator(z1.a_r, z2.a_r)))
     tau_r = add(z1.base.apply(z2.tau_r), mul(rational(-1), z2.base.apply(z1.tau_r)))
-    b1, b2 = z1.a_l, z2.a_l
-    a_l = (b1[0] * b2[0] + b1[1] * b2[2] - (b2[0] * b1[0] + b2[1] * b1[2]),
-           b1[0] * b2[1] + b1[1] * b2[3] - (b2[0] * b1[1] + b2[1] * b1[3]),
-           b1[2] * b2[0] + b1[3] * b2[2] - (b2[2] * b1[0] + b2[3] * b1[2]),
-           b1[2] * b2[1] + b1[3] * b2[3] - (b2[2] * b1[1] + b2[3] * b1[3]))
+    a_l = tuple(x - y for x, y in zip(mat_mul(z1.a_l, z2.a_l), mat_mul(z2.a_l, z1.a_l)))
     return StructuredVF(z1.bundle, base, a_r=a_r, tau_r=tau_r, a_l=a_l, tau_l=0j)
-
-
-def gamma_lie_derivative_struct(z: StructuredVF) -> KForm:
-    """L_zeta gamma as a 1-form on the base:
-    (1/(i hbar)) L_base beta + d(tau_r); the constant left part drops out."""
-    from .forms import exterior_derivative, scalar_form
-    lb = lie_derivative(z.base, z.bundle.beta).scale(I_HBAR_INV)
-    dtau = exterior_derivative(scalar_form(z.bundle.chart, z.tau_r))
-    return lb.plus(dtau)
 
 
 @dataclass
@@ -250,18 +219,13 @@ def quantomorphism_membership(z: StructuredVF, bundle: MpcPrequant) -> Membershi
         vanishes and the right-invariant matrix equals the Jacobian of the
         base field.
     """
-    tol = bundle.chart.sampler.tolerance
-    la = gamma_lie_derivative_struct(z)
-    res1 = 0.0
-    for c in la.coeffs:
-        _, r = expr_equal(c, ZERO, bundle.chart.sampler)
-        res1 = max(res1, r)
+    sampler = bundle.chart.sampler
+    tol = sampler.tolerance
+    # the constant left-invariant u(1) part drops out of L_zeta gamma
+    la = connection_lie_derivative(z.bundle.circle, z.base, z.tau_r)
+    res1 = worst_residual(((c, ZERO) for c in la.coeffs), sampler)
     left_norm = math.sqrt(sum(v * v for v in z.a_l))
-    jac = jacobian(z.base)
-    res2 = 0.0
-    for a, b in zip(z.a_r, jac):
-        _, r = expr_equal(a, b, bundle.chart.sampler)
-        res2 = max(res2, r)
+    res2 = worst_residual(zip(z.a_r, jacobian(z.base)), sampler)
     return MembershipReport(
         connection_residual=res1,
         left_sp_norm=left_norm,
@@ -286,28 +250,23 @@ def F_mpc(z: StructuredVF, bundle: MpcPrequant, check: bool = True) -> Expr:
 # numeric flow oracle on the product coordinates (p, q, g11, g12, g21, g22, theta)
 
 
-def structured_rhs(z: StructuredVF, hbar: float = 1.0) -> Callable:
+def structured_rhs(z: StructuredVF) -> Callable:
     """Velocity field in covering coordinates: the base moves by the base
     field, the matrix part by A(m) g + g B, the fiber angle by the imaginary
     parts of the u(1) coefficients.  Sheet bookkeeping is locally constant
     and does not enter the flow."""
-    chart = z.bundle.chart
+    env_at = z.bundle.chart.sampler.env
 
     def fn(x: Sequence[float]) -> List[float]:
-        env = {chart.coords[0]: x[0], chart.coords[1]: x[1], "hbar": hbar}
+        env = env_at(x)
         vp = evalf(z.base.components[0], env).real
         vq = evalf(z.base.components[1], env).real
         a = [evalf(c, env) for c in z.a_r]
         if max(abs(v.imag) for v in a) > 1e-9:
             raise UnsupportedFieldError("right-invariant matrix part must be real")
         g = x[2:6]
-        ag = (a[0].real * g[0] + a[1].real * g[2],
-              a[0].real * g[1] + a[1].real * g[3],
-              a[2].real * g[0] + a[3].real * g[2],
-              a[2].real * g[1] + a[3].real * g[3])
-        b = z.a_l
-        gb = (g[0] * b[0] + g[1] * b[2], g[0] * b[1] + g[1] * b[3],
-              g[2] * b[0] + g[3] * b[2], g[2] * b[1] + g[3] * b[3])
+        ag = mat_mul(tuple(v.real for v in a), g)
+        gb = mat_mul(g, z.a_l)
         tau = evalf(z.tau_r, env) + z.tau_l
         return [vp, vq, ag[0] + gb[0], ag[1] + gb[1], ag[2] + gb[2], ag[3] + gb[3],
                 tau.imag]
@@ -317,11 +276,11 @@ def structured_rhs(z: StructuredVF, hbar: float = 1.0) -> Callable:
 
 def bracket_flow_residual(z1: StructuredVF, z2: StructuredVF,
                           points: Sequence[Sequence[float]],
-                          hbar: float = 1.0, t: float = 1e-3) -> float:
+                          t: float = 1e-3) -> float:
     """Worst deviation between the symbolic structured bracket and the
     numeric flow commutator at the given covering-coordinate points."""
     zb = structured_bracket(z1, z2)
-    f1, f2, fb = structured_rhs(z1, hbar), structured_rhs(z2, hbar), structured_rhs(zb, hbar)
+    f1, f2, fb = structured_rhs(z1), structured_rhs(z2), structured_rhs(zb)
     worst = 0.0
     for x in points:
         oracle = flow_commutator(f1, f2, x, t=t)
@@ -332,13 +291,11 @@ def bracket_flow_residual(z1: StructuredVF, z2: StructuredVF,
 
 def sample_fiber_points(bundle: MpcPrequant, n: int, seed_tag: str = "fiber"):
     """Covering-coordinate sample points (p, q, g, theta) with g in SL(2,R)."""
-    from .mpc_group import mat_exp
     rng = random.Random(f"{bundle.chart.sampler.seed}:{seed_tag}")
     base_pts = bundle.chart.sampler.points(n, seed_tag=seed_tag)
     out = []
     for pt in base_pts:
-        a = rng.uniform(-0.8, 0.8)
-        g = mat_exp((a, rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8), -a))
+        g = mat_exp(random_traceless(rng, 0.8))
         theta = rng.uniform(-2.5, 2.5)
         out.append([pt[bundle.chart.coords[0]], pt[bundle.chart.coords[1]],
                     g[0], g[1], g[2], g[3], theta])
@@ -349,19 +306,20 @@ def sample_fiber_points(bundle: MpcPrequant, n: int, seed_tag: str = "fiber"):
 # gamma contract checks (numeric side)
 
 
-def gamma_numeric(bundle: MpcPrequant, x: Sequence[float], v: Sequence[float],
-                  hbar: float = 1.0) -> complex:
+def gamma_numeric(bundle: MpcPrequant, x: Sequence[float],
+                  v: Sequence[float]) -> complex:
     """gamma evaluated on a coordinate tangent at a covering-coordinate point:
     (1/(i hbar)) beta(v_base) + i v_theta.  The matrix directions are
     annihilated because the determinant character only sees the phase."""
-    env = {bundle.chart.coords[0]: x[0], bundle.chart.coords[1]: x[1], "hbar": hbar}
+    sampler = bundle.chart.sampler
+    env = sampler.env(x)
     bcoeffs = [evalf(c, env) for c in bundle.beta.coeffs]
     beta_v = bcoeffs[0] * v[0] + bcoeffs[1] * v[1]
-    return beta_v / (1j * hbar) + 1j * v[6]
+    return beta_v / (1j * sampler.hbar) + 1j * v[6]
 
 
 def pushforward_residual(bundle: MpcPrequant, fmap: Callable, x: Sequence[float],
-                         h: float = 1e-6, hbar: float = 1.0, n_tangents: int = 4,
+                         h: float = 1e-6, n_tangents: int = 4,
                          seed_tag: str = "push") -> float:
     """max over random unit tangents v of |gamma(K_* v) - gamma(v)|, with the
     pushforward taken by central differences of the coordinate map."""
@@ -374,8 +332,8 @@ def pushforward_residual(bundle: MpcPrequant, fmap: Callable, x: Sequence[float]
         hi = fmap([a + h * b for a, b in zip(x, v)])
         lo = fmap([a - h * b for a, b in zip(x, v)])
         pushed = [(a - b) / (2 * h) for a, b in zip(hi, lo)]
-        g1 = gamma_numeric(bundle, fmap(list(x)), pushed, hbar)
-        g0 = gamma_numeric(bundle, x, v, hbar)
+        g1 = gamma_numeric(bundle, fmap(list(x)), pushed)
+        g0 = gamma_numeric(bundle, x, v)
         worst = max(worst, abs(g1 - g0))
     return worst
 
@@ -395,14 +353,12 @@ def right_action_map(b: MpcElement) -> Callable:
 def eta_ad_residual(n: int = 50, seed: int = 42) -> float:
     """Numeric check that conjugation is invisible to half the determinant
     character's derivative: (1/2) d/dt arg eta(a exp(t alpha) a^{-1}) = Im tau."""
-    from .mpc_group import MpcAlgebra, exp_mpc, mpc_inv
+    from .mpc_group import exp_mpc, mpc_inv
     rng = random.Random(f"{seed}:eta-ad")
     h = 1e-6
     worst = 0.0
     for _ in range(n):
-        a_diag = rng.uniform(-0.8, 0.8)
-        alg = MpcAlgebra((a_diag, rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8),
-                          -a_diag), 1j * rng.uniform(-1, 1))
+        alg = random_algebra(rng)
         g = rng.uniform(-0.9, 0.9)
         a = MpcElement(
             mat_mul(rotation(rng.uniform(-2, 2)),
@@ -418,15 +374,13 @@ def dgamma_structured_residual(bundle: MpcPrequant, pairs) -> float:
     """Residual of d(gamma) = (1/(i hbar)) omega pulled back, evaluated
     invariantly on structured pairs:
     zeta1 gamma(zeta2) - zeta2 gamma(zeta1) - gamma([zeta1, zeta2])."""
-    worst = 0.0
-    for z1, z2 in pairs:
+    def sides(z1, z2):
         lhs = add(z1.base.apply(z2.gamma()),
                   mul(rational(-1), z2.base.apply(z1.gamma())),
                   mul(rational(-1), structured_bracket(z1, z2).gamma()))
-        rhs = mul(I_HBAR_INV, bundle.sympl.omega(z1.base, z2.base))
-        _, r = expr_equal(lhs, rhs, bundle.chart.sampler)
-        worst = max(worst, r)
-    return worst
+        return lhs, mul(I_HBAR_INV, bundle.sympl.omega(z1.base, z2.base))
+
+    return worst_residual((sides(z1, z2) for z1, z2 in pairs), bundle.chart.sampler)
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +432,7 @@ class BundleMap:
     inverse: "BundleMap | None" = None
 
     def apply(self, point: dict, a: MpcElement) -> Tuple[dict, MpcElement]:
-        env = dict(point)
-        env["hbar"] = 1.0
+        env = dict(point, hbar=self.base.source.sampler.hbar)
         moved = {name: evalf(comp, env).real
                  for name, comp in zip(self.base.target.coords, self.base.components)}
         return moved, self.fiber(point, a)
@@ -489,13 +442,9 @@ class BundleMap:
         if self.inverse is None:
             raise UnsupportedFieldError("no inverse data supplied")
         rng = random.Random(f"{bundle.chart.sampler.seed}:bundlemap")
-        from .mpc_group import mat_exp
         worst = 0.0
         for pt in bundle.chart.sampler.points(n, seed_tag="bundlemap"):
-            d = rng.uniform(-0.8, 0.8)
-            a = MpcElement(mat_exp((d, rng.uniform(-0.8, 0.8),
-                                    rng.uniform(-0.8, 0.8), -d)),
-                           cmath.exp(1j * rng.uniform(-3, 3)))
+            a = random_mpc(rng, 0.8, 3)
             mid_pt, mid_a = self.apply(pt, a)
             back_pt, back_a = self.inverse.apply(mid_pt, mid_a)
             worst = max(worst, max(abs(back_pt[c] - pt[c]) for c in pt))
@@ -508,24 +457,23 @@ def _identity_chart_map(bundle: MpcPrequant) -> ChartMap:
                     [symbol(c) for c in bundle.chart.coords])
 
 
+def _times_loop(a: MpcElement, adjust: Callable[[MpElement], MpElement]) -> MpcElement:
+    """[h, e^{2 pi i t}] goes to [h adjust(mu(2t)), e^{2 pi i t}]."""
+    t = cmath.phase(a.phase) / (2 * math.pi)
+    prod = mp_mul(MpElement(a.g, 0), adjust(mu_loop(2 * t)))
+    sign = -1.0 if prod.sheet else 1.0
+    return MpcElement(prod.g, a.phase * sign)
+
+
 def fiber_twist(a: MpcElement) -> MpcElement:
     """The fiber map of the first counterexample: [h, e^{2 pi i t}] goes to
     [h mu(2t), e^{2 pi i t}] for the period-1 loop mu in the double cover."""
-    t = cmath.phase(a.phase) / (2 * math.pi)
-    m = mu_loop(2 * t)
-    prod = mp_mul(MpElement(a.g, 0), m)
-    sign = -1.0 if prod.sheet else 1.0
-    return MpcElement(prod.g, a.phase * sign)
+    return _times_loop(a, lambda m: m)
 
 
 def fiber_untwist(a: MpcElement) -> MpcElement:
     """Inverse of fiber_twist: multiply by the inverse loop value instead."""
-    from .mpc_group import mp_inv
-    t = cmath.phase(a.phase) / (2 * math.pi)
-    m = mp_inv(mu_loop(2 * t))
-    prod = mp_mul(MpElement(a.g, 0), m)
-    sign = -1.0 if prod.sheet else 1.0
-    return MpcElement(prod.g, a.phase * sign)
+    return _times_loop(a, mp_inv)
 
 
 def twist_bundle_map(bundle: MpcPrequant) -> BundleMap:
@@ -581,8 +529,7 @@ class TwistReport:
         return self.gamma_preserved and not self.descends_to_frame_bundle
 
 
-def example_fiberwise_twist(bundle: MpcPrequant, n_points: int = 8,
-                            hbar: float = 1.0) -> TwistReport:
+def example_fiberwise_twist(bundle: MpcPrequant, n_points: int = 8) -> TwistReport:
     """K(m, a) = (m, fiber_twist(a)): preserves gamma but does not descend
     through the frame-bundle projection."""
     kmap = twist_bundle_map(bundle)
@@ -591,9 +538,9 @@ def example_fiberwise_twist(bundle: MpcPrequant, n_points: int = 8,
     worst_half = 0.0
     for x in pts:
         worst = max(worst, pushforward_residual(bundle, _twist_covering_map, x,
-                                                h=1e-6, hbar=hbar))
+                                                h=1e-6))
         worst_half = max(worst_half, pushforward_residual(
-            bundle, _twist_covering_map, x, h=5e-7, hbar=hbar))
+            bundle, _twist_covering_map, x, h=5e-7))
     # two points of one Sigma-fiber: t = 0 and t = 1/8
     origin = {c: v for c, v in zip(bundle.chart.coords, (1.0, 0.0))}
     g0 = kmap.apply(origin, MpcElement(IDENTITY, 1.0))[1].g
@@ -602,11 +549,7 @@ def example_fiberwise_twist(bundle: MpcPrequant, n_points: int = 8,
     rng = random.Random("twist-eta")
     eta_worst = 0.0
     for _ in range(20):
-        from .mpc_group import mat_exp
-        a_diag = rng.uniform(-0.8, 0.8)
-        a = MpcElement(mat_exp((a_diag, rng.uniform(-0.8, 0.8),
-                                rng.uniform(-0.8, 0.8), -a_diag)),
-                       cmath.exp(1j * rng.uniform(-3, 3)))
+        a = random_mpc(rng, 0.8, 3)
         eta_worst = max(eta_worst, abs(eta(kmap.fiber(origin, a)) - eta(a)))
     return TwistReport(gamma_residual=worst, gamma_residual_half_step=worst_half,
                        fiber_gap=gap, eta_residual=eta_worst,
@@ -630,12 +573,11 @@ class RotationReport:
         return self.condition_1 and not self.condition_2
 
 
-def example_base_rotation(bundle: MpcPrequant, angle: Expr,
-                          hbar: float = 1.0) -> RotationReport:
+def example_base_rotation(bundle: MpcPrequant, angle: Expr) -> RotationReport:
     """K(m, a) = (T(m), a) for the base rotation T by ``angle``: preserves
     gamma and is equivariant, but the induced frame-bundle map keeps the
     frame fixed while the lift of T rotates it."""
-    angle_num = evalf(angle, {"hbar": hbar}).real
+    angle_num = evalf(angle, {"hbar": bundle.chart.sampler.hbar}).real
     if abs(math.remainder(angle_num, 2 * math.pi)) < 1e-9:
         raise DegenerateParameterError(
             f"rotation angle {angle_num} is an integer multiple of 2 pi")
@@ -644,16 +586,11 @@ def example_base_rotation(bundle: MpcPrequant, angle: Expr,
                  and pullback(kmap.base, bundle.sympl.omega) == bundle.sympl.omega)
 
     rng = random.Random("rotation-equivariance")
-    from .mpc_group import mat_exp
     origin = {c: v for c, v in zip(bundle.chart.coords, (1.0, 0.0))}
     equivariant = True
     for _ in range(20):
-        d = rng.uniform(-0.8, 0.8)
-        qa = MpcElement(mat_exp((d, rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8), -d)),
-                        cmath.exp(1j * rng.uniform(-3, 3)))
-        d2 = rng.uniform(-0.8, 0.8)
-        act = MpcElement(mat_exp((d2, rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8), -d2)),
-                         cmath.exp(1j * rng.uniform(-3, 3)))
+        qa = random_mpc(rng, 0.8, 3)
+        act = random_mpc(rng, 0.8, 3)
         equivariant &= (kmap.fiber(origin, mpc_mul(qa, act))
                         == mpc_mul(kmap.fiber(origin, qa), act))
 

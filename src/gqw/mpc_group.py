@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
@@ -30,8 +31,6 @@ from .errors import NumericError
 Mat = Tuple[float, float, float, float]  # ((a, b), (c, d)) flattened
 
 IDENTITY: Mat = (1.0, 0.0, 0.0, 1.0)
-
-_DET_TOL = 1e-12
 
 
 def mat_mul(x: Mat, y: Mat) -> Mat:
@@ -240,18 +239,13 @@ def lift_path(path: Callable[[float], Mat], steps: int,
     return current
 
 
-def _sheet_of_path(path: Callable[[float], Mat], steps: int) -> int:
-    return lift_path(path, steps).sheet
-
-
 def lift_path_checked(path: Callable[[float], Mat], base_steps: int) -> MpElement:
     """Lift with step-doubling verification of the accumulated sheet."""
     steps = base_steps
     for _ in range(4):
-        a = _sheet_of_path(path, steps)
-        b = _sheet_of_path(path, 2 * steps)
-        if a == b:
-            return lift_path(path, 2 * steps)
+        fine = lift_path(path, 2 * steps)
+        if lift_path(path, steps).sheet == fine.sheet:
+            return fine
         steps *= 4
     raise NumericError("sheet tracking did not converge under step doubling")
 
@@ -284,3 +278,25 @@ def mu_loop(t: float) -> MpElement:
         return mp_identity()
     steps = max(64, int(math.ceil(256 * t)))
     return lift_path(lambda s: rotation(4 * math.pi * s * t), steps)
+
+
+# ---------------------------------------------------------------------------
+# seeded random elements (each draws its numbers in the order listed)
+
+
+def random_traceless(rng: random.Random, r: float) -> Mat:
+    """Traceless matrix (a, b, c, -a) with a, b, c uniform in [-r, r]."""
+    a = rng.uniform(-r, r)
+    return (a, rng.uniform(-r, r), rng.uniform(-r, r), -a)
+
+
+def random_algebra(rng: random.Random) -> MpcAlgebra:
+    """random_traceless(rng, 0.8), then tau = i u with u uniform in [-1, 1]."""
+    return MpcAlgebra(random_traceless(rng, 0.8), 1j * rng.uniform(-1, 1))
+
+
+def random_mpc(rng: random.Random, r: float, phase: float) -> MpcElement:
+    """exp(random_traceless(rng, r)), then the phase e^{i u} with u uniform
+    in [-phase, phase]."""
+    return MpcElement(mat_exp(random_traceless(rng, r)),
+                      cmath.exp(1j * rng.uniform(-phase, phase)))

@@ -1,16 +1,21 @@
-"""Randomized point sampling on chart domains, and sampling-based equality.
+"""The chart's evaluation context: seeded point sampling on the domain, and
+sampling-based equality.
 
 Symbolic zero-testing for the expression class here (rational + trig) is
 undecidable in general, so equality is decided by canonical simplification
-plus evaluation at N random points of the chart domain.  The sampler is
-deterministic for a fixed seed.
+plus evaluation at N random points of the chart domain.  A DomainSampler
+holds everything an evaluation needs besides the point: the seed, the sample
+count, the tolerance and the value of ``hbar``.  Every numeric evaluation on
+a chart reads ``hbar`` from its sampler, so no caller passes it by hand.
+Draws come from one rejection loop, deterministic for a fixed seed and
+capped at 1000 draws per requested point.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from .errors import EvaluationError, SamplingError
 from .expr import Expr, evalf, add, mul, rational
@@ -22,7 +27,8 @@ _MAX_RESAMPLE = 1000
 class DomainSampler:
     """Draws points from a coordinate box, rejecting those that violate the
     chart's strict inequalities (each entry of ``positive`` must evaluate
-    > ``tolerance`` at every emitted point)."""
+    > ``tolerance`` at every emitted point).  ``hbar`` is the value bound
+    to the reserved constant in every evaluation on the chart."""
 
     coords: Tuple[str, ...]
     box: Dict[str, Tuple[float, float]]
@@ -30,72 +36,72 @@ class DomainSampler:
     seed: int = 42
     n_samples: int = 32
     tolerance: float = 1e-9
+    hbar: float = 1.0
 
     def __post_init__(self):
         for c in self.coords:
             if c not in self.box:
                 raise SamplingError(f"no bounding box for coordinate '{c}'")
 
+    def env(self, values) -> Dict[str, float]:
+        """Evaluation environment: coordinate values (in chart order) and hbar."""
+        out = dict(zip(self.coords, values))
+        out["hbar"] = self.hbar
+        return out
+
     def admissible(self, point: Mapping[str, float]) -> bool:
+        env = dict(point)
+        env["hbar"] = self.hbar
         for ineq in self.positive:
-            v = evalf(ineq, dict(point))
+            v = evalf(ineq, env)
             if not (v.real > self.tolerance and abs(v.imag) < 1e-12):
                 return False
         return True
 
-    def points(self, n: Optional[int] = None, seed_tag: str = "") -> List[Dict[str, float]]:
-        """Deterministic list of admissible sample points."""
-        n = self.n_samples if n is None else n
+    def _draws(self, n: int, seed_tag: str) -> Iterator[Dict[str, float]]:
+        """Admissible points of the ``{seed}:{seed_tag}`` stream; raises
+        SamplingError after 1000 * n draws."""
         rng = random.Random(f"{self.seed}:{seed_tag}")
-        out = []
-        attempts = 0
-        while len(out) < n:
-            attempts += 1
-            if attempts > _MAX_RESAMPLE * max(n, 1):
-                raise SamplingError(
-                    f"could not find {n} admissible points in {attempts} draws")
+        cap = _MAX_RESAMPLE * max(n, 1)
+        for _ in range(cap):
             pt = {c: rng.uniform(*self.box[c]) for c in self.coords}
             try:
                 ok = self.admissible(pt)
             except EvaluationError:
                 ok = False
             if ok:
-                out.append(pt)
-        return out
+                yield pt
+        raise SamplingError(f"could not find {n} usable points in {cap} draws")
+
+    def points(self, n: Optional[int] = None, seed_tag: str = "") -> List[Dict[str, float]]:
+        """Deterministic list of admissible sample points."""
+        n = self.n_samples if n is None else n
+        draws = self._draws(n, seed_tag)
+        return [next(draws) for _ in range(n)]
 
 
 def expr_equal(a: Expr, b: Expr, sampler: DomainSampler,
-               params: Optional[Mapping[str, complex]] = None,
                n: Optional[int] = None) -> Tuple[bool, float]:
     """Decide a == b on the sampler's domain; returns (verdict, worst residual).
 
     The difference is canonicalized first, so identities that normalize to a
-    structural zero report residual exactly 0.0.  Parameters (hbar defaults
-    to 1) are bound only at evaluation time.  Points where evaluation fails
-    are resampled, with a cap.
+    structural zero report residual exactly 0.0.  Otherwise it is evaluated
+    at ``n`` admissible points of the ``{seed}:equal`` stream, at the
+    sampler's hbar; points where the difference fails to evaluate are
+    skipped, within the sampler's draw cap.
     """
     delta = add(a, mul(rational(-1), b))
     if delta.is_zero():
         return True, 0.0
-    env_extra = {"hbar": 1.0}
-    if params:
-        env_extra.update(params)
-    worst = 0.0
     n = sampler.n_samples if n is None else n
-    rng = random.Random(f"{sampler.seed}:equal")
+    draws = sampler._draws(n, "equal")
+    worst = 0.0
     count = 0
-    attempts = 0
     while count < n:
-        attempts += 1
-        if attempts > _MAX_RESAMPLE:
-            raise SamplingError("too many evaluation failures while comparing")
-        pt = {c: rng.uniform(*sampler.box[c]) for c in sampler.coords}
+        pt = next(draws)
+        pt["hbar"] = sampler.hbar
         try:
-            if not sampler.admissible(pt):
-                continue
-            env = dict(pt)
-            env.update(env_extra)
-            r = abs(evalf(delta, env))
+            r = abs(evalf(delta, pt))
         except EvaluationError:
             continue
         worst = max(worst, r)
@@ -103,6 +109,6 @@ def expr_equal(a: Expr, b: Expr, sampler: DomainSampler,
     return worst <= sampler.tolerance, worst
 
 
-def residual(a: Expr, b: Expr, sampler: DomainSampler,
-             params: Optional[Mapping[str, complex]] = None) -> float:
-    return expr_equal(a, b, sampler, params)[1]
+def worst_residual(pairs: Iterable[Tuple[Expr, Expr]], sampler: DomainSampler) -> float:
+    """The largest expr_equal residual over (a, b) pairs; 0.0 for none."""
+    return max((expr_equal(a, b, sampler)[1] for a, b in pairs), default=0.0)

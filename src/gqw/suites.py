@@ -11,13 +11,15 @@ the JSON rendering so that identical runs produce byte-identical reports.
 
 from __future__ import annotations
 
+import cmath
+import functools
 import itertools
 import json
 import math
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .circle import (
     CircleLiftedVF, E_circle, EquivariantSection, F_circle, TWO_PI_HBAR_INV,
@@ -25,21 +27,22 @@ from .circle import (
     horizontal_lift, ks_operator, vertical_action,
 )
 from .expr import (
-    Expr, HBAR, IMAG, ZERO, add, evalf, mul, power, rational, symbol,
+    Expr, HBAR, IMAG, PI, ZERO, add, evalf, mul, power, rational, symbol,
 )
 from .flows import flow_commutator
 from .forms import VectorField, exterior_derivative, interior_product, scalar_form, zero_vf
 from .mpc_bundle import (
     E_mpc, F_mpc, StructuredVF, bracket_flow_residual, dgamma_structured_residual,
     delta_operator, eta_ad_residual, example_base_rotation,
-    example_fiberwise_twist, hat_lift, frame_lift, jacobian, left_invariant,
-    pushforward_residual, quantomorphism_membership, right_action_map,
+    example_fiberwise_twist, hat_lift, frame_lift, imag_expr, jacobian,
+    left_invariant, pushforward_residual, quantomorphism_membership, right_action_map,
     sample_fiber_points, section_vocabulary, structured_bracket,
 )
 from .mpc_group import (
-    IDENTITY, MpcAlgebra, MpcElement, ROTATION_GENERATOR, central, eta,
-    exp_mpc, kappa, lift_path, mat_exp, mat_mul, mat_sub_norm, mp_mul,
-    mpc_distance, mpc_identity, mpc_inv, mpc_mul, mu_loop, rotation, sigma,
+    IDENTITY, MpcAlgebra, ROTATION_GENERATOR, central, eta, exp_mpc, kappa,
+    lift_path, mat_exp, mat_mul, mat_sub_norm, mp_mul, mpc_distance,
+    mpc_identity, mpc_inv, mpc_mul, mu_loop, random_algebra, random_mpc,
+    random_traceless, rotation, sigma,
 )
 from .parse import parse_expr
 from .sample import expr_equal
@@ -142,22 +145,26 @@ def _random_polynomial(rng: random.Random, coords: Sequence[str],
     return add(*terms)
 
 
-def _params(spec: SystemSpec):
-    return {"hbar": spec.hbar}
-
-
 def _sym_residual(spec: SystemSpec, pairs) -> Tuple[bool, float, int]:
     """Worst sampled residual over (lhs, rhs) expression pairs; residual 0.0
     when every difference collapses structurally."""
     worst = 0.0
     n = 0
     for lhs, rhs in pairs:
-        ok, r = expr_equal(lhs, rhs, spec.chart.sampler, params=_params(spec))
+        ok, r = expr_equal(lhs, rhs, spec.chart.sampler)
         worst = max(worst, r)
         n += spec.samples
         if not ok:
             return False, worst, n
     return True, worst, n
+
+
+def _pair_check(spec: SystemSpec):
+    """Returns the wrapper that turns a function yielding (lhs, rhs)
+    expression pairs into the check that every pair agrees on the domain."""
+    def wrap(produce: Callable[[], Iterable[Tuple[Expr, Expr]]]):
+        return lambda: _sym_residual(spec, list(produce()))
+    return wrap
 
 
 def _ham_pairs(spec: SystemSpec):
@@ -172,89 +179,75 @@ def _ham_pairs(spec: SystemSpec):
 def poisson_checks(spec: SystemSpec) -> List[Check]:
     s = spec.sympl
     hs = list(spec.hamiltonians.values())
+    pair_check = _pair_check(spec)
 
     def defining_equation():
-        pairs = []
         for f in hs:
             lhs = interior_product(hamiltonian_vf(f, s), s.omega)
             rhs = exterior_derivative(scalar_form(spec.chart, f))
-            pairs.extend(zip(lhs.coeffs, rhs.coeffs))
-        return _sym_residual(spec, pairs)
+            yield from zip(lhs.coeffs, rhs.coeffs)
 
-    def bracket_corpus():
-        worst = 0.0
-        n = 0
-        for f, g in _ham_pairs(spec):
-            rep = verify_bracket_lemma(f, g, s)
-            worst = max(worst, max(rep["residuals"]))
-            n += spec.samples * len(rep["residuals"])
-            if not rep["passed"]:
-                return False, worst, n
-        return True, worst, n
+    def bracket_compat(function_pairs):
+        def run():
+            worst = 0.0
+            n = 0
+            for f, g in function_pairs():
+                rep = verify_bracket_lemma(f, g, s)
+                worst = max(worst, max(rep["residuals"]))
+                n += spec.samples * len(rep["residuals"])
+                if not rep["passed"]:
+                    return False, worst, n
+            return True, worst, n
+        return run
 
-    def bracket_random():
+    def random_pairs():
         rng = random.Random(f"{spec.seed}:bracket-random")
-        worst = 0.0
-        n = 0
         for _ in range(20):
-            f = _random_polynomial(rng, spec.coords)
-            g = _random_polynomial(rng, spec.coords)
-            rep = verify_bracket_lemma(f, g, s)
-            worst = max(worst, max(rep["residuals"]))
-            n += spec.samples * len(rep["residuals"])
-            if not rep["passed"]:
-                return False, worst, n
-        return True, worst, n
+            yield _random_polynomial(rng, spec.coords), _random_polynomial(rng, spec.coords)
 
     def jacobi():
         rng = random.Random(f"{spec.seed}:jacobi")
         triples = list(itertools.combinations(hs, 3))[:10]
         triples += [tuple(_random_polynomial(rng, spec.coords) for _ in range(3))
                     for _ in range(5)]
-        pairs = []
         for f, g, h in triples:
             total = add(poisson(f, poisson(g, h, s), s),
                         poisson(g, poisson(h, f, s), s),
                         poisson(h, poisson(f, g, s), s))
-            pairs.append((total, ZERO))
-        return _sym_residual(spec, pairs)
+            yield total, ZERO
 
     def leibniz():
         rng = random.Random(f"{spec.seed}:leibniz")
-        pairs = []
         for _ in range(8):
             f = _random_polynomial(rng, spec.coords)
             g = _random_polynomial(rng, spec.coords)
             h = _random_polynomial(rng, spec.coords)
             lhs = poisson(f, mul(g, h), s)
             rhs = add(mul(poisson(f, g, s), h), mul(g, poisson(f, h, s)))
-            pairs.append((lhs, rhs))
-        return _sym_residual(spec, pairs)
+            yield lhs, rhs
 
     def sign_coherence():
-        pairs = []
         for f, g in _ham_pairs(spec):
             ways = poisson_ways(f, g, s)
-            pairs.append((ways["minus_omega"], ways["directional"]))
-            pairs.append((ways["interior"], ways["directional"]))
-        return _sym_residual(spec, pairs)
+            yield ways["minus_omega"], ways["directional"]
+            yield ways["interior"], ways["directional"]
 
     def flows_preserve_omega():
-        pairs = []
         for f in hs:
             for c in lie_derivative_omega(f, s).coeffs:
-                pairs.append((c, ZERO))
-        return _sym_residual(spec, pairs)
+                yield c, ZERO
 
     return [
-        ("hamiltonian-defining", "xi_f . omega = df", defining_equation),
-        ("bracket-compat-corpus", "[xi_f, xi_g] = xi_{f,g} on the corpus", bracket_corpus),
+        ("hamiltonian-defining", "xi_f . omega = df", pair_check(defining_equation)),
+        ("bracket-compat-corpus", "[xi_f, xi_g] = xi_{f,g} on the corpus",
+         bracket_compat(lambda: _ham_pairs(spec))),
         ("bracket-compat-random", "[xi_f, xi_g] = xi_{f,g} on 20 random polynomial pairs",
-         bracket_random),
-        ("jacobi", "{f,{g,h}} + {g,{h,f}} + {h,{f,g}} = 0", jacobi),
-        ("leibniz", "{f, g*h} = {f,g}*h + g*{f,h}", leibniz),
-        ("sign-coherence", "xi_f g = -omega(xi_f, xi_g) = <dg, xi_f>", sign_coherence),
-        ("flows-preserve-omega", "L_{xi_f} omega = 0", flows_preserve_omega),
+         bracket_compat(random_pairs)),
+        ("jacobi", "{f,{g,h}} + {g,{h,f}} + {h,{f,g}} = 0", pair_check(jacobi)),
+        ("leibniz", "{f, g*h} = {f,g}*h + g*{f,h}", pair_check(leibniz)),
+        ("sign-coherence", "xi_f g = -omega(xi_f, xi_g) = <dg, xi_f>",
+         pair_check(sign_coherence)),
+        ("flows-preserve-omega", "L_{xi_f} omega = 0", pair_check(flows_preserve_omega)),
     ]
 
 
@@ -266,14 +259,13 @@ def circle_checks(spec: SystemSpec) -> List[Check]:
     y = spec.circle_bundle()
     s = spec.sympl
     hs = list(spec.hamiltonians.values())
+    pair_check = _pair_check(spec)
 
     def field_pairs(z1: CircleLiftedVF, z2: CircleLiftedVF):
-        out = list(zip(z1.base.components, z2.base.components))
-        out.append((z1.fiber, z2.fiber))
-        return out
+        yield from zip(z1.base.components, z2.base.components)
+        yield z1.fiber, z2.fiber
 
     def lifted_bracket():
-        pairs = []
         for f, g in _ham_pairs(spec):
             br = poisson(f, g, s)
             lhs = bracket_lifted(horizontal_lift(hamiltonian_vf(f, s), y),
@@ -281,57 +273,49 @@ def circle_checks(spec: SystemSpec) -> List[Check]:
             hor = horizontal_lift(hamiltonian_vf(br, s), y)
             rhs = CircleLiftedVF(y, hor.base,
                                  add(hor.fiber, mul(rational(-1), TWO_PI_HBAR_INV, br)))
-            pairs.extend(field_pairs(lhs, rhs))
-        return _sym_residual(spec, pairs)
+            yield from field_pairs(lhs, rhs)
 
     def e_homomorphism():
-        pairs = []
         for f, g in _ham_pairs(spec):
             lhs = E_circle(poisson(f, g, s), y)
             rhs = bracket_lifted(E_circle(f, y), E_circle(g, y))
-            pairs.extend(field_pairs(lhs, rhs))
-        return _sym_residual(spec, pairs)
+            yield from field_pairs(lhs, rhs)
 
     def e_preserves_connection():
-        pairs = []
         for f in hs:
             for c in gamma_lie_derivative(E_circle(f, y)).coeffs:
-                pairs.append((c, ZERO))
-        return _sym_residual(spec, pairs)
+                yield c, ZERO
 
     def f_inverts_e():
-        pairs = [(F_circle(E_circle(f, y), y), f) for f in hs]
-        return _sym_residual(spec, pairs)
+        for f in hs:
+            yield F_circle(E_circle(f, y), y), f
 
     def e_inverts_f():
-        pairs = []
         for f in hs:
             z = E_circle(f, y)
             back = E_circle(F_circle(z, y), y)
-            pairs.extend(field_pairs(back, z))
-        return _sym_residual(spec, pairs)
+            yield from field_pairs(back, z)
 
     def horizontal_gamma():
         rng = random.Random(f"{spec.seed}:hlift")
-        pairs = []
         for _ in range(10):
             f = _random_polynomial(rng, spec.coords)
             z = horizontal_lift(hamiltonian_vf(f, s), y)
-            pairs.append((z.gamma(), ZERO))
-        return _sym_residual(spec, pairs)
+            yield z.gamma(), ZERO
 
     def bracket_flow_oracle():
         f = list(spec.hamiltonians.values())[4]
         g = list(spec.hamiltonians.values())[3]
         z1, z2 = E_circle(f, y), E_circle(g, y)
         z12 = bracket_lifted(z1, z2)
+        env = spec.chart.sampler.env
 
         def rhs(z):
+            comps = z.base.components + (z.fiber,)
+
             def fn(x):
-                env = dict(zip(spec.coords, x[:len(spec.coords)]))
-                env["hbar"] = spec.hbar
-                return [evalf(c, env).real for c in z.base.components] + \
-                    [evalf(z.fiber, env).real]
+                e = env(x)
+                return [evalf(c, e).real for c in comps]
             return fn
 
         rng = random.Random(f"{spec.seed}:circle-flow")
@@ -347,12 +331,12 @@ def circle_checks(spec: SystemSpec) -> List[Check]:
     return [
         ("lifted-bracket-formula",
          "[lift xi_f, lift xi_g] = lift xi_{f,g} - (1/(2 pi hbar)) {f,g} vertical",
-         lifted_bracket),
-        ("e-homomorphism", "E({f,g}) = [E(f), E(g)]", e_homomorphism),
-        ("e-preserves-connection", "L_{E(f)} gamma = 0", e_preserves_connection),
-        ("f-inverts-e", "F(E(f)) = f", f_inverts_e),
-        ("e-inverts-f", "E(F(zeta)) = zeta on the image of E", e_inverts_f),
-        ("horizontal-lift-gamma", "gamma(horizontal lift) = 0", horizontal_gamma),
+         pair_check(lifted_bracket)),
+        ("e-homomorphism", "E({f,g}) = [E(f), E(g)]", pair_check(e_homomorphism)),
+        ("e-preserves-connection", "L_{E(f)} gamma = 0", pair_check(e_preserves_connection)),
+        ("f-inverts-e", "F(E(f)) = f", pair_check(f_inverts_e)),
+        ("e-inverts-f", "E(F(zeta)) = zeta on the image of E", pair_check(e_inverts_f)),
+        ("horizontal-lift-gamma", "gamma(horizontal lift) = 0", pair_check(horizontal_gamma)),
         ("bracket-flow-oracle",
          "lifted bracket agrees with the numeric flow commutator", bracket_flow_oracle),
     ]
@@ -369,13 +353,13 @@ def dirac_checks(spec: SystemSpec) -> List[Check]:
     x0, x1 = symbol(spec.coords[0]), symbol(spec.coords[1])
     sects = [EquivariantSection(u) for u in
              (rational(1), mul(x0, x1), add(power(x0, 2), mul(rational(-1), x1)))]
+    pair_check = _pair_check(spec)
 
     def identity_axiom():
-        pairs = [(ks_operator(rational(1), sec, y).u, sec.u) for sec in sects]
-        return _sym_residual(spec, pairs)
+        for sec in sects:
+            yield ks_operator(rational(1), sec, y).u, sec.u
 
     def commutator_axiom():
-        pairs = []
         for f in hs[1:6]:
             for g in hs[2:5]:
                 for sec in sects:
@@ -383,8 +367,7 @@ def dirac_checks(spec: SystemSpec) -> List[Check]:
                     gf = ks_operator(g, ks_operator(f, sec, y), y)
                     lhs = add(fg.u, mul(rational(-1), gf.u))
                     rhs = mul(IMAG, HBAR, ks_operator(poisson(f, g, s), sec, y).u)
-                    pairs.append((lhs, rhs))
-        return _sym_residual(spec, pairs)
+                    yield lhs, rhs
 
     def curvature():
         from .forms import lie_bracket
@@ -397,7 +380,6 @@ def dirac_checks(spec: SystemSpec) -> List[Check]:
         mixed = [ZERO] * n
         mixed[0], mixed[1] = x1, x0
         fields = [basis(0), basis(1), VectorField(spec.chart, mixed)]
-        pairs = []
         for xi in fields:
             for etaf in fields:
                 for sec in sects[:2]:
@@ -406,37 +388,31 @@ def dirac_checks(spec: SystemSpec) -> List[Check]:
                     c = connection_nabla(lie_bracket(xi, etaf), sec, y).u
                     lhs = add(a, mul(rational(-1), b), mul(rational(-1), c))
                     rhs = mul(power(mul(IMAG, HBAR), -1), s.omega(xi, etaf), sec.u)
-                    pairs.append((lhs, rhs))
-        return _sym_residual(spec, pairs)
+                    yield lhs, rhs
 
     def operator_via_connection():
-        pairs = []
         for f in hs:
             for sec in sects:
                 xi = hamiltonian_vf(f, s)
                 lhs = ks_operator(f, sec, y).u
                 rhs = add(mul(IMAG, HBAR, connection_nabla(xi, sec, y).u),
                           mul(f, sec.u))
-                pairs.append((lhs, rhs))
-        return _sym_residual(spec, pairs)
+                yield lhs, rhs
 
     def vertical_rule():
-        pairs = []
         for sec in sects:
-            lhs = vertical_action(sec).u
-            rhs = mul(rational(-1), TWO_PI_I, sec.u)
-            pairs.append((lhs, rhs))
-        return _sym_residual(spec, pairs)
+            yield vertical_action(sec).u, mul(rational(-1), TWO_PI_I, sec.u)
 
     return [
-        ("identity-axiom", "r(1) = id", identity_axiom),
-        ("commutator-axiom", "[r(f), r(g)] = i hbar r({f,g})", commutator_axiom),
+        ("identity-axiom", "r(1) = id", pair_check(identity_axiom)),
+        ("commutator-axiom", "[r(f), r(g)] = i hbar r({f,g})", pair_check(commutator_axiom)),
         ("curvature-identity",
-         "(nabla nabla - nabla nabla - nabla_[,]) = (1/(i hbar)) omega", curvature),
+         "(nabla nabla - nabla nabla - nabla_[,]) = (1/(i hbar)) omega",
+         pair_check(curvature)),
         ("operator-via-connection", "r(f) = i hbar nabla_{xi_f} + f",
-         operator_via_connection),
+         pair_check(operator_via_connection)),
         ("vertical-action", "the vertical generator acts on sections by -2 pi i",
-         vertical_rule),
+         pair_check(vertical_rule)),
     ]
 
 
@@ -448,12 +424,10 @@ def group_checks(spec: SystemSpec) -> List[Check]:
     seed = spec.seed
 
     def rand_sp(rng):
-        a = rng.uniform(-1.2, 1.2)
-        return mat_exp((a, rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2), -a))
+        return mat_exp(random_traceless(rng, 1.2))
 
     def rand_mpc(rng):
-        import cmath
-        return MpcElement(rand_sp(rng), cmath.exp(1j * rng.uniform(-math.pi, math.pi)))
+        return random_mpc(rng, 1.2, math.pi)
 
     def cocycle_identity():
         rng = random.Random(f"{seed}:cocycle")
@@ -476,7 +450,6 @@ def group_checks(spec: SystemSpec) -> List[Check]:
         return worst <= 1e-9, worst, 1000
 
     def eta_on_center():
-        import cmath
         rng = random.Random(f"{seed}:center")
         worst = 0.0
         for _ in range(200):
@@ -497,10 +470,8 @@ def group_checks(spec: SystemSpec) -> List[Check]:
     def path_lift_vs_cocycle():
         rng = random.Random(f"{seed}:pathlift")
         for k in range(200):
-            m1 = (rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2))
-            m2 = (rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2))
-            a1 = (m1[0], m1[1], m1[2], -m1[0])
-            a2 = (m2[0], m2[1], m2[2], -m2[0])
+            a1 = random_traceless(rng, 2)
+            a2 = random_traceless(rng, 2)
             g1 = mat_exp(a1)
             lift1 = lift_path(lambda u: mat_exp(tuple(u * v for v in a1)), 128)
             lift2 = lift_path(lambda u: mat_exp(tuple(u * v for v in a2)), 128)
@@ -524,9 +495,7 @@ def group_checks(spec: SystemSpec) -> List[Check]:
         rng = random.Random(f"{seed}:exp")
         worst = 0.0
         for _ in range(20):
-            a = rng.uniform(-0.8, 0.8)
-            alpha = MpcAlgebra((a, rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8), -a),
-                               1j * rng.uniform(-1, 1))
+            alpha = random_algebra(rng)
             t, u = rng.uniform(-2, 2), rng.uniform(-2, 2)
             worst = max(worst, mpc_distance(exp_mpc(alpha, t + u),
                                             mpc_mul(exp_mpc(alpha, t), exp_mpc(alpha, u))))
@@ -535,18 +504,15 @@ def group_checks(spec: SystemSpec) -> List[Check]:
         return ok, worst, 20
 
     def algebra_split():
-        import cmath
         rng = random.Random(f"{seed}:split")
         h = 1e-6
         worst = 0.0
         for _ in range(20):
-            a = rng.uniform(-0.8, 0.8)
-            A = (a, rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8), -a)
-            tau = 1j * rng.uniform(-1, 1)
-            out = exp_mpc(MpcAlgebra(A, tau), h)
+            alpha = random_algebra(rng)
+            out = exp_mpc(alpha, h)
             fd_A = tuple((g - e) / h for g, e in zip(out.g, IDENTITY))
-            worst = max(worst, max(abs(x - y) for x, y in zip(fd_A, A)))
-            worst = max(worst, abs(0.5 * cmath.phase(eta(out)) / h - tau.imag))
+            worst = max(worst, max(abs(x - y) for x, y in zip(fd_A, alpha.A)))
+            worst = max(worst, abs(0.5 * cmath.phase(eta(out)) / h - alpha.tau.imag))
         return worst <= 1e-4, worst, 20
 
     return [
@@ -576,33 +542,37 @@ def mpc_checks(spec: SystemSpec) -> List[Check]:
     bundle = spec.mpc_bundle()
     s = spec.sympl
     hs = list(spec.hamiltonians.values())
+    pair_check = _pair_check(spec)
 
-    def struct_pairs(z1: StructuredVF, z2: StructuredVF):
-        out = list(zip(z1.base.components, z2.base.components))
-        out.extend(zip(z1.a_r, z2.a_r))
-        out.append((z1.tau_r, z2.tau_r))
-        left_gap = max(abs(a - b) for a, b in zip(z1.a_l, z2.a_l))
-        left_gap = max(left_gap, abs(z1.tau_l - z2.tau_l))
-        return out, left_gap
+    def struct_check(produce):
+        """Like pair_check over pairs of structured fields: the symbolic slots
+        are decided on the domain, and the constant left-invariant slots must
+        agree within epsilon."""
+        def run():
+            pairs = []
+            gap = 0.0
+            for z1, z2 in produce():
+                pairs.extend(zip(z1.base.components, z2.base.components))
+                pairs.extend(zip(z1.a_r, z2.a_r))
+                pairs.append((z1.tau_r, z2.tau_r))
+                gap = max(gap, abs(z1.tau_l - z2.tau_l),
+                          *(abs(a - b) for a, b in zip(z1.a_l, z2.a_l)))
+            ok, worst, n = _sym_residual(spec, pairs)
+            return ok and gap <= spec.epsilon, max(worst, gap), n
+        return run
 
     def invariance():
-        import cmath
         rng = random.Random(f"{spec.seed}:invariance")
         pts = sample_fiber_points(bundle, 4, seed_tag="inv")
         worst = 0.0
         for x in pts:
-            d = rng.uniform(-0.8, 0.8)
-            b = MpcElement(mat_exp((d, rng.uniform(-0.8, 0.8),
-                                    rng.uniform(-0.8, 0.8), -d)),
-                           cmath.exp(1j * rng.uniform(-3, 3)))
-            worst = max(worst, pushforward_residual(
-                bundle, right_action_map(b), x, h=1e-6, hbar=spec.hbar))
+            b = random_mpc(rng, 0.8, 3)
+            worst = max(worst, pushforward_residual(bundle, right_action_map(b), x, h=1e-6))
         return worst <= 1e-6, worst, len(pts)
 
     def vertical_pairing():
         rng = random.Random(f"{spec.seed}:vertical")
         pairs = []
-        from .mpc_bundle import imag_expr
         for _ in range(10):
             a = rng.uniform(-1, 1)
             tau = 1j * rng.uniform(-1, 1)
@@ -624,35 +594,21 @@ def mpc_checks(spec: SystemSpec) -> List[Check]:
         return worst <= spec.epsilon, worst, len(pairs) * spec.samples
 
     def frame_homomorphism():
-        pairs = []
         for f, g in _ham_pairs(spec)[:10]:
             lhs = frame_lift(poisson(f, g, s), bundle)
-            rhs = structured_bracket(frame_lift(f, bundle), frame_lift(g, bundle))
-            ps, gap = struct_pairs(lhs, rhs)
-            if gap > 0:
-                return False, gap, 0
-            pairs.extend(ps)
-        return _sym_residual(spec, pairs)
+            yield lhs, structured_bracket(frame_lift(f, bundle), frame_lift(g, bundle))
 
     def hat_contract():
-        pairs = []
         for f in hs:
             z = hat_lift(f, bundle)
-            pairs.append((z.gamma(), ZERO))
-            pairs.extend(zip(z.a_r, jacobian(z.base)))
-            pairs.extend(zip(z.base.components, hamiltonian_vf(f, s).components))
-        return _sym_residual(spec, pairs)
+            yield z.gamma(), ZERO
+            yield from zip(z.a_r, jacobian(z.base))
+            yield from zip(z.base.components, hamiltonian_vf(f, s).components)
 
     def e_homomorphism_mpc():
-        pairs = []
         for f, g in _ham_pairs(spec)[:12]:
             lhs = E_mpc(poisson(f, g, s), bundle)
-            rhs = structured_bracket(E_mpc(f, bundle), E_mpc(g, bundle))
-            ps, gap = struct_pairs(lhs, rhs)
-            if gap > spec.epsilon:
-                return False, gap, 0
-            pairs.extend(ps)
-        return _sym_residual(spec, pairs)
+            yield lhs, structured_bracket(E_mpc(f, bundle), E_mpc(g, bundle))
 
     def e_membership():
         worst = 0.0
@@ -668,34 +624,19 @@ def mpc_checks(spec: SystemSpec) -> List[Check]:
 
     def hat_commutes_vertical():
         rng = random.Random(f"{spec.seed}:hatvert")
-        pairs = []
-        gap = 0.0
         for f in hs[1:]:
-            a = rng.uniform(-1, 1)
-            v = left_invariant(bundle, (a, rng.uniform(-1, 1), rng.uniform(-1, 1), -a),
-                               1j * rng.uniform(-1, 1))
+            v = left_invariant(bundle, random_traceless(rng, 1), 1j * rng.uniform(-1, 1))
             out = structured_bracket(hat_lift(f, bundle), v)
-            ps, g0 = struct_pairs(out, StructuredVF(bundle, zero_vf(bundle.chart)))
-            gap = max(gap, g0)
-            pairs.extend(ps)
-        ok, worst, n = _sym_residual(spec, pairs)
-        return ok and gap <= spec.epsilon, max(worst, gap), n
+            yield out, StructuredVF(bundle, zero_vf(bundle.chart))
 
     def f_inverts_e_mpc():
-        pairs = [(F_mpc(E_mpc(f, bundle), bundle), f) for f in hs]
-        return _sym_residual(spec, pairs)
+        for f in hs:
+            yield F_mpc(E_mpc(f, bundle), bundle), f
 
     def e_inverts_f_mpc():
-        pairs = []
-        gap = 0.0
         for f in hs:
             z = E_mpc(f, bundle)
-            back = E_mpc(F_mpc(z, bundle), bundle)
-            ps, g0 = struct_pairs(back, z)
-            gap = max(gap, g0)
-            pairs.extend(ps)
-        ok, worst, n = _sym_residual(spec, pairs)
-        return ok and gap <= spec.epsilon, max(worst, gap), n
+            yield E_mpc(F_mpc(z, bundle), bundle), z
 
     def bracket_oracle():
         f, g = hs[4], hs[3]
@@ -705,7 +646,7 @@ def mpc_checks(spec: SystemSpec) -> List[Check]:
             (E_mpc(f, bundle), E_mpc(g, bundle)),
             (hat_lift(f, bundle), left_invariant(bundle, (0.0, 1.0, 1.0, 0.0), 0.7j)),
         ]:
-            worst = max(worst, bracket_flow_residual(z1, z2, pts, hbar=spec.hbar))
+            worst = max(worst, bracket_flow_residual(z1, z2, pts))
         return worst <= 1e-5, worst, 8
 
     def membership_regression():
@@ -715,7 +656,7 @@ def mpc_checks(spec: SystemSpec) -> List[Check]:
                            a_l=(1.0, 0.0, 0.0, -1.0), tau_l=0j)
         rep = quantomorphism_membership(bad, bundle)
         fval = F_mpc(bad, bundle, check=False)
-        ok_value, _ = expr_equal(fval, f, spec.chart.sampler, params=_params(spec))
+        ok_value, _ = expr_equal(fval, f, spec.chart.sampler)
         broke = E_mpc(fval, bundle) != bad
         ok = rep.condition_1 and not rep.condition_2 and ok_value and broke
         return ok, rep.left_sp_norm, spec.samples
@@ -730,16 +671,17 @@ def mpc_checks(spec: SystemSpec) -> List[Check]:
          "d gamma = (1/(i hbar)) omega upstairs (structured evaluation)",
          curvature_structured),
         ("frame-lift-homomorphism", "lift of {f,g} = bracket of the lifts",
-         frame_homomorphism),
+         struct_check(frame_homomorphism)),
         ("hat-lift-contract",
-         "gamma(hat xi_f) = 0 and the frame part is the base Jacobian", hat_contract),
+         "gamma(hat xi_f) = 0 and the frame part is the base Jacobian",
+         pair_check(hat_contract)),
         ("e-homomorphism", "E({f,g}) = [E(f), E(g)] on structured fields",
-         e_homomorphism_mpc),
+         struct_check(e_homomorphism_mpc)),
         ("e-membership", "E(f) satisfies both membership conditions", e_membership),
         ("hat-commutes-vertical", "[hat xi_f, vertical generator] = 0",
-         hat_commutes_vertical),
-        ("f-inverts-e", "F(E(f)) = f", f_inverts_e_mpc),
-        ("e-inverts-f", "E(F(zeta)) = zeta on the image of E", e_inverts_f_mpc),
+         struct_check(hat_commutes_vertical)),
+        ("f-inverts-e", "F(E(f)) = f", pair_check(f_inverts_e_mpc)),
+        ("e-inverts-f", "E(F(zeta)) = zeta on the image of E", struct_check(e_inverts_f_mpc)),
         ("bracket-flow-oracle",
          "structured bracket agrees with the flow commutator at 8 points",
          bracket_oracle),
@@ -759,40 +701,34 @@ def delta_checks(spec: SystemSpec) -> List[Check]:
     hs = list(spec.hamiltonians.values())
     vocab = section_vocabulary(bundle)
     sections = [parse_expr(t, vocab) for t in ["1", "g11*p", "p*q + g21"]]
+    pair_check = _pair_check(spec)
 
     def identity_rule():
-        pairs = [(delta_operator(rational(1), u, bundle),
-                  mul(power(mul(IMAG, HBAR), -1), u)) for u in sections]
-        return _sym_residual(spec, pairs)
+        for u in sections:
+            yield delta_operator(rational(1), u, bundle), mul(power(mul(IMAG, HBAR), -1), u)
 
     def homomorphism():
-        pairs = []
         for u in sections:
             for f, g in _ham_pairs(spec)[:7]:
                 lhs = add(delta_operator(f, delta_operator(g, u, bundle), bundle),
                           mul(rational(-1),
                               delta_operator(g, delta_operator(f, u, bundle), bundle)))
-                rhs = delta_operator(poisson(f, g, s), u, bundle)
-                pairs.append((lhs, rhs))
-        return _sym_residual(spec, pairs)
+                yield lhs, delta_operator(poisson(f, g, s), u, bundle)
 
     def scaled_operator():
         y = spec.circle_bundle()
-        pairs = []
         for f in hs[3:6]:
             for t in ["1", "p*q"]:
                 u = parse_expr(t, spec.coords)
                 lhs = mul(IMAG, HBAR, delta_operator(f, u, bundle))
-                rhs = ks_operator(f, EquivariantSection(u), y).u
-                pairs.append((lhs, rhs))
-        return _sym_residual(spec, pairs)
+                yield lhs, ks_operator(f, EquivariantSection(u), y).u
 
     return [
-        ("delta-identity", "delta_1 = (1/(i hbar)) id", identity_rule),
-        ("delta-homomorphism", "[delta_f, delta_g] = delta_{f,g}", homomorphism),
+        ("delta-identity", "delta_1 = (1/(i hbar)) id", pair_check(identity_rule)),
+        ("delta-homomorphism", "[delta_f, delta_g] = delta_{f,g}", pair_check(homomorphism)),
         ("delta-scaled-operator",
          "i hbar delta_f matches the line-bundle operator on base-only sections",
-         scaled_operator),
+         pair_check(scaled_operator)),
     ]
 
 
@@ -802,29 +738,31 @@ def delta_checks(spec: SystemSpec) -> List[Check]:
 
 def counterexample_checks(spec: SystemSpec) -> List[Check]:
     bundle = spec.mpc_bundle()
+    # each report is built once, by the first check that needs it
+    twist_report = functools.cache(lambda: example_fiberwise_twist(bundle))
+    rotation_report = functools.cache(
+        lambda: example_base_rotation(bundle, mul(rational(1, 2), PI)))
 
     def twist():
-        rep = example_fiberwise_twist(bundle, hbar=spec.hbar)
+        rep = twist_report()
         return rep.gamma_preserved, max(rep.gamma_residual,
                                         rep.gamma_residual_half_step), 8
 
     def twist_fiber():
-        rep = example_fiberwise_twist(bundle, hbar=spec.hbar)
+        rep = twist_report()
         return (not rep.descends_to_frame_bundle) and rep.fiber_gap >= 0.5, \
             rep.fiber_gap, 2
 
     def twist_eta():
-        rep = example_fiberwise_twist(bundle, hbar=spec.hbar)
+        rep = twist_report()
         return rep.eta_residual <= 1e-12, rep.eta_residual, 20
 
     def rotation_gamma():
-        from .expr import PI
-        rep = example_base_rotation(bundle, mul(rational(1, 2), PI), hbar=spec.hbar)
+        rep = rotation_report()
         return rep.condition_1 and rep.equivariant, 0.0, 20
 
     def rotation_mismatch():
-        from .expr import PI
-        rep = example_base_rotation(bundle, mul(rational(1, 2), PI), hbar=spec.hbar)
+        rep = rotation_report()
         gap_ok = abs(rep.fiber_difference - 2.0) < 1e-9
         return (not rep.condition_2) and gap_ok and rep.passed, rep.fiber_difference, 1
 

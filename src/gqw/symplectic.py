@@ -98,9 +98,10 @@ class SymplecticChart:
                             f"(d{xs[i]},d{xs[j]},d{xs[k]})")
 
     def _check_nondegenerate(self):
-        for pt in self.chart.sampler.points(seed_tag="nondegenerate"):
-            v = evalf(self.det, dict(pt, hbar=1.0))
-            if abs(v) <= self.chart.sampler.tolerance:
+        sampler = self.chart.sampler
+        for pt in sampler.points(seed_tag="nondegenerate"):
+            v = evalf(self.det, dict(pt, hbar=sampler.hbar))
+            if abs(v) <= sampler.tolerance:
                 raise DegeneracyError(f"omega degenerate at sample point {pt}")
 
     def gradient(self, f: Expr) -> List[Expr]:

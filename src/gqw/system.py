@@ -59,7 +59,6 @@ class SystemSpec:
     epsilon: float
     samples: int
     seed: int
-    hbar: float
     validate: bool = True
     _circle: Optional[PrequantCircle] = field(default=None, repr=False)
     _mpc: Optional[MpcPrequant] = field(default=None, repr=False)
@@ -68,6 +67,11 @@ class SystemSpec:
     def omega(self) -> KForm:
         return self.sympl.omega
 
+    @property
+    def hbar(self) -> float:
+        """The chart's value of hbar (read-only; it lives in the sampler)."""
+        return self.chart.sampler.hbar
+
     def circle_bundle(self) -> PrequantCircle:
         if self._circle is None:
             self._circle = PrequantCircle(self.sympl, self.beta, validate=self.validate)
@@ -75,7 +79,7 @@ class SystemSpec:
 
     def mpc_bundle(self) -> MpcPrequant:
         if self._mpc is None:
-            self._mpc = MpcPrequant(self.sympl, self.beta, validate=self.validate)
+            self._mpc = MpcPrequant(self.circle_bundle(), validate=self.validate)
         return self._mpc
 
 
@@ -154,7 +158,8 @@ def load_spec_text(text: str, validate: bool = True,
         positive.append(add(le, mul(rational(-1), re)))
 
     sampler = DomainSampler(coords=coords, box=box, positive=tuple(positive),
-                            seed=seed_v, n_samples=n_samples, tolerance=epsilon)
+                            seed=seed_v, n_samples=n_samples, tolerance=epsilon,
+                            hbar=hbar_v)
     chart = Chart(coords, sampler)
 
     omega_text = _single(sections["symplectic"], "omega")
@@ -185,7 +190,7 @@ def load_spec_text(text: str, validate: bool = True,
         sympl = SymplecticChart(chart, omega)
         spec = SystemSpec(coords=coords, chart=chart, sympl=sympl, beta=beta,
                           hamiltonians=hams, epsilon=epsilon, samples=n_samples,
-                          seed=seed_v, hbar=hbar_v, validate=validate)
+                          seed=seed_v, validate=validate)
         if validate:
             spec.circle_bundle()  # runs the d(beta) = omega check now
             sampler.points(1, seed_tag="probe")  # sampler must be nonempty

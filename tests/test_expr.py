@@ -244,8 +244,24 @@ def test_hbar_binding_defaults_to_one():
     a = mul(HBAR, P)
     ok, _ = expr_equal(a, P, sampler())
     assert ok
-    ok2, _ = expr_equal(a, P, sampler(), params={"hbar": 2.0})
+    ok2, _ = expr_equal(a, P, sampler(hbar=2.0))
     assert not ok2
+
+
+ANNULUS = (add(power(P, 2), power(Q, 2), rational(-19, 20)),
+           add(rational(21, 20), mul(rational(-1), add(power(P, 2), power(Q, 2)))))
+
+
+@pytest.mark.parametrize("kw", [dict(n_samples=1001), dict(positive=ANNULUS)],
+                         ids=["1001-samples", "thin-annulus"])
+def test_sampled_comparison_draws_within_one_cap(kw):
+    # a sampled (non-structural) identity: the draw cap scales with the
+    # sample count, so neither many samples nor a domain accepting about
+    # 2 % of the box's draws exhausts it
+    a = parse_expr("exp(p)*exp(q)", VOCAB)
+    b = parse_expr("exp(p+q)", VOCAB)
+    ok, res = expr_equal(a, b, sampler(**kw))
+    assert ok and 0.0 < res <= 1e-9
 
 
 def test_expr_equal_symmetric():

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from gqw.circle import EquivariantSection, ks_operator
+from gqw.circle import EquivariantSection, PrequantCircle, ks_operator
 from gqw.errors import (
     DegenerateParameterError, NotQuantomorphismError, UnsupportedFieldError,
 )
@@ -40,7 +40,7 @@ def bundle():
                       positive=(add(power(P, 2), power(Q, 2)),), seed=42)
     chart = Chart(("p", "q"), s)
     sympl = SymplecticChart(chart, parse_form("dp^dq", chart))
-    return MpcPrequant(sympl, parse_form("1/2*(p*dq - q*dp)", chart))
+    return MpcPrequant(PrequantCircle(sympl, parse_form("1/2*(p*dq - q*dp)", chart)))
 
 
 def hams(bundle):
@@ -56,7 +56,7 @@ def test_requires_standard_area_form():
     chart = Chart(("p", "q"), s)
     sympl = SymplecticChart(chart, parse_form("2*dp^dq", chart))
     with pytest.raises(UnsupportedFieldError):
-        MpcPrequant(sympl, parse_form("p*dq - q*dp", chart))
+        MpcPrequant(PrequantCircle(sympl, parse_form("p*dq - q*dp", chart)))
 
 
 def test_structured_fields_must_be_traceless(bundle):
@@ -440,3 +440,19 @@ def test_bundle_map_without_inverse_data(bundle):
     bare = BundleMap(_identity_chart_map(bundle), lambda pt, a: a)
     with pytest.raises(UnsupportedFieldError):
         bare.inverse_residual(bundle)
+
+
+def test_membership_is_decided_at_the_system_hbar():
+    from gqw.system import load_bundled
+    spec = load_bundled(hbar=2.0)
+    bundle = spec.mpc_bundle()
+    f = parse_expr("p^3", spec.coords)
+    z = hat_lift(f, bundle)
+    # the central coefficient of E(p^3) written for hbar = 1:
+    # -(1/i) beta(xi) + i p^3
+    tau = mul(IMAG, add(bundle.beta(z.base), f))
+    wrong = StructuredVF(bundle, z.base, a_r=z.a_r, tau_r=tau)
+    rep = quantomorphism_membership(wrong, bundle)
+    assert not rep.condition_1 and rep.connection_residual > 1.0
+    with pytest.raises(NotQuantomorphismError):
+        F_mpc(wrong, bundle)
