@@ -541,7 +541,10 @@ def _evalf(e: Expr, env: Mapping[str, complex]) -> complex:
             return complex(math.pi)
         if e.name == "i":
             return 1j
-        return complex(env.get("hbar", 1.0))
+        try:
+            return complex(env["hbar"])
+        except KeyError:
+            raise EvaluationError("unbound constant 'hbar'") from None
     if isinstance(e, Symbol):
         try:
             return complex(env[e.name])

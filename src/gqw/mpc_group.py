@@ -7,9 +7,10 @@ never vanishes, and the wrapping defect of its principal argument
 
     kappa(g1, g2) = (w(g1, g2 . i) + w(g2, i) - w(g1 g2, i)) / (2 pi)
 
-is an integer in {-1, 0, 1} whose parity is a group 2-cocycle.  Sheets are
-tracked along paths by subdividing and accumulating kappa, which doubles as
-an independent oracle for the cocycle itself.
+is an integer in {-1, 0, 1} whose parity is a group 2-cocycle.  One-parameter
+subgroups are closed form: the Cayley-Hamilton exponential, and a sheet rule
+that counts the half-turns of c i + d.  Path lifting unwraps the argument of
+c i + d without calling kappa, an independent oracle for both.
 
 Elements of the circle extension are kept in canonical form (sp matrix,
 unit phase) with the sheet normalized to 0; multiplication picks up a sign
@@ -48,10 +49,6 @@ def mat_inv(x: Mat) -> Mat:
     return (x[3] / det, -x[1] / det, -x[2] / det, x[0] / det)
 
 
-def mat_norm(x: Mat) -> float:
-    return math.sqrt(sum(v * v for v in x))
-
-
 def mat_sub_norm(x: Mat, y: Mat) -> float:
     return math.sqrt(sum((u - v) ** 2 for u, v in zip(x, y)))
 
@@ -69,27 +66,18 @@ def rotation(theta: float) -> Mat:
     return (c, -s, s, c)
 
 
-def mat_exp(x: Mat, tol: float = 1e-12) -> Mat:
-    """Scaling-and-squaring Taylor exponential for 2x2 matrices."""
-    norm = mat_norm(x)
-    squarings = max(0, int(math.ceil(math.log2(norm))) + 1) if norm > 0.5 else 0
-    y = tuple(v / (2 ** squarings) for v in x)
-    term: Mat = IDENTITY
-    total = [1.0, 0.0, 0.0, 1.0]
-    k = 0
-    while True:
-        k += 1
-        term = tuple(v / k for v in mat_mul(term, y))
-        for i in range(4):
-            total[i] += term[i]
-        if mat_norm(term) < tol:
-            break
-        if k > 64:
-            raise NumericError("matrix exponential failed to converge")
-    out: Mat = tuple(total)
-    for _ in range(squarings):
-        out = mat_mul(out, out)
-    return out
+def mat_exp(x: Mat) -> Mat:
+    """Closed-form 2x2 exponential (Cayley-Hamilton): with m = tr/2 and
+    r = sqrt(-det(x - m I)), exp(x) = e^m (cosh r I + (sinh r / r)(x - m I)).
+    r is real for hyperbolic and imaginary for elliptic x - m I; both
+    coefficients are real either way."""
+    m = 0.5 * (x[0] + x[3])
+    a, b, c, d = x[0] - m, x[1], x[2], x[3] - m
+    r = cmath.sqrt(a * a + b * c)
+    ch = cmath.cosh(r).real
+    sh = (cmath.sinh(r) / r).real if r else 1.0
+    e = math.exp(m)
+    return (e * (ch + sh * a), e * sh * b, e * sh * c, e * (ch + sh * d))
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +206,6 @@ class MpcAlgebra:
         if abs(self.tau.real) > 1e-12:
             raise NumericError(f"u(1) component {self.tau} is not imaginary")
 
-    def norm(self) -> float:
-        return mat_norm(self.A) + abs(self.tau)
-
 
 ROTATION_GENERATOR: Mat = (0.0, -1.0, 1.0, 0.0)
 
@@ -228,44 +213,46 @@ ROTATION_GENERATOR: Mat = (0.0, -1.0, 1.0, 0.0)
 def lift_path(path: Callable[[float], Mat], steps: int,
               start: MpElement | None = None) -> MpElement:
     """Continuous lift of a matrix path (path(0) must equal start's matrix,
-    identity by default): subdivide and accumulate the cocycle parity."""
+    identity by default), found without kappa: unwrap the argument of the
+    automorphy factor z = c i + d over ``steps`` equal subdivisions; the sheet
+    is the parity of the turns by which it leaves the principal branch."""
     current = start if start is not None else mp_identity()
-    prev = current.g
+    g = current.g
+    wound = automorphy_angle(g, 1j) + 2 * math.pi * current.sheet
+    z = g[2] * 1j + g[3]
     for k in range(1, steps + 1):
-        nxt = normalize_det(path(k / steps))
-        step = mat_mul(mat_inv(prev), nxt)
-        current = MpElement(nxt, current.sheet ^ (kappa(prev, step) & 1))
-        prev = nxt
-    return current
+        g = path(k / steps)
+        nz = g[2] * 1j + g[3]
+        wound += cmath.phase(nz / z)
+        z = nz
+    return MpElement(g, round((wound - automorphy_angle(g, 1j)) / (2 * math.pi)) & 1)
 
 
-def lift_path_checked(path: Callable[[float], Mat], base_steps: int) -> MpElement:
-    """Lift with step-doubling verification of the accumulated sheet."""
-    steps = base_steps
-    for _ in range(4):
-        fine = lift_path(path, 2 * steps)
-        if lift_path(path, steps).sheet == fine.sheet:
-            return fine
-        steps *= 4
-    raise NumericError("sheet tracking did not converge under step doubling")
+def exp_sheet(A: Mat, t: float, g: Mat) -> int:
+    """Sheet of g = exp(t A), A traceless, lifted along s -> exp(s t A).
+
+    Only elliptic A (det A > 0) wind: c i + d then turns through the signed
+    angle psi = t sqrt(det A) sign(A_c) and is real exactly at multiples of
+    pi, so its continuous argument lies in the half-turn [k pi, (k + 1) pi]
+    that holds psi.  The midpoint of that half-turn is within pi/2 of it,
+    which fixes the whole turns off the principal argument of g's own factor;
+    at a tie (psi an odd multiple of pi) the sheet follows g's rounding, as
+    kappa does.
+    """
+    det = mat_det(A)
+    if det <= 0:
+        return 0
+    psi = t * math.sqrt(det) * (1.0 if A[2] > 0 else -1.0)
+    mid = (math.floor(psi / math.pi) + 0.5) * math.pi
+    return round((mid - automorphy_angle(g, 1j)) / (2 * math.pi)) & 1
 
 
 def exp_mpc(alpha: MpcAlgebra, t: float) -> MpcElement:
-    """One-parameter subgroup exp(t alpha): the matrix part is the matrix
-    exponential, the phase combines the central rotation e^{t tau} with the
-    sheet sign of the continuous lift (64 subdivision steps per unit of
-    norm)."""
-    target = mat_exp(tuple(t * v for v in alpha.A))
-    norm = abs(t) * alpha.norm()
-    steps = max(64, int(math.ceil(64 * norm)))
-    try:
-        lifted = lift_path_checked(
-            lambda s: mat_exp(tuple(s * t * v for v in alpha.A)), steps)
-    except NumericError as exc:
-        raise NumericError(f"exp subdivision failed for t={t}, alpha={alpha}: {exc}") from exc
-    sign = -1.0 if lifted.sheet else 1.0
-    phase = cmath.exp(t * alpha.tau) * sign
-    return MpcElement(target, phase)
+    """One-parameter subgroup exp(t alpha): the matrix exponential, with the
+    central rotation e^{t tau} times the sign of the sheet of its lift."""
+    g = mat_exp(tuple(t * v for v in alpha.A))
+    sign = -1.0 if exp_sheet(alpha.A, t, g) else 1.0
+    return MpcElement(g, cmath.exp(t * alpha.tau) * sign)
 
 
 def mu_loop(t: float) -> MpElement:
@@ -273,11 +260,9 @@ def mu_loop(t: float) -> MpElement:
     the continuous lift of the rotation path R(4 pi s), s in [0, t mod 1],
     starting on sheet 0.  One full period winds through the rotation group
     twice, which closes up in the double cover."""
-    t = t % 1.0
-    if t == 0.0:
-        return mp_identity()
-    steps = max(64, int(math.ceil(256 * t)))
-    return lift_path(lambda s: rotation(4 * math.pi * s * t), steps)
+    theta = 4 * math.pi * (t % 1.0)
+    g = rotation(theta)
+    return MpElement(g, exp_sheet(ROTATION_GENERATOR, theta, g))
 
 
 # ---------------------------------------------------------------------------

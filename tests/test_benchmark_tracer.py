@@ -16,8 +16,9 @@ from layertrace import Tracer
 
 tracer = Tracer()
 tracer.install()
-report = gqw.run_suite(gqw.load_bundled(), "mpc-iso")
-print(json.dumps({"passed": report.passed, "metrics": tracer.finish()["metrics"]}))
+spec = gqw.load_bundled()
+passed = all(gqw.run_suite(spec, name).passed for name in ("mpc-iso", "group"))
+print(json.dumps({"passed": passed, "metrics": tracer.finish()["metrics"]}))
 """
 
 

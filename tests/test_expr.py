@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gqw.errors import ExprSyntaxError, UnknownSymbolError
+from gqw.errors import EvaluationError, ExprSyntaxError, UnknownSymbolError
 from gqw.expr import (
     HBAR, IMAG, PI, add, call, diff, evalf, mul, power, rational, subs,
     symbol, to_str,
@@ -246,6 +246,13 @@ def test_hbar_binding_defaults_to_one():
     assert ok
     ok2, _ = expr_equal(a, P, sampler(hbar=2.0))
     assert not ok2
+
+
+def test_unbound_hbar_raises():
+    # hbar comes from the evaluation context like any symbol; no silent 1.0
+    with pytest.raises(EvaluationError):
+        evalf(HBAR, {})
+    assert evalf(HBAR, {"hbar": 2.0}) == 2.0
 
 
 ANNULUS = (add(power(P, 2), power(Q, 2), rational(-19, 20)),

@@ -12,7 +12,7 @@ from gqw.mpc_group import (
     IDENTITY, ROTATION_GENERATOR, MpcAlgebra, MpcElement, MpElement, central,
     eta, exp_mpc, kappa, lift_path, mat_exp, mat_mul, mat_sub_norm,
     mp_identity, mp_inv, mp_mul, mpc_distance, mpc_identity, mpc_inv, mpc_mul,
-    mu_loop, rotation, sigma,
+    mu_loop, random_traceless, rotation, sigma,
 )
 
 
@@ -26,6 +26,36 @@ def random_sp(rng):
 
 def random_mpc(rng):
     return MpcElement(random_sp(rng), cmath.exp(1j * rng.uniform(-math.pi, math.pi)))
+
+
+# ---------------------------------------------------------------------------
+# the closed-form exponential
+
+
+def test_mat_exp_rotation_generator_is_rotation():
+    for theta in (0.3, -2.0, math.pi, 7.5):
+        x = tuple(theta * v for v in ROTATION_GENERATOR)
+        assert mat_sub_norm(mat_exp(x), rotation(theta)) < 1e-12
+
+
+def test_mat_exp_diagonal():
+    for a in (0.0, 0.7, -3.0):
+        e, f, g, h = mat_exp((a, 0.0, 0.0, -a))
+        assert abs(e / math.exp(a) - 1) < 1e-13 and abs(h / math.exp(-a) - 1) < 1e-13
+        assert f == 0.0 and g == 0.0
+
+
+def test_mat_exp_nilpotent_is_exact():
+    # r == 0: exp(N) = I + N
+    assert mat_exp((0.0, 1.0, 0.0, 0.0)) == (1.0, 1.0, 0.0, 1.0)
+
+
+def test_mat_exp_trace_part_scales():
+    # exp(m I + X) = e^m exp(X), for nilpotent and elliptic X
+    e2 = math.exp(2.0)
+    assert mat_sub_norm(mat_exp((2.0, 3.0, 0.0, 2.0)), (e2, 3 * e2, 0.0, e2)) < 1e-12
+    want = tuple(math.exp(-0.5) * v for v in rotation(1.2))
+    assert mat_sub_norm(mat_exp((-0.5, -1.2, 1.2, -0.5)), want) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +304,28 @@ def test_mu_halfway_sits_on_other_sheet():
 def test_mu_projection_is_nonconstant():
     assert mat_sub_norm(mu_loop(1 / 8).g, rotation(math.pi / 2)) < 1e-9
     assert mat_sub_norm(mu_loop(1 / 4).g, rotation(math.pi)) < 1e-9
+
+
+def test_closed_form_sheets_match_path_lifting():
+    # the sheet of exp_mpc (read off its phase at tau = 0) and of mu_loop
+    # against lift_path, which unwraps arg(c i + d) without kappa; the
+    # rotation generator at odd multiples of pi puts the endpoint on the
+    # branch cut, where the sheet must still agree with the group law
+    # (compared by phase: normalizing det of a large hyperbolic product
+    # loses absolute digits in the matrix part)
+    rng = random.Random("closed-form-sheets")
+    cases = [(random_traceless(rng, 2.0), rng.uniform(-5, 5)) for _ in range(200)]
+    cases += [(ROTATION_GENERATOR, k * math.pi) for k in (-3, -1, 1, 3)]
+    for A, t in cases:
+        alpha = MpcAlgebra(A, 0j)
+        out = exp_mpc(alpha, t)
+        lifted = lift_path(lambda s: mat_exp(tuple(s * t * v for v in A)), 256)
+        assert int(out.phase.real < 0) == lifted.sheet, (A, t)
+        half = exp_mpc(alpha, t / 2)
+        assert abs(out.phase - mpc_mul(half, half).phase) < 1e-9, (A, t)
+    for t in [k / 40 for k in range(-40, 41)] + [rng.uniform(-3, 3) for _ in range(20)]:
+        lifted = lift_path(lambda s: rotation(4 * math.pi * s * (t % 1.0)), 256)
+        assert mu_loop(t).sheet == lifted.sheet, t
 
 
 def test_mu_analytic_sheet_oracle():

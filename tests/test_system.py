@@ -1,6 +1,9 @@
 """System file loading, validation, suite reports, and the CLI contract."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -124,6 +127,20 @@ def test_cli_group_selftest(capsys):
     assert main(["group", "selftest", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["suite"] == "group"
+
+
+def test_cli_reader_closing_early_is_quiet():
+    # like ``gqw group selftest | head -n 0``: the pipe is closed before the
+    # report is written, which must not end in a BrokenPipeError traceback
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen([sys.executable, "-m", "gqw.cli", "group", "selftest"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
 
 
 def test_cli_load_error_exit_two(tmp_path, capsys):
