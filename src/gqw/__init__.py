@@ -18,7 +18,7 @@ trivialized prequantization bundles over a single chart:
 """
 
 from .errors import GqwError
-from .expr import Expr, diff, evalf, free_symbols, subs, to_str
+from .expr import Expr, diff, evalf, subs, to_str
 from .parse import parse_expr
 from .sample import DomainSampler, expr_equal
 from .forms import (
@@ -31,8 +31,8 @@ from .symplectic import (
     verify_bracket_lemma,
 )
 from .circle import (
-    CircleLiftedVF, E_circle, EquivariantSection, F_circle, PrequantCircle,
-    bracket_lifted, connection_nabla, horizontal_lift, ks_operator,
+    CircleLiftedVF, E_circle, F_circle, PrequantCircle, bracket_lifted,
+    connection_nabla, horizontal_lift, ks_operator,
 )
 from .mpc_group import (
     MpcAlgebra, MpcElement, MpElement, eta, exp_mpc, kappa, lift_path,
@@ -49,13 +49,13 @@ from .suites import Report, run_suite
 __version__ = "0.1.0"
 
 __all__ = [
-    "GqwError", "Expr", "diff", "evalf", "free_symbols", "subs", "to_str",
+    "GqwError", "Expr", "diff", "evalf", "subs", "to_str",
     "parse_expr", "DomainSampler", "expr_equal", "Chart", "ChartMap", "KForm",
     "VectorField", "exterior_derivative", "interior_product", "lie_bracket",
     "lie_derivative", "parse_form", "pullback", "wedge", "SymplecticChart",
     "hamiltonian_vf", "poisson", "poisson_ways", "verify_bracket_lemma",
-    "CircleLiftedVF", "E_circle", "EquivariantSection", "F_circle",
-    "PrequantCircle", "bracket_lifted", "connection_nabla", "horizontal_lift",
+    "CircleLiftedVF", "E_circle", "F_circle", "PrequantCircle",
+    "bracket_lifted", "connection_nabla", "horizontal_lift",
     "ks_operator", "MpcAlgebra", "MpcElement", "MpElement", "eta", "exp_mpc",
     "kappa", "lift_path", "mp_mul", "mpc_inv", "mpc_mul", "mu_loop", "sigma",
     "E_mpc", "F_mpc", "MpcPrequant", "StructuredVF", "delta_operator",

@@ -9,9 +9,9 @@ Lifted fields are restricted to base + c(m) * vertical with c a function of
 the base only: this class contains every connection-preserving field and is
 closed under brackets, which keeps all computations exact.
 
-Sections of the associated line bundle are encoded by their equivariant
-functions u(m); the vertical generator acts on them as multiplication by
--2 pi i.
+A section of the associated line bundle is an Expr: its equivariant
+function u(m), with s(m, t) = e^{-2 pi i t} u(m); the vertical generator
+acts on it as multiplication by -2 pi i.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 from .errors import NotQuantomorphismError
 from .expr import Expr, HBAR, IMAG, PI, ZERO, add, mul, power, rational
+from .flows import RHS, components_rhs
 from .forms import KForm, VectorField, exterior_derivative, lie_derivative, scalar_form
 from .sample import expr_equal, worst_residual
 from .symplectic import SymplecticChart, hamiltonian_vf
@@ -46,9 +47,6 @@ class PrequantCircle:
                     raise NotQuantomorphismError(
                         "d(beta) != omega for the supplied potential", res)
 
-    def beta_of(self, v: VectorField) -> Expr:
-        return self.beta(v)
-
 
 @dataclass(frozen=True, slots=True)
 class CircleLiftedVF:
@@ -62,7 +60,7 @@ class CircleLiftedVF:
         return f"{self.base!r} + ({self.fiber!r}) * vertical"
 
     def gamma(self) -> Expr:
-        return add(mul(I_HBAR_INV, self.bundle.beta_of(self.base)),
+        return add(mul(I_HBAR_INV, self.bundle.beta(self.base)),
                    mul(TWO_PI_I, self.fiber))
 
     def is_zero(self) -> bool:
@@ -72,8 +70,14 @@ class CircleLiftedVF:
 def horizontal_lift(xi: VectorField, y: PrequantCircle) -> CircleLiftedVF:
     """The lift with gamma = 0: the fiber coefficient solves
     (1/(i hbar)) beta(xi) + 2 pi i c = 0, i.e. c = beta(xi) / (2 pi hbar)."""
-    c = mul(TWO_PI_HBAR_INV, y.beta_of(xi))
+    c = mul(TWO_PI_HBAR_INV, y.beta(xi))
     return CircleLiftedVF(y, xi, c)
+
+
+def lifted_rhs(z: CircleLiftedVF) -> RHS:
+    """Numeric right-hand side of a lifted field in the coordinates (m, t)
+    of Y: the base components, then the fiber coefficient."""
+    return components_rhs(z.bundle.chart, z.base.components + (z.fiber,))
 
 
 def vertical_field(y: PrequantCircle, coefficient: Expr) -> CircleLiftedVF:
@@ -134,39 +138,23 @@ def F_circle(z: CircleLiftedVF, y: PrequantCircle, check: bool = True) -> Expr:
 # sections of the associated line bundle and the operator representation
 
 
-@dataclass(frozen=True, slots=True)
-class EquivariantSection:
-    """Encodes the section through u(m): the equivariant function is
-    s(m, t) = e^{-2 pi i t} u(m)."""
-
-    u: Expr
-
-    def __repr__(self):
-        return f"section({self.u!r})"
-
-
-def connection_nabla(xi: VectorField, s: EquivariantSection,
-                     y: PrequantCircle) -> EquivariantSection:
+def connection_nabla(xi: VectorField, u: Expr, y: PrequantCircle) -> Expr:
     """Covariant derivative through the horizontal lift acting on the
-    equivariant function: u' = xi u + (1/(i hbar)) beta(xi) u.
+    equivariant function: xi u + (1/(i hbar)) beta(xi) u.
 
     (The vertical part of the lift acts as multiplication by -2 pi i, and
     the lift's fiber coefficient is beta(xi)/(2 pi hbar).)
     """
-    u = s.u
-    out = add(xi.apply(u), mul(I_HBAR_INV, y.beta_of(xi), u))
-    return EquivariantSection(out)
+    return add(xi.apply(u), mul(I_HBAR_INV, y.beta(xi), u))
 
 
-def ks_operator(f: Expr, s: EquivariantSection, y: PrequantCircle) -> EquivariantSection:
-    """r(f) s = (i hbar nabla_{xi_f} + f) s."""
+def ks_operator(f: Expr, u: Expr, y: PrequantCircle) -> Expr:
+    """r(f) u = (i hbar nabla_{xi_f} + f) u."""
     xi = hamiltonian_vf(f, y.sympl)
-    nabla = connection_nabla(xi, s, y)
-    out = add(mul(IMAG, HBAR, nabla.u), mul(f, s.u))
-    return EquivariantSection(out)
+    return add(mul(IMAG, HBAR, connection_nabla(xi, u, y)), mul(f, u))
 
 
-def vertical_action(s: EquivariantSection) -> EquivariantSection:
+def vertical_action(u: Expr) -> Expr:
     """Action of the vertical generator on an equivariant function:
     multiplication by -2 pi i."""
-    return EquivariantSection(mul(rational(-1), TWO_PI_I, s.u))
+    return mul(rational(-1), TWO_PI_I, u)

@@ -24,28 +24,18 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Mapping
 
 from .errors import EvaluationError
 
 __all__ = [
     "Expr", "Rational", "Symbol", "Constant", "Add", "Mul", "Pow", "Call",
     "PI", "IMAG", "HBAR", "ZERO", "ONE", "rational", "symbol", "add", "mul",
-    "power", "call", "diff", "evalf", "subs", "free_symbols", "to_str",
+    "power", "call", "diff", "evalf", "subs", "to_str",
 ]
-
-ExprLike = Union["Expr", int, Fraction]
 
 _FUNCTIONS = ("cos", "exp", "sin")
 _CONSTANTS = ("hbar", "i", "pi")
-
-
-def _as_expr(x: ExprLike) -> "Expr":
-    if isinstance(x, Expr):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Rational(Fraction(x))
-    raise TypeError(f"cannot coerce {x!r} to Expr")
 
 
 class Expr:
@@ -55,35 +45,6 @@ class Expr:
 
     def __hash__(self):
         return self._hash
-
-    # -- operator sugar (internal convenience; all routes canonicalize) --
-    def __add__(self, other: ExprLike) -> "Expr":
-        return add(self, _as_expr(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other: ExprLike) -> "Expr":
-        return add(self, mul(Rational(Fraction(-1)), _as_expr(other)))
-
-    def __rsub__(self, other: ExprLike) -> "Expr":
-        return add(_as_expr(other), mul(Rational(Fraction(-1)), self))
-
-    def __mul__(self, other: ExprLike) -> "Expr":
-        return mul(self, _as_expr(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: ExprLike) -> "Expr":
-        return mul(self, power(_as_expr(other), -1))
-
-    def __rtruediv__(self, other: ExprLike) -> "Expr":
-        return mul(_as_expr(other), power(self, -1))
-
-    def __pow__(self, e) -> "Expr":
-        return power(self, e)
-
-    def __neg__(self) -> "Expr":
-        return mul(Rational(Fraction(-1)), self)
 
     def __repr__(self):
         return to_str(self)
@@ -586,22 +547,6 @@ def subs(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
         return power(subs(e.base, mapping), e.exponent)
     if isinstance(e, Call):
         return call(e.fn, subs(e.arg, mapping))
-    raise TypeError(type(e))
-
-
-def free_symbols(e: Expr) -> set:
-    if isinstance(e, Symbol):
-        return {e.name}
-    if isinstance(e, (Rational, Constant)):
-        return set()
-    if isinstance(e, Add):
-        return set().union(*[free_symbols(t) for t in e.terms])
-    if isinstance(e, Mul):
-        return set().union(*[free_symbols(f) for f in e.factors])
-    if isinstance(e, Pow):
-        return free_symbols(e.base)
-    if isinstance(e, Call):
-        return free_symbols(e.arg)
     raise TypeError(type(e))
 
 

@@ -6,10 +6,10 @@ forms are evaluated in their chart's context (``chart.sampler.env``), so
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence
+from typing import Callable, Iterable, List, Sequence
 
-from .expr import evalf
-from .forms import KForm, VectorField
+from .expr import Expr, evalf
+from .forms import Chart, KForm, VectorField
 
 RHS = Callable[[Sequence[float]], List[float]]
 
@@ -31,25 +31,47 @@ def _commutator_estimate(f1: RHS, f2: RHS, x: Sequence[float], t: float) -> List
     return [(yi - xi) / (t * t) for yi, xi in zip(y, x)]
 
 
-def flow_commutator(f1: RHS, f2: RHS, x: Sequence[float], t: float = 1e-3) -> List[float]:
-    """[f1, f2](x) estimated from the loop of flows.  The raw estimate has
-    error c3 t + c4 t^2 + O(t^3); three-point Richardson extrapolation over
-    t, t/2, t/4 removes both leading terms."""
+COMMUTATOR_TIME = 1e-3
+
+
+def flow_commutator(f1: RHS, f2: RHS, x: Sequence[float]) -> List[float]:
+    """[f1, f2](x) estimated from the loop of flows for time t =
+    COMMUTATOR_TIME.  The raw estimate has error c3 t + c4 t^2 + O(t^3);
+    three-point Richardson extrapolation over t, t/2, t/4 removes both
+    leading terms."""
+    t = COMMUTATOR_TIME
     e1 = _commutator_estimate(f1, f2, x, t)
     e2 = _commutator_estimate(f1, f2, x, t / 2)
     e3 = _commutator_estimate(f1, f2, x, t / 4)
     return [a / 3.0 - 2.0 * b + 8.0 * c / 3.0 for a, b, c in zip(e1, e2, e3)]
 
 
-def vf_rhs(v: VectorField) -> RHS:
-    """Numeric right-hand side of a symbolic vector field on its chart."""
-    env = v.chart.sampler.env
+def commutator_residual(f1: RHS, f2: RHS, bracket: RHS,
+                        points: Iterable[Sequence[float]]) -> float:
+    """Worst deviation, over the points and the components, of the field
+    ``bracket`` from the flow-commutator estimate of [f1, f2]."""
+    worst = 0.0
+    for x in points:
+        oracle = flow_commutator(f1, f2, x)
+        worst = max(worst, max(abs(a - b) for a, b in zip(oracle, bracket(x))))
+    return worst
+
+
+def components_rhs(chart: Chart, components: Sequence[Expr]) -> RHS:
+    """Numeric right-hand side with the given symbolic components, evaluated
+    in the chart's context; coordinates of x past the chart's are ignored."""
+    env = chart.sampler.env
 
     def f(x):
         e = env(x)
-        return [evalf(c, e).real for c in v.components]
+        return [evalf(c, e).real for c in components]
 
     return f
+
+
+def vf_rhs(v: VectorField) -> RHS:
+    """Numeric right-hand side of a symbolic vector field on its chart."""
+    return components_rhs(v.chart, v.components)
 
 
 def flow_point(v: VectorField, x: Sequence[float], t: float,

@@ -18,6 +18,7 @@ from typing import Dict, List
 from .errors import DegeneracyError
 from .expr import Expr, ZERO, add, diff, evalf, mul, power, rational, symbol
 from .forms import Chart, KForm, VectorField, exterior_derivative, interior_product, lie_bracket
+from .sample import expr_equal
 
 Matrix = List[List[Expr]]
 
@@ -110,7 +111,10 @@ class SymplecticChart:
 
 def hamiltonian_vf(f: Expr, s: SymplecticChart) -> VectorField:
     """The unique field with xi_f . omega = df, i.e. xi = -W^{-1} grad f
-    for the antisymmetric coefficient matrix W of omega."""
+    for the antisymmetric coefficient matrix W of omega.  The defining
+    equation is decided by expr_equal: a constant omega cancels
+    structurally, a non-constant one leaves quotients such as w / w^2 that
+    the kernel does not cancel, so it is sampled."""
     grads = s.gradient(f)
     n = s.chart.dim
     comps = []
@@ -120,9 +124,10 @@ def hamiltonian_vf(f: Expr, s: SymplecticChart) -> VectorField:
     xi = VectorField(s.chart, comps)
     got = interior_product(xi, s.omega)
     for a, b in zip(got.coeffs, grads):
-        if not add(a, mul(rational(-1), b)).is_zero():
+        ok, res = expr_equal(a, b, s.chart.sampler)
+        if not ok:
             raise DegeneracyError(
-                "defining equation xi_f . omega = df failed to close symbolically")
+                f"defining equation xi_f . omega = df fails (residual {res:.3e})")
     return xi
 
 
@@ -152,7 +157,6 @@ def verify_bracket_lemma(f: Expr, g: Expr, s: SymplecticChart) -> dict:
     Components that cancel structurally report residual 0; otherwise the
     difference is sampled on the chart domain.
     """
-    from .sample import expr_equal
     lhs = lie_bracket(hamiltonian_vf(f, s), hamiltonian_vf(g, s))
     rhs = hamiltonian_vf(poisson(f, g, s), s)
     residuals = []

@@ -30,8 +30,9 @@ nondegeneracy of omega at the sampled points.
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .errors import GqwError, SystemSpecError
@@ -51,35 +52,55 @@ DEFAULT_HAMILTONIANS = [
 
 @dataclass
 class SystemSpec:
-    coords: Tuple[str, ...]
-    chart: Chart
+    """A loaded system.  The chart, its coordinates and the evaluation
+    context (seed, sample count, tolerance, hbar) are read-only views of
+    ``sympl.chart`` and its sampler; the bundles are built on first use."""
+
     sympl: SymplecticChart
     beta: KForm
     hamiltonians: Dict[str, Expr]
-    epsilon: float
-    samples: int
-    seed: int
     validate: bool = True
-    _circle: Optional[PrequantCircle] = field(default=None, repr=False)
-    _mpc: Optional[MpcPrequant] = field(default=None, repr=False)
+
+    @property
+    def chart(self) -> Chart:
+        return self.sympl.chart
+
+    @property
+    def coords(self) -> Tuple[str, ...]:
+        return self.chart.coords
 
     @property
     def omega(self) -> KForm:
         return self.sympl.omega
 
     @property
+    def seed(self) -> int:
+        return self.chart.sampler.seed
+
+    @property
+    def samples(self) -> int:
+        return self.chart.sampler.n_samples
+
+    @property
+    def epsilon(self) -> float:
+        return self.chart.sampler.tolerance
+
+    @property
     def hbar(self) -> float:
-        """The chart's value of hbar (read-only; it lives in the sampler)."""
         return self.chart.sampler.hbar
 
+    @functools.cached_property
+    def _circle(self) -> PrequantCircle:
+        return PrequantCircle(self.sympl, self.beta, validate=self.validate)
+
+    @functools.cached_property
+    def _mpc(self) -> MpcPrequant:
+        return MpcPrequant(self._circle, validate=self.validate)
+
     def circle_bundle(self) -> PrequantCircle:
-        if self._circle is None:
-            self._circle = PrequantCircle(self.sympl, self.beta, validate=self.validate)
         return self._circle
 
     def mpc_bundle(self) -> MpcPrequant:
-        if self._mpc is None:
-            self._mpc = MpcPrequant(self.circle_bundle(), validate=self.validate)
         return self._mpc
 
 
@@ -103,13 +124,28 @@ def _parse_sections(text: str) -> Dict[str, List[Tuple[str, str, int]]]:
     return sections
 
 
-def _single(entries, key: str, default: Optional[str] = None) -> Optional[str]:
+def _single(entries, key: str) -> Optional[str]:
     found = [v for k, v, _ in entries if k == key]
-    if not found:
-        return default
     if len(found) > 1:
         raise SystemSpecError(f"duplicate key '{key}'")
-    return found[0]
+    return found[0] if found else None
+
+
+def _number(entries, key: str, convert, default: str, override):
+    """The [tolerances] value of ``key`` converted by ``convert`` (int or
+    float): the override when one is given, else the file's value, else
+    ``default``.  Also returns the "line N: " prefix for error messages."""
+    if override is not None:
+        return override, ""
+    text = _single(entries, key)
+    if text is None:
+        text = default
+    where = next((f"line {n}: " for k, _, n in entries if k == key), "")
+    try:
+        return convert(text), where
+    except ValueError:
+        kind = "an integer" if convert is int else "a number"
+        raise SystemSpecError(f"{where}'{key} = {text}' is not {kind}") from None
 
 
 def load_spec_text(text: str, validate: bool = True,
@@ -127,19 +163,26 @@ def load_spec_text(text: str, validate: bool = True,
     coords = tuple(c.strip() for c in coords_text.replace(",", " ").split())
 
     tols = sections.get("tolerances", [])
-    epsilon = tol if tol is not None else float(_single(tols, "epsilon", "1e-9"))
-    n_samples = samples if samples is not None else int(_single(tols, "samples", "32"))
-    seed_v = seed if seed is not None else int(_single(tols, "seed", "42"))
-    hbar_v = hbar if hbar is not None else float(_single(tols, "hbar", "1"))
+    epsilon, epsilon_at = _number(tols, "epsilon", float, "1e-9", tol)
+    n_samples, samples_at = _number(tols, "samples", int, "32", samples)
+    seed_v, _ = _number(tols, "seed", int, "42", seed)
+    hbar_v, _ = _number(tols, "hbar", float, "1", hbar)
+    if not n_samples >= 1:
+        raise SystemSpecError(f"{samples_at}samples = {n_samples}: at least 1 is needed")
+    if not epsilon > 0:
+        raise SystemSpecError(f"{epsilon_at}epsilon = {epsilon}: it must be positive")
 
     box = {}
     for k, v, lineno in man:
         if k.startswith("box "):
             name = k[4:].strip()
-            parts = [p.strip() for p in v.replace(",", " ").split()]
-            if name not in coords or len(parts) != 2:
+            try:
+                bounds = tuple(float(x) for x in v.replace(",", " ").split())
+            except ValueError:
+                bounds = ()
+            if name not in coords or len(bounds) != 2:
                 raise SystemSpecError(f"line {lineno}: bad box entry '{k} = {v}'")
-            box[name] = (float(parts[0]), float(parts[1]))
+            box[name] = bounds
     for c in coords:
         box.setdefault(c, (-2.0, 2.0))
 
@@ -188,9 +231,8 @@ def load_spec_text(text: str, validate: bool = True,
 
     try:
         sympl = SymplecticChart(chart, omega)
-        spec = SystemSpec(coords=coords, chart=chart, sympl=sympl, beta=beta,
-                          hamiltonians=hams, epsilon=epsilon, samples=n_samples,
-                          seed=seed_v, validate=validate)
+        spec = SystemSpec(sympl=sympl, beta=beta, hamiltonians=hams,
+                          validate=validate)
         if validate:
             spec.circle_bundle()  # runs the d(beta) = omega check now
             sampler.points(1, seed_tag="probe")  # sampler must be nonempty

@@ -2,10 +2,16 @@
 wraps gqw's public functions from outside, by name, so a rename in gqw must
 not silently leave a layer uncounted."""
 
+import importlib
+import importlib.util
+import inspect
 import json
 import os
 import subprocess
 import sys
+
+from gqw.sample import DomainSampler
+from gqw.suites import _SUITE_BUILDERS, SUITE_NAMES
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -34,3 +40,27 @@ def test_tracer_counts_every_probed_layer():
     for name in ("symplectic.hamiltonian_vf", "mpc_group.lift_path",
                  "mpc_group.mat_exp", "sample.expr_equal", "expr.evalf"):
         assert metrics[f"{name}.calls"] > 0, name
+
+
+def _layertrace():
+    path = os.path.join(ROOT, "perfbench", "layertrace.py")
+    spec = importlib.util.spec_from_file_location("layertrace", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_hooks_name_existing_gqw_functions():
+    # the tracer counts NAMED_CALLS only if each is still a public function
+    # defined in its layer; it also patches DomainSampler.admissible and
+    # times the suites through suites._SUITE_BUILDERS
+    layertrace = _layertrace()
+    for name in layertrace.NAMED_CALLS:
+        layer, fn = name.split(".")
+        module = importlib.import_module(f"gqw.{layer}")
+        obj = getattr(module, fn, None)
+        assert not fn.startswith("_") and inspect.isfunction(obj), name
+        assert obj.__module__ == module.__name__, name
+    assert inspect.isfunction(DomainSampler.admissible)
+    assert tuple(_SUITE_BUILDERS) == layertrace.SUITES == SUITE_NAMES
+    assert len(_SUITE_BUILDERS) == 7

@@ -1,18 +1,25 @@
 """Hamiltonian fields, the Poisson bracket, and their compatibility laws."""
 
+import itertools
 import random
 
 import pytest
 
 from gqw.errors import DegeneracyError
-from gqw.expr import add, evalf, mul, power, rational, symbol
+from gqw.expr import add, evalf, mul, power, rational, symbol, to_str
 from gqw.flows import flow_point
-from gqw.forms import Chart, VectorField, parse_form
-from gqw.sample import DomainSampler
+from gqw.forms import (
+    Chart, VectorField, exterior_derivative, interior_product, parse_form,
+    scalar_form,
+)
+from gqw.parse import parse_expr
+from gqw.sample import DomainSampler, expr_equal
+from gqw.suites import run_suite
 from gqw.symplectic import (
     SymplecticChart, hamiltonian_vf, lie_derivative_omega, poisson,
     poisson_ways, verify_bracket_lemma,
 )
+from gqw.system import load_spec_text
 
 P, Q = symbol("p"), symbol("q")
 
@@ -185,3 +192,82 @@ def test_leibniz_rule(sc):
 def test_hamiltonian_flows_preserve_omega(sc):
     for f in hams(sc):
         assert lie_derivative_omega(f, sc).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# non-constant omega: the defining equation leaves quotients such as w / w^2
+# that the kernel does not cancel, so hamiltonian_vf decides it by sampling
+
+NON_CONSTANT = """
+[manifold]
+coordinates = p, q
+box p = -2, 2
+box q = -2, 2
+
+[symplectic]
+omega = (2+2*p^2)*dp^dq
+
+[prequant]
+beta = (2*p + 2/3*p^3)*dq
+"""
+
+
+def test_non_constant_omega_hamiltonian_field_and_circle_suite():
+    spec = load_spec_text(NON_CONSTANT)
+    # xi_f = (1/w) (df/dq d/dp - df/dp d/dq) with w = 2 + 2 p^2
+    xi = hamiltonian_vf(mul(P, Q), spec.sympl)
+    inv_w = power(add(rational(2), mul(rational(2), power(P, 2))), -1)
+    for got, want in zip(xi.components, (mul(P, inv_w), mul(rational(-1), Q, inv_w))):
+        assert expr_equal(got, want, spec.chart.sampler)[0]
+    report = run_suite(spec, "circle-iso")
+    assert report.passed, report.to_text()
+
+
+def _polynomial_area_system(seed):
+    """omega = w dp^dq with w = 1 + c m for a seeded even monomial m and
+    c > 0, so w >= 1 on the box; beta = (integral of w dp) dq."""
+    rng = random.Random(f"area:{seed}")
+    a, b = rng.choice(((2, 0), (0, 2)))
+    c = rational(rng.randint(1, 4), 2)
+    w = add(rational(1), mul(c, power(P, a), power(Q, b)))
+    beta = add(P, mul(c, rational(1, a + 1), power(P, a + 1), power(Q, b)))
+    return (f"[manifold]\ncoordinates = p, q\n"
+            f"[symplectic]\nomega = ({to_str(w)})*dp^dq\n"
+            f"[prequant]\nbeta = ({to_str(beta)})*dq\n")
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_poisson_suite_on_polynomial_area_forms(seed):
+    report = run_suite(load_spec_text(_polynomial_area_system(seed)), "poisson")
+    assert report.passed, report.to_text()
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_four_dimensional_liouville_perturbation(seed):
+    # omega = d(beta), beta = p dq + r ds + c x_a x_k dx_j with (x_k, x_j)
+    # a conjugate pair and x_a from the other pair: the Pfaffian is
+    # 1 + c x_a, at least 3/4 on the unit box for |c| <= 1/4
+    coords = ("p", "q", "r", "s")
+    rng = random.Random(f"liouville:{seed}")
+    k, j = rng.choice(((0, 1), (2, 3)))
+    a = rng.choice([x for x in range(4) if x not in (k, j)])
+    c = rng.choice(["1/8", "-1/8", "1/4", "-1/4"])
+    sampler = DomainSampler(coords=coords, box={x: (-1, 1) for x in coords}, seed=seed)
+    chart = Chart(coords, sampler)
+    beta = parse_form(f"p*dq + r*ds + {c}*{coords[a]}*{coords[k]}*d{coords[j]}", chart)
+    omega = exterior_derivative(beta)
+    s = SymplecticChart(chart, omega)
+    w = dict(zip(chart.pairs(), omega.coeffs))
+    pf = add(mul(w[0, 1], w[2, 3]), mul(rational(-1), w[0, 2], w[1, 3]),
+             mul(w[0, 3], w[1, 2]))
+    assert not pf.is_one()
+    assert all(abs(evalf(pf, dict(pt, hbar=1.0))) >= 0.5 for pt in sampler.points())
+    hs = [parse_expr(t, coords) for t in ("p*q + r*s", "p^2 - s^2", "q*r + p")]
+    for f in hs:
+        got = interior_product(hamiltonian_vf(f, s), omega)
+        df = exterior_derivative(scalar_form(chart, f))
+        assert all(expr_equal(x, y, sampler)[0] for x, y in zip(got.coeffs, df.coeffs))
+    for f, g in itertools.combinations(hs, 2):
+        ways = poisson_ways(f, g, s)
+        assert expr_equal(ways["minus_omega"], ways["directional"], sampler)[0]
+        assert expr_equal(ways["interior"], ways["directional"], sampler)[0]

@@ -71,6 +71,39 @@ def test_overrides():
     assert spec.seed == 7 and spec.hbar == 2.0
 
 
+@pytest.mark.parametrize("old, new", [
+    ("samples = 32", "samples = abc"),
+    ("seed = 42", "seed = 4.5"),
+    ("epsilon = 1e-9", "epsilon = tiny"),
+    ("box p = -2, 2", "box p = -2, x"),
+    ("samples = 32", "samples = 0"),
+    ("epsilon = 1e-9", "epsilon = 0"),
+])
+def test_bad_values_name_their_key_and_line(old, new):
+    text = GOOD.replace(old, new)
+    line = text.splitlines().index(new) + 1
+    with pytest.raises(SystemSpecError) as err:
+        load_spec_text(text)
+    assert f"line {line}: " in str(err.value)
+    assert new.split(" = ")[0] in str(err.value)
+
+
+def test_cli_bad_value_in_file_exit_two(tmp_path, capsys):
+    bad = tmp_path / "bad.spec"
+    bad.write_text(GOOD.replace("samples = 32", "samples = abc"))
+    assert main(["check", "--system", str(bad)]) == 2
+    assert "samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, key", [
+    ("--samples", "0", "samples"), ("--samples", "-3", "samples"),
+    ("--tol", "-1", "epsilon"), ("--tol", "0", "epsilon"),
+])
+def test_cli_rejects_out_of_range_overrides(flag, value, key, capsys):
+    assert main(["check", "--suite", "poisson", flag, value]) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_report_json_schema():
     spec = load_bundled()
     report = run_suite(spec, "poisson")
