@@ -41,7 +41,7 @@ _CONSTANTS = ("hbar", "i", "pi")
 class Expr:
     """Base class.  Instances are immutable and canonical by construction."""
 
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "_sortkey")
 
     def __hash__(self):
         return self._hash
@@ -108,6 +108,7 @@ HBAR = Constant("hbar")
 ZERO = Rational(Fraction(0))
 ONE = Rational(Fraction(1))
 MINUS_ONE = Rational(Fraction(-1))
+_FRAC_ONE = ONE.value
 
 
 class Add(Expr):
@@ -175,23 +176,32 @@ class Call(Expr):
 
 
 def _key(e: Expr):
+    """The node's canonical sort key, built once from its children's stored
+    keys and kept in the node (filling it twice stores the same value)."""
+    try:
+        return e._sortkey
+    except AttributeError:
+        pass
     # Rank-first tuples: payloads are only compared between same-rank nodes,
     # so the heterogeneous nesting is safe under tuple comparison.
     if isinstance(e, Rational):
-        return (0, (e.value.numerator, e.value.denominator))
-    if isinstance(e, Constant):
-        return (1, e.name)
-    if isinstance(e, Symbol):
-        return (2, e.name)
-    if isinstance(e, Call):
-        return (3, (e.fn, _key(e.arg)))
-    if isinstance(e, Pow):
-        return (4, (_key(e.base), (e.exponent.numerator, e.exponent.denominator)))
-    if isinstance(e, Mul):
-        return (5, tuple(_key(f) for f in e.factors))
-    if isinstance(e, Add):
-        return (6, tuple(_key(t) for t in e.terms))
-    raise TypeError(type(e))
+        k = (0, (e.value.numerator, e.value.denominator))
+    elif isinstance(e, Constant):
+        k = (1, e.name)
+    elif isinstance(e, Symbol):
+        k = (2, e.name)
+    elif isinstance(e, Call):
+        k = (3, (e.fn, _key(e.arg)))
+    elif isinstance(e, Pow):
+        k = (4, (_key(e.base), (e.exponent.numerator, e.exponent.denominator)))
+    elif isinstance(e, Mul):
+        k = (5, tuple(_key(f) for f in e.factors))
+    elif isinstance(e, Add):
+        k = (6, tuple(_key(t) for t in e.terms))
+    else:
+        raise TypeError(type(e))
+    e._sortkey = k
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +224,7 @@ def _split_coeff(term: Expr):
         rest = term.factors[1:]
         mono = rest[0] if len(rest) == 1 else Mul(rest)
         return term.factors[0].value, mono
-    return Fraction(1), term
+    return _FRAC_ONE, term
 
 
 def _monomial_factors(mono: Expr) -> tuple:
@@ -248,7 +258,8 @@ def _pythagoras(terms: dict) -> None:
                 residual = mul(*rest, *sin_rem) if rest or sin_rem else ONE
                 del terms[mono]
                 del terms[partner]
-                terms[residual] = terms.get(residual, Fraction(0)) + c
+                prev = terms.get(residual)
+                terms[residual] = c if prev is None else prev + c
                 changed = True
                 break
             if changed:
@@ -261,7 +272,8 @@ def add(*args: Expr) -> Expr:
         parts = a.terms if isinstance(a, Add) else (a,)
         for t in parts:
             c, mono = _split_coeff(t)
-            terms[mono] = terms.get(mono, Fraction(0)) + c
+            prev = terms.get(mono)
+            terms[mono] = c if prev is None else prev + c
     _pythagoras(terms)
     out = []
     for mono in sorted(terms, key=_key):
@@ -295,9 +307,8 @@ def _expand_product(coeff: Fraction, plain: list, sums: list) -> Expr:
 
 
 def mul(*args: Expr) -> Expr:
-    coeff = Fraction(1)
-    powers: dict = {}
-    order: list = []
+    coeff = _FRAC_ONE
+    powers: dict = {}  # base -> summed exponent, in order of first appearance
 
     def feed(base: Expr, exp: Fraction):
         nonlocal coeff
@@ -306,10 +317,8 @@ def mul(*args: Expr) -> Expr:
                 raise EvaluationError("division by zero in a constant power")
             coeff *= base.value ** exp.numerator
             return
-        if base not in powers:
-            powers[base] = Fraction(0)
-            order.append(base)
-        powers[base] += exp
+        prev = powers.get(base)
+        powers[base] = exp if prev is None else prev + exp
 
     for a in args:
         factors = a.factors if isinstance(a, Mul) else (a,)
@@ -317,15 +326,14 @@ def mul(*args: Expr) -> Expr:
             if isinstance(f, Rational):
                 if f.value == 0:
                     return ZERO
-                coeff *= f.value
+                coeff = f.value if coeff is _FRAC_ONE else coeff * f.value
             elif isinstance(f, Pow):
                 feed(f.base, f.exponent)
             else:
-                feed(f, Fraction(1))
+                feed(f, _FRAC_ONE)
 
     pieces = []
-    for base in order:
-        exp = powers[base]
+    for base, exp in powers.items():
         if exp == 0:
             continue
         if base == IMAG and exp.denominator == 1:
@@ -376,7 +384,8 @@ def mul(*args: Expr) -> Expr:
 def power(base: Expr, exponent) -> Expr:
     if isinstance(exponent, Rational):
         exponent = exponent.value
-    exponent = Fraction(exponent)
+    elif not isinstance(exponent, Fraction):
+        exponent = Fraction(exponent)
     if exponent == 0:
         return ONE
     if exponent == 1:

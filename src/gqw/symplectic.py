@@ -57,6 +57,8 @@ class SymplecticChart:
 
     The coefficient matrix of omega is inverted symbolically once, via the
     adjugate and determinant (dimension <= 6, so this is cheap and exact).
+    The chart also keeps each Hamiltonian field once built (see
+    hamiltonian_vf).
     """
 
     def __init__(self, chart: Chart, omega: KForm):
@@ -72,6 +74,7 @@ class SymplecticChart:
         adj = _adjugate(self.matrix)
         self.inverse = [[mul(detinv, adj[i][j]) for j in range(chart.dim)]
                         for i in range(chart.dim)]
+        self._fields: Dict[Expr, VectorField] = {}
 
     def _coefficient_matrix(self) -> Matrix:
         n = self.chart.dim
@@ -114,7 +117,18 @@ def hamiltonian_vf(f: Expr, s: SymplecticChart) -> VectorField:
     for the antisymmetric coefficient matrix W of omega.  The defining
     equation is decided by expr_equal: a constant omega cancels
     structurally, a non-constant one leaves quotients such as w / w^2 that
-    the kernel does not cancel, so it is sampled."""
+    the kernel does not cancel, so it is sampled.
+
+    The field is built and checked once per (f, chart); a repeat f returns
+    the stored field.  A build that fails the check raises DegeneracyError
+    and stores nothing."""
+    xi = s._fields.get(f)
+    if xi is None:
+        xi = s._fields[f] = _build_hamiltonian_vf(f, s)
+    return xi
+
+
+def _build_hamiltonian_vf(f: Expr, s: SymplecticChart) -> VectorField:
     grads = s.gradient(f)
     n = s.chart.dim
     comps = []

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import importlib.resources
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -166,11 +167,13 @@ def load_spec_text(text: str, validate: bool = True,
     epsilon, epsilon_at = _number(tols, "epsilon", float, "1e-9", tol)
     n_samples, samples_at = _number(tols, "samples", int, "32", samples)
     seed_v, _ = _number(tols, "seed", int, "42", seed)
-    hbar_v, _ = _number(tols, "hbar", float, "1", hbar)
+    hbar_v, hbar_at = _number(tols, "hbar", float, "1", hbar)
     if not n_samples >= 1:
         raise SystemSpecError(f"{samples_at}samples = {n_samples}: at least 1 is needed")
     if not epsilon > 0:
         raise SystemSpecError(f"{epsilon_at}epsilon = {epsilon}: it must be positive")
+    if not (math.isfinite(hbar_v) and hbar_v != 0):
+        raise SystemSpecError(f"{hbar_at}hbar = {hbar_v}: it must be finite and nonzero")
 
     box = {}
     for k, v, lineno in man:

@@ -120,6 +120,29 @@ def test_sign_orientation_of_trig_args():
     assert call("cos", add(Q, mul(rational(-1), P))) == call("cos", add(Q, mul(rational(-1), P)))
 
 
+# Canonical forms that put every node kind side by side in one sum or
+# product (as terms, factors, Call arguments and Pow bases), pinned as
+# printed: the term order is part of every report.
+TERM_ORDER = [
+    ("sin(p+1) + sin(p*q) + sin(p^(1/2)) + sin(sin(p)) + sin(p) + sin(pi) + sin(3)",
+     "sin(3) + sin(pi) + sin(p) + sin(sin(p)) + sin(p^(1/2)) + sin(p*q) + sin(1 + p)"),
+    ("(p+1)^(1/2) + (p*q)^(1/3) + (p^(1/3))^(1/2) + cos(p)^(1/2) + p^(-1/2) + pi^(1/2) + 3^(1/2)",
+     "3^(1/2) + pi^(1/2) + p^(-1/2) + cos(p)^(1/2) + (p^(1/3))^(1/2) + (p*q)^(1/3) + (1 + p)^(1/2)"),
+    ("p*q + p^2 + exp(p) + q + p + hbar + pi + 7/2 + (p+q)^(-3/2)*exp(q) + sin(p)*q^(-1)",
+     "7/2 + hbar + pi + p + q + exp(p) + p^2 + p*q + exp(q)*(p + q)^(-3/2) + sin(p)*q^(-1)"),
+    ("2/3*pi*hbar*q*p*exp(sin(p))*cos(q+1)*(p+q)^(1/2)*p^(-1/2)*(exp(p)+1)^(-1/3)",
+     "2/3*hbar*pi*q*cos(1 + q)*exp(sin(p))*p^(1/2)*(1 + exp(p))^(-1/3)*(p + q)^(1/2)"),
+    ("exp(exp(p)+p) + exp(p^(-2)*q) + exp(cos(p)) + exp(hbar) + exp(-1/2) + q^(-3/2)*sin(q) - p*q^2 - p^2*q",
+     "exp(-1/2) + exp(hbar) + exp(cos(p)) + exp(q*p^(-2)) + exp(p + exp(p)) - p*q^2 - q*p^2 + sin(q)*q^(-3/2)"),
+]
+
+
+@pytest.mark.parametrize("text, canonical", TERM_ORDER,
+                         ids=["call-args", "pow-bases", "sum", "product", "nested"])
+def test_term_order_is_pinned(text, canonical):
+    assert to_str(parse_expr(text, VOCAB)) == canonical
+
+
 # ---------------------------------------------------------------------------
 # differentiation
 

@@ -15,11 +15,12 @@ from gqw.forms import (
 from gqw.parse import parse_expr
 from gqw.sample import DomainSampler, expr_equal
 from gqw.suites import run_suite
+from gqw import symplectic
 from gqw.symplectic import (
     SymplecticChart, hamiltonian_vf, lie_derivative_omega, poisson,
     poisson_ways, verify_bracket_lemma,
 )
-from gqw.system import load_spec_text
+from gqw.system import load_bundled, load_spec_text
 
 P, Q = symbol("p"), symbol("q")
 
@@ -76,6 +77,58 @@ def test_defining_equation_holds_symbolically(sc):
         lhs = interior_product(xi, sc.omega)
         rhs = exterior_derivative(scalar_form(sc.chart, f))
         assert lhs == rhs
+
+
+def _count_builds(monkeypatch) -> list:
+    """(f, id(chart)) of every Hamiltonian field actually built, as opposed
+    to returned from the chart's store."""
+    builds = []
+    build = symplectic._build_hamiltonian_vf
+
+    def counted(f, s):
+        builds.append((f, id(s)))
+        return build(f, s)
+
+    monkeypatch.setattr(symplectic, "_build_hamiltonian_vf", counted)
+    return builds
+
+
+def test_equal_hamiltonians_share_one_field(sc):
+    f1, f2 = parse_expr("p*q + q^3", sc.chart.coords), parse_expr("q^3 + q*p", sc.chart.coords)
+    assert f1 == f2 and f1 is not f2
+    assert hamiltonian_vf(f1, sc) is hamiltonian_vf(f2, sc)
+
+
+def test_each_chart_builds_its_own_field(sc):
+    twice = SymplecticChart(sc.chart, parse_form("2*dp^dq", sc.chart))
+    f = mul(P, Q)
+    xi, xi2 = hamiltonian_vf(f, sc), hamiltonian_vf(f, twice)
+    assert xi == VectorField(sc.chart, [P, mul(rational(-1), Q)])
+    assert xi2 == VectorField(sc.chart, [mul(rational(1, 2), P), mul(rational(-1, 2), Q)])
+    assert hamiltonian_vf(f, sc) is xi and hamiltonian_vf(f, twice) is xi2
+
+
+def test_failed_field_is_not_stored(sc, monkeypatch):
+    # a wrong inverse (twice the true one) makes xi_f . omega = 2 df
+    true_inverse = sc.inverse
+    sc.inverse = [[mul(rational(2), w) for w in row] for row in true_inverse]
+    builds = _count_builds(monkeypatch)
+    f = mul(P, Q)
+    for _ in range(2):
+        with pytest.raises(DegeneracyError):
+            hamiltonian_vf(f, sc)
+    assert len(builds) == 2
+    sc.inverse = true_inverse
+    assert hamiltonian_vf(f, sc) == VectorField(sc.chart, [P, mul(rational(-1), Q)])
+    assert len(builds) == 3
+
+
+def test_poisson_suite_builds_each_field_once(monkeypatch):
+    # the suite asks for each Hamiltonian field many times over; a field
+    # built twice for one (f, chart) means its memo was lost
+    builds = _count_builds(monkeypatch)
+    assert run_suite(load_bundled(), "poisson").passed
+    assert builds and len(builds) == len(set(builds))
 
 
 def test_degenerate_omega_rejected():

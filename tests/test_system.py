@@ -78,6 +78,9 @@ def test_overrides():
     ("box p = -2, 2", "box p = -2, x"),
     ("samples = 32", "samples = 0"),
     ("epsilon = 1e-9", "epsilon = 0"),
+    ("hbar = 1", "hbar = 0"),
+    ("hbar = 1", "hbar = nan"),
+    ("hbar = 1", "hbar = inf"),
 ])
 def test_bad_values_name_their_key_and_line(old, new):
     text = GOOD.replace(old, new)
@@ -98,6 +101,7 @@ def test_cli_bad_value_in_file_exit_two(tmp_path, capsys):
 @pytest.mark.parametrize("flag, value, key", [
     ("--samples", "0", "samples"), ("--samples", "-3", "samples"),
     ("--tol", "-1", "epsilon"), ("--tol", "0", "epsilon"),
+    ("--hbar", "0", "hbar"), ("--hbar", "nan", "hbar"), ("--hbar", "inf", "hbar"),
 ])
 def test_cli_rejects_out_of_range_overrides(flag, value, key, capsys):
     assert main(["check", "--suite", "poisson", flag, value]) == 2
