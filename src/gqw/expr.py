@@ -6,7 +6,8 @@ and the unary functions sin, cos, exp.  Every constructor returns a
 canonical form:
 
   * sums and products are flattened and sorted under a fixed term order,
-  * rational constants are folded exactly (fractions.Fraction),
+  * rational constants are folded exactly; a coefficient or exponent is an
+    int when integral and a fractions.Fraction otherwise,
   * like terms are collected and equal bases have their exponents merged,
   * products distribute over sums and positive integer powers of sums are
     expanded, so polynomial identities collapse to a structural zero,
@@ -16,7 +17,14 @@ canonical form:
 There is no division node: quotients are powers with negative exponents.
 sqrt(x) is accepted by the parser and normalized to x^(1/2).
 
+Nodes are interned (hash-consed): each node class keeps a table from its
+fields to the one node built with them, so structurally equal expressions
+are the same object, and == and hash are object identity.  The tables live
+for the process.
+
 All operations are pure; expressions may be shared freely across threads.
+Threads that build the same node at once get one node: the table is filled
+with dict.setdefault, and the first node stored wins.
 """
 
 from __future__ import annotations
@@ -39,136 +47,119 @@ _CONSTANTS = ("hbar", "i", "pi")
 
 
 class Expr:
-    """Base class.  Instances are immutable and canonical by construction."""
+    """Base class.  Instances are immutable, canonical by construction and
+    interned: each node class builds one node per distinct field tuple, so
+    ``==`` and ``hash`` are object identity."""
 
-    __slots__ = ("_hash", "_sortkey")
-
-    def __hash__(self):
-        return self._hash
+    __slots__ = ("_sortkey",)
 
     def __repr__(self):
         return to_str(self)
 
     def is_zero(self) -> bool:
-        return isinstance(self, Rational) and self.value == 0
+        return self is ZERO
 
     def is_one(self) -> bool:
-        return isinstance(self, Rational) and self.value == 1
+        return self is ONE
+
+
+def _exact(value):
+    """An exact rational as nodes store it: an int when integral, else a
+    Fraction."""
+    return value.numerator if value.denominator == 1 else value
+
+
+def _interned(cls, key, *fields):
+    """The node of ``cls`` stored in its table under ``key``, built from
+    ``fields`` (in ``__slots__`` order) on a miss.  ``setdefault`` keeps the
+    first node stored when threads race to build the same one.  The tables
+    live for the process."""
+    table = cls._table
+    node = table.get(key)
+    if node is None:
+        node = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            setattr(node, name, value)
+        node = table.setdefault(key, node)
+    return node
 
 
 class Rational(Expr):
     """Exact rational literal."""
 
     __slots__ = ("value",)
+    _table: dict = {}
 
-    def __init__(self, value: Fraction):
-        self.value = value
-        self._hash = hash(("rat", value))
-
-    def __eq__(self, other):
-        return isinstance(other, Rational) and self.value == other.value
-
-    __hash__ = Expr.__hash__
+    def __new__(cls, value):
+        value = _exact(value)
+        return _interned(cls, value, value)
 
 
 class Symbol(Expr):
     """A named coordinate, parameter, or fiber variable."""
 
     __slots__ = ("name",)
+    _table: dict = {}
 
-    def __init__(self, name: str):
-        self.name = name
-        self._hash = hash(("sym", name))
-
-    def __eq__(self, other):
-        return isinstance(other, Symbol) and self.name == other.name
-
-    __hash__ = Expr.__hash__
+    def __new__(cls, name: str):
+        return _interned(cls, name, name)
 
 
 class Constant(Expr):
     """Reserved constant: pi, i, or hbar."""
 
     __slots__ = ("name",)
+    _table: dict = {}
 
-    def __init__(self, name: str):
+    def __new__(cls, name: str):
         assert name in _CONSTANTS
-        self.name = name
-        self._hash = hash(("const", name))
-
-    def __eq__(self, other):
-        return isinstance(other, Constant) and self.name == other.name
-
-    __hash__ = Expr.__hash__
+        return _interned(cls, name, name)
 
 
 PI = Constant("pi")
 IMAG = Constant("i")
 HBAR = Constant("hbar")
-ZERO = Rational(Fraction(0))
-ONE = Rational(Fraction(1))
-MINUS_ONE = Rational(Fraction(-1))
-_FRAC_ONE = ONE.value
+ZERO = Rational(0)
+ONE = Rational(1)
+MINUS_ONE = Rational(-1)
 
 
 class Add(Expr):
     __slots__ = ("terms",)
+    _table: dict = {}
 
-    def __init__(self, terms: tuple):
-        self.terms = terms
-        self._hash = hash(("add", terms))
-
-    def __eq__(self, other):
-        return isinstance(other, Add) and self.terms == other.terms
-
-    __hash__ = Expr.__hash__
+    def __new__(cls, terms: tuple):
+        return _interned(cls, terms, terms)
 
 
 class Mul(Expr):
     __slots__ = ("factors",)
+    _table: dict = {}
 
-    def __init__(self, factors: tuple):
-        self.factors = factors
-        self._hash = hash(("mul", factors))
-
-    def __eq__(self, other):
-        return isinstance(other, Mul) and self.factors == other.factors
-
-    __hash__ = Expr.__hash__
+    def __new__(cls, factors: tuple):
+        return _interned(cls, factors, factors)
 
 
 class Pow(Expr):
     """base raised to an exact rational exponent (never 0 or 1)."""
 
     __slots__ = ("base", "exponent")
+    _table: dict = {}
 
-    def __init__(self, base: Expr, exponent: Fraction):
-        self.base = base
-        self.exponent = exponent
-        self._hash = hash(("pow", base, exponent))
-
-    def __eq__(self, other):
-        return (isinstance(other, Pow) and self.base == other.base
-                and self.exponent == other.exponent)
-
-    __hash__ = Expr.__hash__
+    def __new__(cls, base: Expr, exponent):
+        exponent = _exact(exponent)
+        return _interned(cls, (base, exponent), base, exponent)
 
 
 class Call(Expr):
     """Unary function application: sin, cos, exp."""
 
     __slots__ = ("fn", "arg")
+    _table: dict = {}
 
-    def __init__(self, fn: str, arg: Expr):
+    def __new__(cls, fn: str, arg: Expr):
         assert fn in _FUNCTIONS
-        self.fn = fn
-        self.arg = arg
-        self._hash = hash(("call", fn, arg))
-
-    def __eq__(self, other):
-        return isinstance(other, Call) and self.fn == other.fn and self.arg == other.arg
-
-    __hash__ = Expr.__hash__
+        return _interned(cls, (fn, arg), fn, arg)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +200,7 @@ def _key(e: Expr):
 
 
 def rational(num, den=1) -> Expr:
-    return Rational(Fraction(num, den))
+    return Rational(num if den == 1 and isinstance(num, int) else Fraction(num, den))
 
 
 def symbol(name: str) -> Symbol:
@@ -224,7 +215,7 @@ def _split_coeff(term: Expr):
         rest = term.factors[1:]
         mono = rest[0] if len(rest) == 1 else Mul(rest)
         return term.factors[0].value, mono
-    return _FRAC_ONE, term
+    return 1, term
 
 
 def _monomial_factors(mono: Expr) -> tuple:
@@ -252,7 +243,7 @@ def _pythagoras(terms: dict) -> None:
                 k = int(f.exponent)
                 rest = factors[:idx] + factors[idx + 1:]
                 sin_rem = () if k == 2 else (power(Call("sin", u), k - 2),)
-                partner = mul(*rest, *sin_rem, Pow(Call("cos", u), Fraction(2)))
+                partner = mul(*rest, *sin_rem, Pow(Call("cos", u), 2))
                 if terms.get(partner) != c:
                     continue
                 residual = mul(*rest, *sin_rem) if rest or sin_rem else ONE
@@ -280,7 +271,7 @@ def add(*args: Expr) -> Expr:
         c = terms[mono]
         if c == 0:
             continue
-        if mono.is_one():
+        if mono is ONE:
             out.append(Rational(c))
         elif c == 1:
             out.append(mono)
@@ -307,7 +298,7 @@ def _expand_product(coeff: Fraction, plain: list, sums: list) -> Expr:
 
 
 def mul(*args: Expr) -> Expr:
-    coeff = _FRAC_ONE
+    coeff = 1
     powers: dict = {}  # base -> summed exponent, in order of first appearance
 
     def feed(base: Expr, exp: Fraction):
@@ -315,7 +306,7 @@ def mul(*args: Expr) -> Expr:
         if isinstance(base, Rational) and exp.denominator == 1:
             if base.value == 0 and exp < 0:
                 raise EvaluationError("division by zero in a constant power")
-            coeff *= base.value ** exp.numerator
+            coeff *= Fraction(base.value) ** exp.numerator
             return
         prev = powers.get(base)
         powers[base] = exp if prev is None else prev + exp
@@ -324,19 +315,19 @@ def mul(*args: Expr) -> Expr:
         factors = a.factors if isinstance(a, Mul) else (a,)
         for f in factors:
             if isinstance(f, Rational):
-                if f.value == 0:
+                if f is ZERO:
                     return ZERO
-                coeff = f.value if coeff is _FRAC_ONE else coeff * f.value
+                coeff = f.value if coeff == 1 else coeff * f.value
             elif isinstance(f, Pow):
                 feed(f.base, f.exponent)
             else:
-                feed(f, _FRAC_ONE)
+                feed(f, 1)
 
     pieces = []
     for base, exp in powers.items():
         if exp == 0:
             continue
-        if base == IMAG and exp.denominator == 1:
+        if base is IMAG and exp.denominator == 1:
             r = exp.numerator % 4
             if r in (2, 3):
                 coeff = -coeff
@@ -384,8 +375,8 @@ def mul(*args: Expr) -> Expr:
 def power(base: Expr, exponent) -> Expr:
     if isinstance(exponent, Rational):
         exponent = exponent.value
-    elif not isinstance(exponent, Fraction):
-        exponent = Fraction(exponent)
+    elif not isinstance(exponent, int):
+        exponent = _exact(Fraction(exponent))
     if exponent == 0:
         return ONE
     if exponent == 1:
@@ -394,13 +385,11 @@ def power(base: Expr, exponent) -> Expr:
         if exponent.denominator == 1:
             if base.value == 0 and exponent < 0:
                 raise EvaluationError("division by zero in a constant power")
-            return Rational(base.value ** exponent.numerator)
-        if base.value == 0:
-            return ZERO
-        if base.value == 1:
-            return ONE
+            return Rational(Fraction(base.value) ** exponent.numerator)
+        if base is ZERO or base is ONE:
+            return base
         return Pow(base, exponent)
-    if base == IMAG and exponent.denominator == 1:
+    if base is IMAG and exponent.denominator == 1:
         r = exponent.numerator % 4
         return (ONE, IMAG, MINUS_ONE, mul(MINUS_ONE, IMAG))[r]
     if isinstance(base, Pow) and exponent.denominator == 1:
@@ -458,7 +447,7 @@ def diff(e: Expr, v: Symbol) -> Expr:
     if isinstance(e, (Rational, Constant)):
         return ZERO
     if isinstance(e, Symbol):
-        return ONE if e == v else ZERO
+        return ONE if e is v else ZERO
     if isinstance(e, Add):
         return add(*[diff(t, v) for t in e.terms])
     if isinstance(e, Mul):

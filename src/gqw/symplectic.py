@@ -23,40 +23,29 @@ from .sample import expr_equal
 Matrix = List[List[Expr]]
 
 
-def _det(m: Matrix) -> Expr:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
+def _minor(m: Matrix, drop) -> Matrix:
+    keep = [k for k in range(len(m)) if k not in drop]
+    return [[m[a][b] for b in keep] for a in keep]
+
+
+def _pfaffian(m: Matrix) -> Expr:
+    """Pf of an antisymmetric matrix by expansion along its first row:
+    1 for the empty matrix, 0 for any odd size."""
     terms = []
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        term = mul(m[0][j], _det(minor))
-        if (j % 2) == 1:
-            term = mul(rational(-1), term)
-        terms.append(term)
-    return add(*terms)
-
-
-def _adjugate(m: Matrix) -> Matrix:
-    n = len(m)
-    if n == 1:
-        return [[rational(1)]]
-    adj = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [row[:i] + row[i + 1:] for k, row in enumerate(m) if k != j]
-            cof = _det(minor)
-            if (i + j) % 2 == 1:
-                cof = mul(rational(-1), cof)
-            adj[i][j] = cof
-    return adj
+    for j in range(1, len(m)):
+        term = mul(m[0][j], _pfaffian(_minor(m, (0, j))))
+        terms.append(term if j % 2 == 1 else mul(rational(-1), term))
+    return add(*terms) if m else rational(1)
 
 
 class SymplecticChart:
     """A chart together with a closed nondegenerate 2-form.
 
-    The coefficient matrix of omega is inverted symbolically once, via the
-    adjugate and determinant (dimension <= 6, so this is cheap and exact).
+    The antisymmetric coefficient matrix W of omega is inverted symbolically
+    once through Pfaffians: (W^-1)_ij = (-1)^(i+j) sgn(j-i) Pf(W_ij) / Pf(W),
+    where W_ij drops rows and columns i and j (dimension <= 6, so this is
+    cheap and exact).  Pf(W)^2 = det W, so in 2-d the inverse is +-1/w for
+    omega = w dp^dq, and w * w^-1 cancels structurally.
     The chart also keeps each Hamiltonian field once built (see
     hamiltonian_vf).
     """
@@ -68,12 +57,16 @@ class SymplecticChart:
         self.omega = omega
         self._check_closed()
         self.matrix = self._coefficient_matrix()
-        self.det = _det(self.matrix)
-        self._check_nondegenerate()
-        detinv = power(self.det, -1)
-        adj = _adjugate(self.matrix)
-        self.inverse = [[mul(detinv, adj[i][j]) for j in range(chart.dim)]
-                        for i in range(chart.dim)]
+        pf = _pfaffian(self.matrix)
+        self._check_nondegenerate(pf)
+        n, pfinv = chart.dim, power(pf, -1)
+        self.inverse = [[ZERO] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                entry = mul(rational((-1) ** (i + j)),
+                            _pfaffian(_minor(self.matrix, (i, j))), pfinv)
+                self.inverse[i][j] = entry
+                self.inverse[j][i] = mul(rational(-1), entry)
         self._fields: Dict[Expr, VectorField] = {}
 
     def _coefficient_matrix(self) -> Matrix:
@@ -101,11 +94,12 @@ class SymplecticChart:
                             f"omega is not closed: d-omega coefficient {c} on "
                             f"(d{xs[i]},d{xs[j]},d{xs[k]})")
 
-    def _check_nondegenerate(self):
+    def _check_nondegenerate(self, pf: Expr):
+        # |det W| = Pf(W)^2
         sampler = self.chart.sampler
         for pt in sampler.points(seed_tag="nondegenerate"):
-            v = evalf(self.det, dict(pt, hbar=sampler.hbar))
-            if abs(v) <= sampler.tolerance:
+            v = evalf(pf, dict(pt, hbar=sampler.hbar))
+            if abs(v) ** 2 <= sampler.tolerance:
                 raise DegeneracyError(f"omega degenerate at sample point {pt}")
 
     def gradient(self, f: Expr) -> List[Expr]:
@@ -115,9 +109,10 @@ class SymplecticChart:
 def hamiltonian_vf(f: Expr, s: SymplecticChart) -> VectorField:
     """The unique field with xi_f . omega = df, i.e. xi = -W^{-1} grad f
     for the antisymmetric coefficient matrix W of omega.  The defining
-    equation is decided by expr_equal: a constant omega cancels
-    structurally, a non-constant one leaves quotients such as w / w^2 that
-    the kernel does not cancel, so it is sampled.
+    equation is decided by expr_equal: it cancels structurally for a
+    constant omega and for any omega in 2-d; a non-constant omega in 4-d or
+    6-d leaves sums of Pfaffian quotients that the kernel does not cancel,
+    so it is sampled.
 
     The field is built and checked once per (f, chart); a repeat f returns
     the stored field.  A build that fails the check raises DegeneracyError

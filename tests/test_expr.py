@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from gqw.errors import EvaluationError, ExprSyntaxError, UnknownSymbolError
 from gqw.expr import (
-    HBAR, IMAG, PI, add, call, diff, evalf, mul, power, rational, subs,
+    HBAR, IMAG, ONE, PI, add, call, diff, evalf, mul, power, rational, subs,
     symbol, to_str,
 )
 from gqw.parse import parse_expr
@@ -315,3 +315,88 @@ def test_half_powers_merging_to_integers_stay_canonical():
     e = mul(half, half, power(P, -1))  # (p*q)^(1/2) twice must merge to p*q
     assert e == Q
     assert subs(e, {}) == e
+
+
+# ---------------------------------------------------------------------------
+# interning and machine-integer coefficients
+
+
+def test_rationals_are_interned_and_integral_values_are_ints():
+    assert rational(4, 2) is rational(2)
+    assert type(rational(2).value) is int
+    assert rational(1, 2).value == Fraction(1, 2)
+    assert type(rational(1, 2).value) is Fraction
+
+
+def test_integral_pow_exponents_are_ints():
+    inv = power(add(P, Q), -1)
+    assert type(inv.exponent) is int and inv.exponent == -1
+    assert type(power(add(P, Q), Fraction(-4, 2)).exponent) is int
+    half = power(P, Fraction(1, 2))
+    assert half.exponent == Fraction(1, 2)
+    merged = mul(half, power(P, Fraction(3, 2)))  # exponents sum to Fraction(2)
+    assert merged is power(P, 2) and type(merged.exponent) is int
+
+
+def test_constant_powers_with_negative_exponents_stay_exact():
+    # int ** negative int is a float; constant powers must stay rational
+    assert power(rational(2), -2) is rational(1, 4)
+    assert mul(power(rational(2), -1), rational(2)) is ONE
+    with pytest.raises(EvaluationError):
+        power(rational(0), -1)
+
+
+def test_diff_subs_and_parse_return_the_interned_node():
+    assert diff(parse_expr("p^2*q", VOCAB), P) is parse_expr("2*p*q", VOCAB)
+    assert subs(parse_expr("p + q", VOCAB), {"q": P}) is mul(rational(2), P)
+    assert parse_expr("q*p", VOCAB) is mul(P, Q)
+
+
+_poly_terms = st.lists(
+    st.tuples(st.integers(-3, 3), st.sampled_from([1, 2, 3]),
+              st.integers(0, 2), st.integers(0, 2)),
+    max_size=4)
+
+
+def _poly(terms):
+    return add(*[mul(rational(c, d), power(P, i), power(Q, j)) for c, d, i, j in terms])
+
+
+@settings(max_examples=80, deadline=None)
+@given(_poly_terms, _poly_terms, st.randoms(use_true_random=False))
+def test_polynomials_are_interned(ta, tb, rnd):
+    a, b = _poly(ta), _poly(tb)
+    assert parse_expr(to_str(a), VOCAB) is a
+    assert (a == b) == (to_str(a) == to_str(b))
+    shuffled = list(ta)
+    rnd.shuffle(shuffled)
+    assert _poly(shuffled) is a
+
+
+def test_threads_building_the_same_nodes_get_one_node():
+    # every thread that races to build a node must get the node stored first
+    import sys
+    import threading
+    names = [f"race{k}" for k in range(1000)]  # symbols new to this process
+    results = [None] * 8
+    barrier = threading.Barrier(len(results))
+
+    def build(slot):
+        barrier.wait(timeout=60)
+        results[slot] = [add(power(symbol(n), 2), mul(rational(3, 7), symbol(n)))
+                         for n in names]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(k,)) for k in range(len(results))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert all(r is not None for r in results)
+    for other in results[1:]:
+        assert all(a is b for a, b in zip(results[0], other))

@@ -6,11 +6,11 @@ import random
 import pytest
 
 from gqw.errors import DegeneracyError
-from gqw.expr import add, evalf, mul, power, rational, symbol, to_str
+from gqw.expr import ONE, ZERO, add, evalf, mul, power, rational, symbol, to_str
 from gqw.flows import flow_point
 from gqw.forms import (
-    Chart, VectorField, exterior_derivative, interior_product, parse_form,
-    scalar_form,
+    Chart, KForm, VectorField, exterior_derivative, interior_product,
+    parse_form, scalar_form,
 )
 from gqw.parse import parse_expr
 from gqw.sample import DomainSampler, expr_equal
@@ -95,7 +95,7 @@ def _count_builds(monkeypatch) -> list:
 
 def test_equal_hamiltonians_share_one_field(sc):
     f1, f2 = parse_expr("p*q + q^3", sc.chart.coords), parse_expr("q^3 + q*p", sc.chart.coords)
-    assert f1 == f2 and f1 is not f2
+    assert f1 is f2
     assert hamiltonian_vf(f1, sc) is hamiltonian_vf(f2, sc)
 
 
@@ -129,6 +129,24 @@ def test_poisson_suite_builds_each_field_once(monkeypatch):
     builds = _count_builds(monkeypatch)
     assert run_suite(load_bundled(), "poisson").passed
     assert builds and len(builds) == len(set(builds))
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6])
+def test_pfaffian_inverse_is_exact_for_constant_omegas(dim):
+    # W W^-1 = I exactly for random constant omegas: the Pfaffian sign rule
+    # gives the true inverse in every supported dimension
+    coords = tuple(f"x{k}" for k in range(dim))
+    sampler = DomainSampler(coords=coords, box={x: (-1, 1) for x in coords}, seed=dim)
+    chart = Chart(coords, sampler)
+    rng = random.Random(f"pfaffian:{dim}")
+    for _ in range(3):
+        coeffs = [rational(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+                  for _ in chart.pairs()]
+        s = SymplecticChart(chart, KForm(chart, 2, coeffs))
+        for i in range(dim):
+            for j in range(dim):
+                entry = add(*[mul(s.matrix[i][k], s.inverse[k][j]) for k in range(dim)])
+                assert entry is (ONE if i == j else ZERO), (i, j)
 
 
 def test_degenerate_omega_rejected():
@@ -293,6 +311,17 @@ def _polynomial_area_system(seed):
 def test_poisson_suite_on_polynomial_area_forms(seed):
     report = run_suite(load_spec_text(_polynomial_area_system(seed)), "poisson")
     assert report.passed, report.to_text()
+
+
+def test_area_form_defining_equation_cancels_structurally():
+    # omega = w dp^dq inverts to +-1/w, so xi_f . omega = df cancels exactly
+    text = ("[manifold]\ncoordinates = p, q\n"
+            "[symplectic]\nomega = (1 + 3/2*p^2 + 3/2*p^2*q^2)*dp^dq\n"
+            "[prequant]\nbeta = (p + 1/2*p^3 + 1/2*p^3*q^2)*dq\n")
+    report = run_suite(load_spec_text(text), "poisson")
+    assert report.passed, report.to_text()
+    (defining,) = [c for c in report.checks if c.id == "hamiltonian-defining"]
+    assert defining.residual == 0.0
 
 
 @pytest.mark.parametrize("seed", [1, 2])
