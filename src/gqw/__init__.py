@@ -26,10 +26,7 @@ from .forms import (
     interior_product, lie_bracket, lie_derivative, parse_form, pullback,
     wedge,
 )
-from .symplectic import (
-    SymplecticChart, hamiltonian_vf, poisson, poisson_ways,
-    verify_bracket_lemma,
-)
+from .symplectic import SymplecticChart, hamiltonian_vf, poisson, poisson_ways
 from .circle import (
     CircleLiftedVF, E_circle, F_circle, PrequantCircle, bracket_lifted,
     connection_nabla, horizontal_lift, ks_operator,
@@ -53,7 +50,7 @@ __all__ = [
     "parse_expr", "DomainSampler", "expr_equal", "Chart", "ChartMap", "KForm",
     "VectorField", "exterior_derivative", "interior_product", "lie_bracket",
     "lie_derivative", "parse_form", "pullback", "wedge", "SymplecticChart",
-    "hamiltonian_vf", "poisson", "poisson_ways", "verify_bracket_lemma",
+    "hamiltonian_vf", "poisson", "poisson_ways",
     "CircleLiftedVF", "E_circle", "F_circle", "PrequantCircle",
     "bracket_lifted", "connection_nabla", "horizontal_lift",
     "ks_operator", "MpcAlgebra", "MpcElement", "MpElement", "eta", "exp_mpc",

@@ -80,11 +80,6 @@ def lifted_rhs(z: CircleLiftedVF) -> RHS:
     return components_rhs(z.bundle.chart, z.base.components + (z.fiber,))
 
 
-def vertical_field(y: PrequantCircle, coefficient: Expr) -> CircleLiftedVF:
-    from .forms import zero_vf
-    return CircleLiftedVF(y, zero_vf(y.chart), coefficient)
-
-
 def E_circle(f: Expr, y: PrequantCircle) -> CircleLiftedVF:
     """Horizontal lift of the Hamiltonian field plus (1/(2 pi hbar)) f * vertical."""
     xi = hamiltonian_vf(f, y.sympl)
@@ -121,16 +116,14 @@ def quantomorphism_residual(z: CircleLiftedVF) -> float:
                           z.bundle.chart.sampler)
 
 
-def F_circle(z: CircleLiftedVF, y: PrequantCircle, check: bool = True) -> Expr:
+def F_circle(z: CircleLiftedVF, y: PrequantCircle) -> Expr:
     """Inverse of E on connection-preserving fields:
     -(1/(i hbar)) F(zeta) = gamma(zeta), so F = -(i hbar) gamma(zeta)."""
-    if check:
-        la = gamma_lie_derivative(z)
-        if not la.is_zero():
-            res = quantomorphism_residual(z)
-            if res > y.chart.sampler.tolerance:
-                raise NotQuantomorphismError(
-                    "the field does not preserve the connection form", res)
+    if not gamma_lie_derivative(z).is_zero():
+        res = quantomorphism_residual(z)
+        if res > y.chart.sampler.tolerance:
+            raise NotQuantomorphismError(
+                "the field does not preserve the connection form", res)
     return mul(rational(-1), IMAG, HBAR, z.gamma())
 
 

@@ -81,7 +81,7 @@ def _cmd_demo(args) -> int:
         return 0 if rep.passed else 1
     rep = example_base_rotation(bundle, mul(rational(1, 2), PI))
     print("base rotation by pi/2 lifted trivially to the bundle")
-    print(f"  connection form preserved symbolically: {rep.gamma_symbolic}")
+    print(f"  connection form preserved symbolically: {rep.condition_1}")
     print(f"  equivariant under the structure group: {rep.equivariant}")
     print(f"  induced frame map vs lifted base map: Frobenius gap "
           f"{rep.fiber_difference:.3f}")

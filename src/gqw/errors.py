@@ -54,7 +54,9 @@ class UnsupportedFieldError(GqwError):
 
 
 class NumericError(GqwError):
-    """A numeric routine (exponential subdivision, flow) failed to converge."""
+    """A group element or algebra element is invalid: a matrix with
+    non-positive determinant, a zero circle phase, or an algebra element
+    that is not traceless or whose u(1) part is not imaginary."""
 
 
 class DegenerateParameterError(GqwError):

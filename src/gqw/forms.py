@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from .errors import ChartMismatchError, DegreeError, ExprSyntaxError
-from .expr import Expr, Symbol, ZERO, add, diff, mul, rational, symbol
+from .expr import Expr, ZERO, add, diff, mul, rational, symbol
 from .parse import _Parser
 from .sample import DomainSampler
 
@@ -35,11 +35,6 @@ class Chart:
     @property
     def dim(self) -> int:
         return len(self.coords)
-
-    def sym(self, name: str) -> Symbol:
-        if name not in self.coords:
-            raise KeyError(name)
-        return symbol(name)
 
     def pairs(self):
         n = self.dim

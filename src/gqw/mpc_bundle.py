@@ -35,21 +35,22 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, List, Sequence, Tuple
 
-from .circle import I_HBAR_INV, TWO_PI_HBAR_INV, TWO_PI_I, connection_lie_derivative
+from .circle import (
+    I_HBAR_INV, TWO_PI_HBAR_INV, TWO_PI_I, PrequantCircle, connection_lie_derivative,
+)
 from .errors import (
     DegenerateParameterError, NotQuantomorphismError, UnsupportedFieldError,
 )
 from .expr import Expr, HBAR, IMAG, ZERO, add, call, diff, evalf, mul, rational, symbol
 from .flows import commutator_residual
-from .forms import ChartMap, VectorField, pullback, zero_vf
+from .forms import ChartMap, VectorField, lie_bracket, pullback, zero_vf
 from .mpc_group import (
-    IDENTITY, Mat, MpcElement, MpElement, eta, mat_exp, mat_mul, mat_sub_norm,
-    mp_inv, mp_mul, mpc_mul, mu_loop, random_algebra, random_mpc,
-    random_traceless, rotation,
+    IDENTITY, Mat, MpcElement, MpElement, eta, exp_mpc, mat_exp, mat_mul, mat_sub_norm,
+    mp_mul, mpc_inv, mpc_mul, mu_loop, random_algebra, random_mpc, random_traceless,
+    rotation,
 )
 from .sample import worst_residual
 from .symplectic import hamiltonian_vf
-from .circle import PrequantCircle
 
 EMat = Tuple[Expr, Expr, Expr, Expr]  # 2x2 matrix of expressions, row-major
 
@@ -133,14 +134,6 @@ class StructuredVF:
                 and all(v == 0 for v in self.a_l) and self.tau_l == 0)
 
 
-def vertical_central(bundle: MpcPrequant, coefficient: Expr) -> StructuredVF:
-    """coefficient(m) times the central vertical generator normalized so that
-    gamma assigns it 2 pi i.  Central directions are both left- and
-    right-invariant; an m-dependent coefficient lives in the right slot."""
-    return StructuredVF(bundle, zero_vf(bundle.chart),
-                        tau_r=mul(TWO_PI_I, coefficient))
-
-
 def left_invariant(bundle: MpcPrequant, a_l: Mat, tau_l: complex) -> StructuredVF:
     """The vertical generator of the right action by exp(t (B, c))."""
     return StructuredVF(bundle, zero_vf(bundle.chart), a_l=a_l, tau_l=tau_l)
@@ -183,7 +176,6 @@ def structured_bracket(z1: StructuredVF, z2: StructuredVF) -> StructuredVF:
     Mixed right/left parts commute; central coefficients just get
     differentiated.  All signs are pinned by the flow-commutator oracle.
     """
-    from .forms import lie_bracket
     base = lie_bracket(z1.base, z2.base)
     a_r = emat_apply(z1.base, z2.a_r)
     a_r = tuple(add(x, mul(rational(-1), y), mul(rational(-1), z))
@@ -308,7 +300,7 @@ def gamma_numeric(bundle: MpcPrequant, x: Sequence[float],
 
 
 def pushforward_residual(bundle: MpcPrequant, fmap: Callable, x: Sequence[float],
-                         h: float = 1e-6) -> float:
+                         h: float) -> float:
     """max over 4 random unit tangents v of |gamma(K_* v) - gamma(v)|, with
     the pushforward taken by central differences of the coordinate map."""
     rng = random.Random(f"{bundle.chart.sampler.seed}:push")
@@ -341,7 +333,6 @@ def right_action_map(b: MpcElement) -> Callable:
 def eta_ad_residual(n: int, seed: int) -> float:
     """Numeric check that conjugation is invisible to half the determinant
     character's derivative: (1/2) d/dt arg eta(a exp(t alpha) a^{-1}) = Im tau."""
-    from .mpc_group import exp_mpc, mpc_inv
     rng = random.Random(f"{seed}:eta-ad")
     h = 1e-6
     worst = 0.0
@@ -356,19 +347,6 @@ def eta_ad_residual(n: int, seed: int) -> float:
         fd = 0.5 * cmath.phase(eta(conj)) / h
         worst = max(worst, abs(fd - alg.tau.imag))
     return worst
-
-
-def dgamma_structured_residual(bundle: MpcPrequant, pairs) -> float:
-    """Residual of d(gamma) = (1/(i hbar)) omega pulled back, evaluated
-    invariantly on structured pairs:
-    zeta1 gamma(zeta2) - zeta2 gamma(zeta1) - gamma([zeta1, zeta2])."""
-    def sides(z1, z2):
-        lhs = add(z1.base.apply(z2.gamma()),
-                  mul(rational(-1), z2.base.apply(z1.gamma())),
-                  mul(rational(-1), structured_bracket(z1, z2).gamma()))
-        return lhs, mul(I_HBAR_INV, bundle.sympl.omega(z1.base, z2.base))
-
-    return worst_residual((sides(z1, z2) for z1, z2 in pairs), bundle.chart.sampler)
 
 
 # ---------------------------------------------------------------------------
@@ -407,23 +385,13 @@ def delta_operator(f: Expr, u: Expr, bundle: MpcPrequant) -> Expr:
 # a chart map downstairs plus a closed-form fiber map
 
 
-def _times_loop(a: MpcElement, adjust: Callable[[MpElement], MpElement]) -> MpcElement:
-    """[h, e^{2 pi i t}] goes to [h adjust(mu(2t)), e^{2 pi i t}]."""
-    t = cmath.phase(a.phase) / (2 * math.pi)
-    prod = mp_mul(MpElement(a.g, 0), adjust(mu_loop(2 * t)))
-    sign = -1.0 if prod.sheet else 1.0
-    return MpcElement(prod.g, a.phase * sign)
-
-
 def fiber_twist(a: MpcElement) -> MpcElement:
     """The fiber map of the first counterexample: [h, e^{2 pi i t}] goes to
     [h mu(2t), e^{2 pi i t}] for the period-1 loop mu in the double cover."""
-    return _times_loop(a, lambda m: m)
-
-
-def fiber_untwist(a: MpcElement) -> MpcElement:
-    """Inverse of fiber_twist: multiply by the inverse loop value instead."""
-    return _times_loop(a, mp_inv)
+    t = cmath.phase(a.phase) / (2 * math.pi)
+    prod = mp_mul(MpElement(a.g, 0), mu_loop(2 * t))
+    sign = -1.0 if prod.sheet else 1.0
+    return MpcElement(prod.g, a.phase * sign)
 
 
 def _twist_covering_map(x: Sequence[float]) -> List[float]:
@@ -439,7 +407,6 @@ class TwistReport:
     gamma_residual_half_step: float
     fiber_gap: float
     eta_residual: float
-    fiber_values: tuple
 
     @property
     def gamma_preserved(self) -> bool:
@@ -477,18 +444,14 @@ def example_fiberwise_twist(bundle: MpcPrequant) -> TwistReport:
         a = random_mpc(rng, 0.8, 3)
         eta_worst = max(eta_worst, abs(eta(fiber_twist(a)) - eta(a)))
     return TwistReport(gamma_residual=worst, gamma_residual_half_step=worst_half,
-                       fiber_gap=gap, eta_residual=eta_worst,
-                       fiber_values=(g0, g1))
+                       fiber_gap=gap, eta_residual=eta_worst)
 
 
 @dataclass
 class RotationReport:
-    gamma_symbolic: bool
+    condition_1: bool                    # gamma is preserved symbolically
     equivariant: bool
-    induced_fiber: Mat
-    lifted_fiber: Mat
     fiber_difference: float
-    condition_1: bool
     condition_2: bool
 
     @property
@@ -525,15 +488,11 @@ def example_base_rotation(bundle: MpcPrequant, angle: Expr) -> RotationReport:
         act = random_mpc(rng, 0.8, 3)
         equivariant &= fiber(mpc_mul(qa, act)) == mpc_mul(fiber(qa), act)
 
-    induced = IDENTITY                   # the induced frame map keeps g
-    lifted = rotation(angle_num)         # the lift of T rotates the frame
-    diff_norm = mat_sub_norm(induced, lifted)
+    # the induced frame map keeps g, while the lift of T rotates the frame
+    diff_norm = mat_sub_norm(IDENTITY, rotation(angle_num))
     return RotationReport(
-        gamma_symbolic=gamma_sym,
-        equivariant=equivariant,
-        induced_fiber=induced,
-        lifted_fiber=lifted,
-        fiber_difference=diff_norm,
         condition_1=gamma_sym,
+        equivariant=equivariant,
+        fiber_difference=diff_norm,
         condition_2=diff_norm < 1e-9,
     )

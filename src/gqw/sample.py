@@ -80,20 +80,19 @@ class DomainSampler:
         return [next(draws) for _ in range(n)]
 
 
-def expr_equal(a: Expr, b: Expr, sampler: DomainSampler,
-               n: Optional[int] = None) -> Tuple[bool, float]:
+def expr_equal(a: Expr, b: Expr, sampler: DomainSampler) -> Tuple[bool, float]:
     """Decide a == b on the sampler's domain; returns (verdict, worst residual).
 
     The difference is canonicalized first, so identities that normalize to a
     structural zero report residual exactly 0.0.  Otherwise it is evaluated
-    at ``n`` admissible points of the ``{seed}:equal`` stream, at the
-    sampler's hbar; points where the difference fails to evaluate are
+    at ``n_samples`` admissible points of the ``{seed}:equal`` stream, at
+    the sampler's hbar; points where the difference fails to evaluate are
     skipped, within the sampler's draw cap.
     """
     delta = add(a, mul(rational(-1), b))
     if delta.is_zero():
         return True, 0.0
-    n = sampler.n_samples if n is None else n
+    n = sampler.n_samples
     draws = sampler._draws(n, "equal")
     worst = 0.0
     count = 0

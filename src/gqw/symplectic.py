@@ -17,7 +17,7 @@ from typing import Dict, List
 
 from .errors import DegeneracyError
 from .expr import Expr, ZERO, add, diff, evalf, mul, power, rational, symbol
-from .forms import Chart, KForm, VectorField, exterior_derivative, interior_product, lie_bracket
+from .forms import Chart, KForm, VectorField, exterior_derivative, interior_product
 from .sample import expr_equal
 
 Matrix = List[List[Expr]]
@@ -157,24 +157,6 @@ def poisson_ways(f: Expr, g: Expr, s: SymplecticChart) -> Dict[str, Expr]:
         "minus_omega": mul(rational(-1), s.omega(xi_f, xi_g)),
         "directional": xi_f.apply(g),
         "interior": interior_product(xi_f, dg).coeffs[0],
-    }
-
-
-def verify_bracket_lemma(f: Expr, g: Expr, s: SymplecticChart) -> dict:
-    """Residuals of [xi_f, xi_g] - xi_{f,g}, per component.
-
-    Components that cancel structurally report residual 0; otherwise the
-    difference is sampled on the chart domain.
-    """
-    lhs = lie_bracket(hamiltonian_vf(f, s), hamiltonian_vf(g, s))
-    rhs = hamiltonian_vf(poisson(f, g, s), s)
-    residuals = []
-    for a, b in zip(lhs.components, rhs.components):
-        _, r = expr_equal(a, b, s.chart.sampler)
-        residuals.append(r)
-    return {
-        "residuals": residuals,
-        "passed": all(r <= s.chart.sampler.tolerance for r in residuals),
     }
 
 

@@ -8,7 +8,6 @@ import pytest
 from gqw.circle import (
     CircleLiftedVF, E_circle, F_circle, PrequantCircle, TWO_PI_HBAR_INV, bracket_lifted, connection_nabla, gamma_lie_derivative,
     horizontal_lift, ks_operator, quantomorphism_residual, vertical_action,
-    vertical_field,
 )
 from gqw.errors import NotQuantomorphismError
 from gqw.expr import (
@@ -167,7 +166,7 @@ def test_F_inverts_E_on_worked_example(bundle):
 
 
 def test_F_of_unit_vertical(bundle):
-    z = vertical_field(bundle, TWO_PI_HBAR_INV)
+    z = CircleLiftedVF(bundle, zero_vf(bundle.chart), TWO_PI_HBAR_INV)
     assert F_circle(z, bundle).is_one()
 
 

@@ -9,6 +9,8 @@ import pytest
 
 from gqw.cli import main
 from gqw.errors import SystemSpecError
+from gqw.parse import parse_expr
+from gqw.sample import expr_equal
 from gqw.suites import run_suite
 from gqw.system import bundled_spec_text, load_bundled, load_spec_text
 
@@ -199,6 +201,64 @@ def test_runner_records_crashes_as_failures():
     report = _run_checks("synthetic", [("x", "always explodes", boom)])
     assert not report.passed
     assert report.checks[0].error and "synthetic failure" in report.checks[0].error
+
+
+def run_rows(monkeypatch, rows):
+    """The report of the given check rows, run as the poisson suite of the
+    bundled system through the runner's own path."""
+    from gqw import suites
+    monkeypatch.setitem(suites._SUITE_BUILDERS, "poisson",
+                        suites._deciding(lambda spec: rows))
+    spec = load_bundled()
+    return spec, run_suite(spec, "poisson").checks
+
+
+def test_pair_check_stops_at_its_first_false_pair(monkeypatch):
+    # structural, sampled and true, false, false with a larger residual
+    pairs = [tuple(parse_expr(t, ("p", "q")) for t in pair) for pair in [
+        ("p", "p"), ("exp(p)*exp(q)", "exp(p + q)"), ("p", "q"), ("p", "p + 100")]]
+    spec, (check,) = run_rows(monkeypatch, [("pairs", "anchor", lambda: iter(pairs))])
+    decided = [expr_equal(a, b, spec.chart.sampler) for a, b in pairs[:3]]
+    assert [ok for ok, _ in decided] == [True, True, False]
+    assert decided[0][1] == 0.0 < decided[1][1]
+    assert check.status == "fail" and check.error is None
+    # the worst residual up to the false pair, not the larger one after it
+    assert check.residual == max(r for _, r in decided) < 100
+    assert check.n_samples == 3 * spec.samples
+
+
+def test_pair_check_that_raises_while_producing_is_a_failure(monkeypatch):
+    def produce():
+        yield parse_expr("p", ("p", "q")), parse_expr("p", ("p", "q"))
+        raise RuntimeError("no second pair")
+
+    _, (check,) = run_rows(monkeypatch, [("raises", "anchor", produce)])
+    assert check.status == "fail" and check.residual is None and check.n_samples == 0
+    assert check.error == "RuntimeError: no second pair"
+
+
+def test_tuple_verdict_passes_through_unchanged(monkeypatch):
+    _, checks = run_rows(monkeypatch, [("ok", "a", lambda: (True, 0.25, 7)),
+                                       ("bad", "b", lambda: (False, 1.5, 3))])
+    assert [(c.status, c.residual, c.n_samples, c.error) for c in checks] == [
+        ("pass", 0.25, 7, None), ("fail", 1.5, 3, None)]
+
+
+ONE_HAMILTONIAN = GOOD[:GOOD.index("[hamiltonians]")] + """[hamiltonians]
+energy = 1/2*(p^2 + q^2)
+"""
+
+
+def test_checks_that_pick_hamiltonians_name_the_needed_count():
+    # these checks use the fifth and fourth Hamiltonians; a system with one
+    # used to fail them with IndexError: list index out of range
+    spec = load_spec_text(ONE_HAMILTONIAN)
+    picked = {("circle-iso", "bracket-flow-oracle"), ("mpc-iso", "prequant-curvature"),
+              ("mpc-iso", "bracket-flow-oracle"), ("mpc-iso", "membership-regression")}
+    errors = {(suite, c.id): (c.status, c.error)
+              for suite in ("circle-iso", "mpc-iso") for c in run_suite(spec, suite).checks}
+    message = "SystemSpecError: this check needs at least 5 Hamiltonians; the system declares 1"
+    assert {key: errors[key] for key in picked} == dict.fromkeys(picked, ("fail", message))
 
 
 def test_cli_failing_suite_exit_one(monkeypatch, capsys):
