@@ -116,12 +116,13 @@ def quantomorphism_residual(z: CircleLiftedVF) -> float:
                           z.bundle.chart.sampler)
 
 
-def F_circle(z: CircleLiftedVF, y: PrequantCircle) -> Expr:
+def F_circle(z: CircleLiftedVF) -> Expr:
     """Inverse of E on connection-preserving fields:
-    -(1/(i hbar)) F(zeta) = gamma(zeta), so F = -(i hbar) gamma(zeta)."""
+    -(1/(i hbar)) F(zeta) = gamma(zeta), so F = -(i hbar) gamma(zeta); the
+    field must preserve gamma within its bundle's sampler tolerance."""
     if not gamma_lie_derivative(z).is_zero():
         res = quantomorphism_residual(z)
-        if res > y.chart.sampler.tolerance:
+        if res > z.bundle.chart.sampler.tolerance:
             raise NotQuantomorphismError(
                 "the field does not preserve the connection form", res)
     return mul(rational(-1), IMAG, HBAR, z.gamma())

@@ -6,6 +6,9 @@
     gqw demo {a1,a2}
     gqw group selftest [--seed N] [--format text|json]
 
+``demo a1``/``a2`` print the ``twist-*``/``rotation-*`` rows of the
+``counterexamples`` suite, in the text format of ``check``.
+
 Exit codes: 0 all checks passed, 1 at least one failed, 2 a system file
 failed to load or validate.
 """
@@ -64,30 +67,12 @@ def _cmd_poisson(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    from .expr import PI, mul, rational
-    from .mpc_bundle import example_base_rotation, example_fiberwise_twist
-
     spec = _load(args)
-    bundle = spec.mpc_bundle()
-    if args.which == "a1":
-        rep = example_fiberwise_twist(bundle)
-        print("fiberwise twist of the trivialized bundle over the punctured plane")
-        print(f"  connection form preserved: residual {rep.gamma_residual:.3e} "
-              f"(half-step {rep.gamma_residual_half_step:.3e})")
-        print(f"  determinant character preserved: residual {rep.eta_residual:.3e}")
-        print(f"  image of one fiber is NOT constant: frame gap {rep.fiber_gap:.3f}")
-        print("  finding: no frame-bundle map exists under this twist"
-              if rep.passed else "  finding: UNEXPECTED (check failed)")
-        return 0 if rep.passed else 1
-    rep = example_base_rotation(bundle, mul(rational(1, 2), PI))
-    print("base rotation by pi/2 lifted trivially to the bundle")
-    print(f"  connection form preserved symbolically: {rep.condition_1}")
-    print(f"  equivariant under the structure group: {rep.equivariant}")
-    print(f"  induced frame map vs lifted base map: Frobenius gap "
-          f"{rep.fiber_difference:.3f}")
-    print("  finding: the induced map is not the lift of the base map"
-          if rep.passed else "  finding: UNEXPECTED (check failed)")
-    return 0 if rep.passed else 1
+    spec.mpc_bundle()  # a system the constructions cannot use is a load error
+    report = run_suite(spec, "counterexamples")
+    prefix = {"a1": "twist-", "a2": "rotation-"}[args.which]
+    rows = [c for c in report.checks if c.id.startswith(prefix)]
+    return _print_report(Report(report.suite, rows, report.elapsed), "text")
 
 
 def _cmd_group(args) -> int:

@@ -302,12 +302,8 @@ def mul(*args: Expr) -> Expr:
     powers: dict = {}  # base -> summed exponent, in order of first appearance
 
     def feed(base: Expr, exp: Fraction):
-        nonlocal coeff
-        if isinstance(base, Rational) and exp.denominator == 1:
-            if base.value == 0 and exp < 0:
-                raise EvaluationError("division by zero in a constant power")
-            coeff *= Fraction(base.value) ** exp.numerator
-            return
+        # power() folds a rational base under an integral exponent, so a
+        # rational base met here carries a fractional one and stays a power
         prev = powers.get(base)
         powers[base] = exp if prev is None else prev + exp
 

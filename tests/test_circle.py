@@ -162,17 +162,17 @@ def test_bracket_matches_flow_commutator_on_circle_bundle(bundle):
 
 def test_F_inverts_E_on_worked_example(bundle):
     f = mul(P, Q)
-    assert F_circle(E_circle(f, bundle), bundle) == f
+    assert F_circle(E_circle(f, bundle)) == f
 
 
 def test_F_of_unit_vertical(bundle):
     z = CircleLiftedVF(bundle, zero_vf(bundle.chart), TWO_PI_HBAR_INV)
-    assert F_circle(z, bundle).is_one()
+    assert F_circle(z).is_one()
 
 
 def test_F_round_trip_on_corpus(bundle):
     for f in hams(bundle):
-        assert F_circle(E_circle(f, bundle), bundle) == f
+        assert F_circle(E_circle(f, bundle)) == f
 
 
 def test_E_F_round_trip_on_image(bundle):
@@ -180,14 +180,14 @@ def test_E_F_round_trip_on_image(bundle):
     z = E_circle(f, bundle)
     # perturb by a zero expression: same canonical field
     z2 = CircleLiftedVF(bundle, z.base, add(z.fiber, add(P, mul(rational(-1), P))))
-    back = E_circle(F_circle(z2, bundle), bundle)
+    back = E_circle(F_circle(z2), bundle)
     assert back == z
 
 
 def test_F_rejects_non_quantomorphism(bundle):
     z = CircleLiftedVF(bundle, zero_vf(bundle.chart), mul(P, Q))  # L_zeta gamma != 0
     with pytest.raises(NotQuantomorphismError):
-        F_circle(z, bundle)
+        F_circle(z)
     assert quantomorphism_residual(z) > 1e-3
 
 

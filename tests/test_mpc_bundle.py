@@ -8,7 +8,10 @@ import random
 
 import pytest
 
-from gqw.circle import I_HBAR_INV, TWO_PI_HBAR_INV, TWO_PI_I, PrequantCircle, ks_operator
+from gqw import mpc_bundle
+from gqw.circle import (
+    I_HBAR_INV, TWO_PI_HBAR_INV, TWO_PI_I, E_circle, F_circle, PrequantCircle, ks_operator,
+)
 from gqw.errors import (
     DegenerateParameterError, NotQuantomorphismError, UnsupportedFieldError,
 )
@@ -22,10 +25,12 @@ from gqw.mpc_bundle import (
     right_action_map, sample_fiber_points, section_vocabulary,
     structured_bracket,
 )
-from gqw.mpc_group import IDENTITY, MpcElement, eta, mat_sub_norm, rotation
+from gqw.mpc_group import IDENTITY, MpcElement, eta, mat_mul, mat_sub_norm, rotation
 from gqw.parse import parse_expr
 from gqw.sample import DomainSampler, expr_equal
+from gqw.suites import run_suite
 from gqw.symplectic import SymplecticChart, hamiltonian_vf, poisson
+from gqw.system import load_bundled
 
 P, Q = symbol("p"), symbol("q")
 CORPUS = ["1", "p", "q", "p*q", "p^2+q^2", "1/2*(p^2+q^2)", "p^2-q^2"]
@@ -219,45 +224,55 @@ def test_structured_bracket_matches_flow_commutator(bundle):
 
 def test_E_image_is_member(bundle):
     for f in hams(bundle):
-        rep = quantomorphism_membership(E_mpc(f, bundle), bundle)
-        assert rep.passed
-        assert rep.connection_residual == 0.0
+        connection, left_sp, frame = quantomorphism_membership(E_mpc(f, bundle))
+        assert connection == 0.0
+        assert max(left_sp, frame) <= bundle.chart.sampler.tolerance
 
 
 def test_noncentral_left_part_fails_condition_two(bundle):
     # constant field: condition (1) holds, condition (2) sees the sp-part
     z = StructuredVF(bundle, zero_vf(bundle.chart),
                      a_l=(1.0, 0.0, 0.0, -1.0), tau_l=0j)
-    rep = quantomorphism_membership(z, bundle)
-    assert rep.condition_1 and not rep.condition_2
+    connection, left_sp, frame = quantomorphism_membership(z)
+    assert connection <= bundle.chart.sampler.tolerance < max(left_sp, frame)
 
 
 def test_hat_lift_alone_fails_condition_one(bundle):
     # without the central correction the flow does not preserve gamma
-    rep = quantomorphism_membership(hat_lift(mul(P, Q), bundle), bundle)
-    assert not rep.condition_1 and rep.condition_2
+    connection, left_sp, frame = quantomorphism_membership(hat_lift(mul(P, Q), bundle))
+    assert max(left_sp, frame) <= bundle.chart.sampler.tolerance < connection
 
 
 def test_F_inverts_E(bundle):
     for f in hams(bundle):
-        assert F_mpc(E_mpc(f, bundle), bundle) == f
+        assert F_mpc(E_mpc(f, bundle)) == f
 
 
 def test_F_of_central_unit(bundle):
     z = StructuredVF(bundle, zero_vf(bundle.chart), tau_r=mul(TWO_PI_I, TWO_PI_HBAR_INV))
-    assert F_mpc(z, bundle, check=False).is_one()
+    assert F_mpc(z, check=False).is_one()
 
 
 def test_E_F_round_trip_on_image(bundle):
     for f in hams(bundle)[:10]:
         z = E_mpc(f, bundle)
-        assert E_mpc(F_mpc(z, bundle), bundle) == z
+        assert E_mpc(F_mpc(z), bundle) == z
 
 
 def test_F_rejects_nonmember(bundle):
     z = StructuredVF(bundle, zero_vf(bundle.chart), tau_r=mul(P, Q))
     with pytest.raises(NotQuantomorphismError):
+        F_mpc(z)
+
+
+def test_F_takes_no_second_bundle(bundle):
+    # the bundle comes with the field; a second positional argument must not
+    # be taken for ``check``
+    z = E_mpc(P, bundle)
+    with pytest.raises(TypeError):
         F_mpc(z, bundle)
+    with pytest.raises(TypeError):
+        F_circle(E_circle(P, bundle.circle), bundle.circle)
 
 
 def test_dropping_condition_two_breaks_the_inverse(bundle):
@@ -267,9 +282,9 @@ def test_dropping_condition_two_breaks_the_inverse(bundle):
     good = E_mpc(f, bundle)
     bad = StructuredVF(bundle, good.base, a_r=good.a_r, tau_r=good.tau_r,
                        a_l=(1.0, 0.0, 0.0, -1.0), tau_l=0j)
-    rep = quantomorphism_membership(bad, bundle)
-    assert rep.condition_1 and not rep.condition_2
-    fval = F_mpc(bad, bundle, check=False)
+    connection, left_sp, frame = quantomorphism_membership(bad)
+    assert connection <= bundle.chart.sampler.tolerance < max(left_sp, frame)
+    fval = F_mpc(bad, check=False)
     assert fval == f                      # gamma never sees the sp-part
     assert E_mpc(fval, bundle) != bad     # so F cannot invert E without (2)
 
@@ -397,7 +412,6 @@ def test_twist_report(bundle):
     assert rep.gamma_residual_half_step <= 1e-6
     assert rep.fiber_gap >= 0.5
     assert rep.eta_residual < 1e-12
-    assert rep.passed
 
 
 # ---------------------------------------------------------------------------
@@ -407,10 +421,33 @@ def test_twist_report(bundle):
 def test_rotation_report(bundle):
     angle = mul(rational(1, 2), PI)
     rep = example_base_rotation(bundle, angle)
-    assert rep.equivariant
-    assert rep.condition_1 and not rep.condition_2
+    assert rep.gamma_preserved
+    assert rep.equivariance_residual <= 1e-12
     assert abs(rep.fiber_difference - 2.0) < 1e-12  # |I - R(pi/2)| Frobenius
-    assert rep.passed
+
+
+def turning_fiber(side):
+    """A mutant of the base rotation's covering map that also turns the
+    fiber matrix by the rotation, from the given side."""
+    def covering_map(c, s):
+        def fn(x):
+            g, turn = (x[2], x[3], x[4], x[5]), (c, -s, s, c)
+            g = mat_mul(g, turn) if side == "right" else mat_mul(turn, g)
+            return [c * x[0] - s * x[1], s * x[0] + c * x[1], *g, x[6]]
+        return fn
+    return covering_map
+
+
+def test_rotation_equivariance_is_measured(bundle, monkeypatch):
+    # right translation commutes with a left turn of the fiber, not a right one
+    angle = mul(rational(1, 2), PI)
+    monkeypatch.setattr(mpc_bundle, "_rotation_covering_map", turning_fiber("left"))
+    assert example_base_rotation(bundle, angle).equivariance_residual <= 1e-12
+    monkeypatch.setattr(mpc_bundle, "_rotation_covering_map", turning_fiber("right"))
+    assert example_base_rotation(bundle, angle).equivariance_residual > 1.0
+    row = {c.id: c for c in run_suite(load_bundled(), "counterexamples").checks}[
+        "rotation-gamma-equivariance"]
+    assert row.status == "fail" and row.residual > 1.0 and row.n_samples == 20
 
 
 def test_rotation_rejects_degenerate_angle(bundle):
@@ -420,18 +457,16 @@ def test_rotation_rejects_degenerate_angle(bundle):
 
 def test_rotation_arbitrary_angle(bundle):
     rep = example_base_rotation(bundle, rational(1))  # one radian
-    assert rep.passed
+    assert rep.gamma_preserved and rep.equivariance_residual <= 1e-12
     assert abs(rep.fiber_difference - mat_sub_norm(IDENTITY, rotation(1.0))) < 1e-12
 
 
 def test_zero_field_is_member(bundle):
     z = StructuredVF(bundle, zero_vf(bundle.chart))
-    rep = quantomorphism_membership(z, bundle)
-    assert rep.passed and rep.connection_residual == 0.0
+    assert quantomorphism_membership(z) == (0.0, 0.0, 0.0)
 
 
 def test_membership_is_decided_at_the_system_hbar():
-    from gqw.system import load_bundled
     spec = load_bundled(hbar=2.0)
     bundle = spec.mpc_bundle()
     f = parse_expr("p^3", spec.coords)
@@ -440,7 +475,7 @@ def test_membership_is_decided_at_the_system_hbar():
     # -(1/i) beta(xi) + i p^3
     tau = mul(IMAG, add(bundle.beta(z.base), f))
     wrong = StructuredVF(bundle, z.base, a_r=z.a_r, tau_r=tau)
-    rep = quantomorphism_membership(wrong, bundle)
-    assert not rep.condition_1 and rep.connection_residual > 1.0
+    connection, left_sp, frame = quantomorphism_membership(wrong)
+    assert connection > 1.0 and max(left_sp, frame) <= spec.epsilon
     with pytest.raises(NotQuantomorphismError):
-        F_mpc(wrong, bundle)
+        F_mpc(wrong)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -157,9 +158,20 @@ def test_cli_poisson_command(capsys):
     assert "{f, g}" in out
 
 
+def untimed(text):
+    return re.sub(r"\d+\.\d\d s\)", "s)", text).splitlines()
+
+
 def test_cli_demo_commands(capsys):
-    assert main(["demo", "a1"]) == 0
-    assert main(["demo", "a2"]) == 0
+    # each demo prints the header and its own rows of the counterexamples suite
+    suite = untimed(run_suite(load_bundled(), "counterexamples").to_text())
+    assert suite[0] == "suite counterexamples: PASS (s)"
+    for which, prefix, count in [("a1", "twist-", 3), ("a2", "rotation-", 2)]:
+        assert main(["demo", which]) == 0
+        out = untimed(capsys.readouterr().out)
+        rows = [line for line in suite[1:] if line.startswith(f"  [pass] {prefix}")]
+        assert len(rows) == count
+        assert out == suite[:1] + rows
 
 
 def test_cli_group_selftest(capsys):
@@ -311,3 +323,19 @@ def test_two_dim_only_suites_fail_cleanly_in_four_dimensions():
     report = run_suite(spec, "mpc-iso")
     assert not report.passed
     assert report.checks[0].error and "2-dimensional" in report.checks[0].error
+
+
+def test_setup_failures_keep_their_own_error():
+    spec = load_spec_text(FOUR_DIM)
+    for suite in ("mpc-iso", "delta", "counterexamples"):
+        [row] = run_suite(spec, suite).checks
+        assert row.id == f"{suite}-setup" and row.status == "fail"
+        assert row.error == ("UnsupportedFieldError: the trivialized construction "
+                             "needs a 2-dimensional chart")
+
+
+def test_cli_demo_on_a_system_it_cannot_use_is_a_load_error(tmp_path, capsys):
+    path = tmp_path / "four.spec"
+    path.write_text(FOUR_DIM)
+    assert main(["demo", "a1", "--system", str(path)]) == 2
+    assert "2-dimensional" in capsys.readouterr().err

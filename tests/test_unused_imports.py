@@ -1,8 +1,10 @@
-"""Every top-level import of a gqw module is used in that module.
+"""Every top-level import of a gqw module is used in that module, and so is
+every module-level ``_private`` function, class or constant.
 
 A stdlib stand-in for pyflakes' unused-import check: deleting a function
-must not leave the names it alone used imported.  ``__init__.py`` is
-skipped, because re-exporting is its purpose.
+must not leave the names it alone used imported, nor the private helpers it
+alone called.  ``__init__.py`` is skipped by the import check, because
+re-exporting is its purpose.
 """
 
 import ast
@@ -12,6 +14,7 @@ import pytest
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src", "gqw")
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py") and f != "__init__.py")
 
 
@@ -29,6 +32,41 @@ def unused_imports(source: str):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def unused_private_names(source: str):
+    """Module-level ``_name`` definitions that no other line of the module
+    reads; a function or class read only inside its own body is unused."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, DEFS):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [n.id for t in nodes for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                defined[name] = node
+    unused = []
+    for name, node in defined.items():
+        readers = [n for n in ast.walk(tree)
+                   if isinstance(n, ast.Name) and n.id == name
+                   and isinstance(n.ctx, ast.Load)
+                   and not (isinstance(node, DEFS)
+                            and node.lineno <= n.lineno <= node.end_lineno)]
+        if not readers:
+            unused.append((node.lineno, name))
+    return sorted(unused)
+
+
+def test_the_check_sees_an_unused_private_name():
+    src = ("_A = 1\n_B: int = 2\n_C, D = 3, 4\nclass _K: pass\n"
+           "def _f(): return _f()\ndef _g(): return _B\n__all__ = []\n"
+           "def h(): return _g(), _K\n")
+    assert unused_private_names(src) == [(1, "_A"), (3, "_C"), (5, "_f")]
+
+
 def test_the_check_sees_an_unused_import():
     assert unused_imports("import os\nimport sys\nprint(sys.argv)\n") == [(1, "os")]
     assert unused_imports("from a import b as c\nx: c = 1\n") == []
@@ -38,3 +76,9 @@ def test_the_check_sees_an_unused_import():
 def test_no_unused_top_level_imports(module):
     with open(os.path.join(SRC, module), encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == [], module
+
+
+@pytest.mark.parametrize("module", sorted(f for f in os.listdir(SRC) if f.endswith(".py")))
+def test_no_unused_private_names(module):
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        assert unused_private_names(fh.read()) == [], module
