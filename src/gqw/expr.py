@@ -22,9 +22,15 @@ fields to the one node built with them, so structurally equal expressions
 are the same object, and == and hash are object identity.  The tables live
 for the process.
 
+evalf runs one closure per node, ``env -> complex``: it is built on the
+node's first evaluation from its children's closures and kept in the node,
+like the node's sort key, so each node is dispatched on its type once per
+process.
+
 All operations are pure; expressions may be shared freely across threads.
 Threads that build the same node at once get one node: the table is filled
-with dict.setdefault, and the first node stored wins.
+with dict.setdefault, and the first node stored wins.  Threads that evaluate
+a node for the first time at once each store an equivalent closure.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ class Expr:
     interned: each node class builds one node per distinct field tuple, so
     ``==`` and ``hash`` are object identity."""
 
-    __slots__ = ("_sortkey",)
+    __slots__ = ("_sortkey", "_fn")
 
     def __repr__(self):
         return to_str(self)
@@ -478,7 +484,7 @@ def evalf(e: Expr, env: Mapping[str, complex]) -> complex:
     symbols come from ``env``.  Raises EvaluationError on unbound symbols,
     division by zero, or non-finite results."""
     try:
-        val = _evalf(e, env)
+        val = _compiled(e)(env)
     except ZeroDivisionError as exc:
         raise EvaluationError("division by zero during evaluation") from exc
     except (OverflowError, ValueError) as exc:
@@ -488,43 +494,66 @@ def evalf(e: Expr, env: Mapping[str, complex]) -> complex:
     return val
 
 
-def _evalf(e: Expr, env: Mapping[str, complex]) -> complex:
-    if isinstance(e, Rational):
-        return complex(e.value.numerator / e.value.denominator)
-    if isinstance(e, Constant):
-        if e.name == "pi":
-            return complex(math.pi)
-        if e.name == "i":
-            return 1j
-        try:
-            return complex(env["hbar"])
-        except KeyError:
-            raise EvaluationError("unbound constant 'hbar'") from None
-    if isinstance(e, Symbol):
-        try:
-            return complex(env[e.name])
-        except KeyError:
-            raise EvaluationError(f"unbound symbol '{e.name}'") from None
-    if isinstance(e, Add):
-        return sum(_evalf(t, env) for t in e.terms)
-    if isinstance(e, Mul):
-        out = complex(1)
-        for f in e.factors:
-            out *= _evalf(f, env)
-        return out
-    if isinstance(e, Pow):
-        b = _evalf(e.base, env)
-        if e.exponent.denominator == 1:
-            return b ** e.exponent.numerator
-        if b == 0:
-            if e.exponent > 0:
-                return complex(0)
-            raise ZeroDivisionError
-        return b ** float(e.exponent)
-    if isinstance(e, Call):
-        a = _evalf(e.arg, env)
-        return getattr(cmath, e.fn)(a)
-    raise TypeError(type(e))
+def _compiled(e: Expr):
+    """The node's evaluator ``env -> complex``, built once from its
+    children's evaluators and kept in the node (filling it twice stores an
+    equivalent closure)."""
+    try:
+        return e._fn
+    except AttributeError:
+        pass
+    if isinstance(e, Rational) or e is PI or e is IMAG:
+        value = (1j if e is IMAG else complex(math.pi) if e is PI
+                 else complex(e.value.numerator / e.value.denominator))
+
+        def fn(env):
+            return value
+    elif isinstance(e, (Symbol, Constant)):  # a symbol or hbar: read from env
+        name = e.name
+        unbound = f"unbound {'constant' if e is HBAR else 'symbol'} '{name}'"
+
+        def fn(env):
+            try:
+                return complex(env[name])
+            except KeyError:
+                raise EvaluationError(unbound) from None
+    elif isinstance(e, Add):
+        terms = tuple(_compiled(t) for t in e.terms)
+
+        def fn(env):
+            return sum([t(env) for t in terms])
+    elif isinstance(e, Mul):
+        factors = tuple(_compiled(f) for f in e.factors)
+
+        def fn(env):
+            out = complex(1)
+            for f in factors:
+                out *= f(env)
+            return out
+    elif isinstance(e, Pow) and e.exponent.denominator == 1:
+        base, n = _compiled(e.base), e.exponent.numerator
+
+        def fn(env):
+            return base(env) ** n
+    elif isinstance(e, Pow):
+        base, x, positive = _compiled(e.base), float(e.exponent), e.exponent > 0
+
+        def fn(env):
+            b = base(env)
+            if b == 0:
+                if positive:
+                    return complex(0)
+                raise ZeroDivisionError
+            return b ** x
+    elif isinstance(e, Call):
+        f, arg = getattr(cmath, e.fn), _compiled(e.arg)
+
+        def fn(env):
+            return f(arg(env))
+    else:
+        raise TypeError(type(e))
+    e._fn = fn
+    return fn
 
 
 def subs(e: Expr, mapping: Mapping[str, Expr]) -> Expr:

@@ -256,8 +256,10 @@ def bracket_flow_residual(z1: StructuredVF, z2: StructuredVF,
 
 
 def sample_fiber_points(bundle: MpcPrequant, n: int, seed_tag: str = "fiber"):
-    """Covering-coordinate sample points (p, q, g, theta) with g in SL(2,R)."""
-    rng = random.Random(f"{bundle.chart.sampler.seed}:{seed_tag}")
+    """Covering-coordinate sample points (p, q, g, theta) with g in SL(2,R):
+    the base points of the ``{seed}:{seed_tag}`` stream, and (g, theta)
+    from the stream's own ``{seed}:{seed_tag}:fiber`` rng."""
+    rng = random.Random(f"{bundle.chart.sampler.seed}:{seed_tag}:fiber")
     base_pts = bundle.chart.sampler.points(n, seed_tag=seed_tag)
     out = []
     for pt in base_pts:
@@ -415,7 +417,7 @@ def example_fiberwise_twist(bundle: MpcPrequant) -> TwistReport:
     g0 = fiber_twist(MpcElement(IDENTITY, 1.0)).g
     g1 = fiber_twist(MpcElement(IDENTITY, cmath.exp(2j * math.pi / 8))).g
     gap = mat_sub_norm(g0, g1)
-    rng = random.Random("twist-eta")
+    rng = random.Random(f"{bundle.chart.sampler.seed}:twist-eta")
     eta_worst = 0.0
     for _ in range(20):
         a = random_mpc(rng, 0.8, 3)
@@ -450,7 +452,7 @@ def example_base_rotation(bundle: MpcPrequant, angle: Expr) -> RotationReport:
                  and pullback(base, bundle.sympl.omega) == bundle.sympl.omega)
 
     k = _rotation_covering_map(math.cos(angle_num), math.sin(angle_num))
-    rng = random.Random("rotation-equivariance")
+    rng = random.Random(f"{bundle.chart.sampler.seed}:rotation-equivariance")
     equiv = 0.0
     for x in sample_fiber_points(bundle, 20, seed_tag="rotation"):
         act = right_action_map(random_mpc(rng, 0.8, 3))

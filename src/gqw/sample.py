@@ -9,18 +9,38 @@ count, the tolerance and the value of ``hbar``.  Every numeric evaluation on
 a chart reads ``hbar`` from its sampler, so no caller passes it by hand.
 Draws come from one rejection loop, deterministic for a fixed seed and
 capped at 1000 draws per requested point.
+
+Each ``{seed}:{tag}`` stream is drawn once per sampler: the sampler keeps
+the admissible points it has found, and a later request replays them before
+drawing further.  A request sees exactly the points, and raises at exactly
+the draw, that a fresh sampler would.  Filling a stream mutates the sampler,
+so a sampler is not safe to share across threads while its streams fill;
+gqw itself is single-threaded.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from .errors import EvaluationError, SamplingError
 from .expr import Expr, evalf, add, mul, rational
 
 _MAX_RESAMPLE = 1000
+
+
+class _Stream:
+    """The state of one ``{seed}:{tag}`` stream: its rng, the number of draws
+    made so far, and the admissible points found, each with the index of the
+    draw that found it."""
+
+    __slots__ = ("rng", "drawn", "found")
+
+    def __init__(self, name: str):
+        self.rng = random.Random(name)
+        self.drawn = 0
+        self.found: List[Tuple[int, Dict[str, float]]] = []
 
 
 @dataclass(frozen=True)
@@ -37,6 +57,8 @@ class DomainSampler:
     n_samples: int = 32
     tolerance: float = 1e-9
     hbar: float = 1.0
+    _streams: Dict[str, _Stream] = field(default_factory=dict, init=False,
+                                         repr=False, compare=False)
 
     def __post_init__(self):
         for c in self.coords:
@@ -59,18 +81,33 @@ class DomainSampler:
         return True
 
     def _draws(self, n: int, seed_tag: str) -> Iterator[Dict[str, float]]:
-        """Admissible points of the ``{seed}:{seed_tag}`` stream; raises
-        SamplingError after 1000 * n draws."""
-        rng = random.Random(f"{self.seed}:{seed_tag}")
+        """Admissible points of the ``{seed}:{seed_tag}`` stream, each a fresh
+        dict; raises SamplingError after 1000 * n draws from the stream's
+        start.  Points found earlier are replayed, then the stream extends."""
+        stream = self._streams.get(seed_tag)
+        if stream is None:
+            stream = self._streams[seed_tag] = _Stream(f"{self.seed}:{seed_tag}")
+        found = stream.found
         cap = _MAX_RESAMPLE * max(n, 1)
-        for _ in range(cap):
-            pt = {c: rng.uniform(*self.box[c]) for c in self.coords}
+        k = 0
+        while True:
+            if k < len(found):
+                at, pt = found[k]
+                if at >= cap:
+                    break
+                k += 1
+                yield dict(pt)
+                continue
+            if stream.drawn >= cap:
+                break
+            pt = {c: stream.rng.uniform(*self.box[c]) for c in self.coords}
+            stream.drawn += 1
             try:
                 ok = self.admissible(pt)
             except EvaluationError:
                 ok = False
             if ok:
-                yield pt
+                found.append((stream.drawn - 1, pt))
         raise SamplingError(f"could not find {n} usable points in {cap} draws")
 
     def points(self, n: Optional[int] = None, seed_tag: str = "") -> List[Dict[str, float]]:

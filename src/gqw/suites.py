@@ -314,7 +314,7 @@ def circle_checks(spec: SystemSpec) -> List[Check]:
     def bracket_flow_oracle():
         f, g = _oracle_pair(spec)
         z1, z2 = E_circle(f, y), E_circle(g, y)
-        rng = random.Random(f"{spec.seed}:circle-flow")
+        rng = random.Random(f"{spec.seed}:circle-flow:fiber")
         pts = [[pt[c] for c in spec.coords] + [rng.uniform(0, 1)]
                for pt in spec.chart.sampler.points(8, seed_tag="circle-flow")]
         worst = commutator_residual(lifted_rhs(z1), lifted_rhs(z2),

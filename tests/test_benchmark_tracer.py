@@ -28,18 +28,49 @@ print(json.dumps({"passed": passed, "metrics": tracer.finish()["metrics"]}))
 """
 
 
-def test_tracer_counts_every_probed_layer():
+# one identity that does not cancel structurally, decided on the bundled chart
+SAMPLED_SCRIPT = """
+import json
+import gqw
+from layertrace import Tracer
+
+spec = gqw.load_bundled()
+a = gqw.parse_expr("exp(p)*exp(q)", spec.coords)
+b = gqw.parse_expr("exp(p + q)", spec.coords)
+tracer = Tracer()
+tracer.install()
+residual = gqw.expr_equal(a, b, spec.chart.sampler)[1]
+print(json.dumps({"residual": residual, "n_samples": spec.samples,
+                  "metrics": tracer.finish()["metrics"]}))
+"""
+
+
+def _traced(script: str) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")])
-    out = subprocess.run([sys.executable, "-c", SCRIPT], cwd=ROOT, env=env,
+    out = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
                          capture_output=True, text=True, timeout=120, check=True)
-    result = json.loads(out.stdout.strip().splitlines()[-1])
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def test_tracer_counts_every_probed_layer():
+    result = _traced(SCRIPT)
     assert result["passed"]
     metrics = result["metrics"]
     for name in ("symplectic.hamiltonian_vf", "mpc_group.lift_path",
                  "mpc_group.mat_exp", "sample.expr_equal", "expr.evalf"):
         assert metrics[f"{name}.calls"] > 0, name
+
+
+def test_tracer_counts_each_point_of_a_sampled_identity():
+    # the tracer counts points through the public evalf it rebinds, so
+    # expr_equal must evaluate each of its residuals through that function
+    result = _traced(SAMPLED_SCRIPT)
+    assert result["residual"] > 0.0
+    metrics = result["metrics"]
+    assert metrics["sample.expr_equal.calls"] == 1
+    assert metrics["sample.points_evaluated"] == result["n_samples"]
 
 
 def _layertrace():

@@ -272,3 +272,21 @@ def test_vertical_action_is_minus_two_pi_i(bundle):
     from gqw.expr import PI
     out = vertical_action(mul(P, Q))
     assert out == mul(rational(-2), PI, IMAG, P, Q)
+
+
+def test_flow_oracle_fiber_coordinates_are_not_drawn_from_the_base_stream(monkeypatch):
+    # the circle bracket-flow oracle draws theta uniform in [0, 1) beside the
+    # base points of its {seed}:circle-flow stream, from a rng of its own
+    from gqw import suites
+    from gqw.system import load_bundled
+    spec = load_bundled()
+    points = []
+    monkeypatch.setattr(suites, "commutator_residual",
+                        lambda f, g, h, pts: points.extend(pts) or 0.0)
+    checks = {cid: fn for cid, _, fn in suites._SUITE_BUILDERS["circle-iso"](spec)}
+    checks["bracket-flow-oracle"]()
+    base = random.Random(f"{spec.seed}:circle-flow")
+    uniforms = [base.random() for _ in range(2000)]
+    assert len(points) == 8
+    for pt in points:
+        assert all(abs(pt[-1] - v) > 1e-12 for v in uniforms)

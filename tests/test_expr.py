@@ -1,14 +1,16 @@
 """Expression kernel: parsing, canonical forms, differentiation, equality."""
 
+import cmath
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from gqw.errors import EvaluationError, ExprSyntaxError, UnknownSymbolError
+from gqw.errors import EvaluationError, ExprSyntaxError, SamplingError, UnknownSymbolError
 from gqw.expr import (
-    HBAR, IMAG, ONE, PI, add, call, diff, evalf, mul, power, rational, subs,
-    symbol, to_str,
+    HBAR, IMAG, ONE, PI, Add, Call, Mul, Pow, Rational, Symbol, add, call, diff,
+    evalf, mul, power, rational, subs, symbol, to_str,
 )
 from gqw.parse import parse_expr
 from gqw.sample import DomainSampler, expr_equal
@@ -301,15 +303,151 @@ def test_expr_equal_symmetric():
 
 
 def test_resample_cap_raises():
-    from gqw.errors import SamplingError
     # exp(exp(p^2*100 + 10)) overflows at every admissible point
     blow = call("exp", call("exp", add(mul(rational(100), power(P, 2)), rational(10))))
+    s = sampler()
     with pytest.raises(SamplingError):
-        expr_equal(blow, rational(0), sampler())
+        expr_equal(blow, rational(0), s)
+    with pytest.raises(SamplingError):  # again once the stream is drawn
+        expr_equal(blow, rational(0), s)
+
+
+# ---------------------------------------------------------------------------
+# memoized point streams
+
+
+def test_warm_sampler_answers_like_a_fresh_one():
+    pairs = [(parse_expr("sin(p)^2", VOCAB), parse_expr("1 - cos(p)^2", VOCAB)),
+             (parse_expr("exp(p)*exp(q)", VOCAB), parse_expr("exp(p+q)", VOCAB)),
+             (P, Q)]
+    warm = sampler()
+    warm.points()
+    for a, b in pairs:
+        expr_equal(a, b, warm)
+    for tag in ("", "equal"):
+        assert warm.points(seed_tag=tag) == sampler().points(seed_tag=tag)
+    for a, b in pairs:
+        assert expr_equal(a, b, warm) == expr_equal(a, b, sampler())
+
+
+def test_returned_points_are_the_callers_own():
+    s = sampler()
+    first = s.points(4)
+    expected = [dict(pt) for pt in first]
+    for pt in first:
+        pt["p"] = 99.0
+        pt["hbar"] = 5.0
+    assert s.points(4) == expected
+
+
+def test_samplers_differing_in_hbar_keep_separate_streams():
+    below_hbar = (add(HBAR, mul(rational(-1), P)),)  # admissible where p < hbar
+    one = sampler(positive=below_hbar, hbar=1.0)
+    one.points()
+    two = sampler(positive=below_hbar, hbar=2.0)
+    assert two.points() == sampler(positive=below_hbar, hbar=2.0).points()
+    assert max(pt["p"] for pt in two.points()) > 1.0
+    assert max(pt["p"] for pt in one.points()) < 1.0
+
+
+# 249/250 < p^2 + q^2 < 251/250 takes about one box draw in 640; at seed 8
+# the {seed}:thin stream finds its first two points past draws 1000 and 2000
+THIN = (add(power(P, 2), power(Q, 2), rational(-249, 250)),
+        add(rational(251, 250), mul(rational(-1), add(power(P, 2), power(Q, 2)))))
+
+
+def _thin_points(s, n):
+    try:
+        return s.points(n, seed_tag="thin")
+    except SamplingError:
+        return "raised"
+
+
+def test_small_request_after_a_large_one_keeps_its_own_cap():
+    warm = sampler(positive=THIN, seed=8)
+    assert len(warm.points(30, seed_tag="thin")) == 30
+    outcomes = []
+    for n in (1, 2, 3, 4):
+        fresh = _thin_points(sampler(positive=THIN, seed=8), n)
+        assert _thin_points(warm, n) == fresh
+        outcomes.append(fresh == "raised")
+    assert outcomes == [True, True, False, False]
+
+
+# ---------------------------------------------------------------------------
+# evaluation
+
+
+def _reference_evalf(e, env):
+    """A plain tree walk over the node classes, the evaluator's spec."""
+    if isinstance(e, Rational):
+        return complex(e.value.numerator / e.value.denominator)
+    if e is PI:
+        return complex(math.pi)
+    if e is IMAG:
+        return 1j
+    if e is HBAR:
+        return complex(env["hbar"])
+    if isinstance(e, Symbol):
+        return complex(env[e.name])
+    if isinstance(e, Add):
+        return sum(_reference_evalf(t, env) for t in e.terms)
+    if isinstance(e, Mul):
+        out = complex(1)
+        for f in e.factors:
+            out *= _reference_evalf(f, env)
+        return out
+    if isinstance(e, Pow):
+        b = _reference_evalf(e.base, env)
+        if e.exponent.denominator == 1:
+            return b ** e.exponent.numerator
+        if b == 0:
+            if e.exponent > 0:
+                return complex(0)
+            raise ZeroDivisionError
+        return b ** float(e.exponent)
+    assert isinstance(e, Call)
+    return getattr(cmath, e.fn)(_reference_evalf(e.arg, env))
+
+
+EVAL_POINTS = ({"p": 0.7, "q": -1.3, "hbar": 1.5},
+               {"p": -2.0, "q": 0.25, "hbar": 1.0},
+               {"p": 0.0, "q": 1.0, "hbar": -0.5})
+
+
+@settings(max_examples=120, deadline=None)
+@given(exprs)
+@example(parse_expr("p^2*q + sin(p)*hbar + cos(q)^2 + 1/3", VOCAB))  # order-sensitive sum
+@example(parse_expr("(q + i)*sin(p)*p^(1/2)*hbar*(p - i)^(-1/3)", VOCAB))
+def test_evalf_matches_a_tree_walk_bit_for_bit(e):
+    for env in EVAL_POINTS:
+        try:
+            ref = _reference_evalf(e, env)
+        except (ZeroDivisionError, OverflowError, ValueError):
+            ref = None
+        if ref is None or not (math.isfinite(ref.real) and math.isfinite(ref.imag)):
+            with pytest.raises(EvaluationError):
+                evalf(e, env)
+        else:
+            got = evalf(e, env)
+            assert (got.real.hex(), got.imag.hex()) == (ref.real.hex(), ref.imag.hex())
+
+
+@pytest.mark.parametrize("make, env", [
+    (lambda: add(symbol("unbound_x"), P), {"p": 1.0}),
+    (lambda: mul(HBAR, symbol("unbound_h")), {"unbound_h": 1.0}),
+    (lambda: power(symbol("zero_base"), Fraction(-1, 2)), {"zero_base": 0.0}),
+    (lambda: call("exp", mul(rational(3), symbol("overflow_x"))), {"overflow_x": 1000.0}),
+], ids=["unbound-symbol", "unbound-hbar", "zero-to-negative-half", "exp-overflow"])
+def test_evalf_errors_survive_the_cached_evaluator(make, env):
+    e = make()
+    for _ in range(2):  # the second call runs the closure cached by the first
+        with pytest.raises(EvaluationError):
+            evalf(e, env)
+    assert e._fn is make()._fn
 
 
 def test_half_powers_merging_to_integers_stay_canonical():
-    from gqw.expr import Pow
     pq = mul(P, Q)
     half = Pow(pq, Fraction(1, 2))     # sqrt(p*q), base deliberately a product
     e = mul(half, half, power(P, -1))  # (p*q)^(1/2) twice must merge to p*q
@@ -400,3 +538,35 @@ def test_threads_building_the_same_nodes_get_one_node():
     assert all(r is not None for r in results)
     for other in results[1:]:
         assert all(a is b for a, b in zip(results[0], other))
+
+
+def test_threads_evaluating_new_nodes_agree_with_a_tree_walk():
+    # threads race to build and store the closures of nodes never evaluated
+    # before; every value must still be the tree walk's
+    import sys
+    import threading
+    names = [f"evalrace{k}" for k in range(300)]
+    nodes = [add(power(symbol(n), 3), mul(rational(2, 7), call("sin", symbol(n))), PI)
+             for n in names]
+    env = {n: 0.01 * k for k, n in enumerate(names)}
+    expected = [_reference_evalf(e, env) for e in nodes]
+    results = [None] * 8
+    barrier = threading.Barrier(len(results))
+
+    def evaluate(slot):
+        barrier.wait(timeout=60)
+        results[slot] = [evalf(e, env) for e in nodes]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=evaluate, args=(k,)) for k in range(len(results))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert all(r == expected for r in results)
+

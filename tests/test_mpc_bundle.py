@@ -25,7 +25,9 @@ from gqw.mpc_bundle import (
     right_action_map, sample_fiber_points, section_vocabulary,
     structured_bracket,
 )
-from gqw.mpc_group import IDENTITY, MpcElement, eta, mat_mul, mat_sub_norm, rotation
+from gqw.mpc_group import (
+    IDENTITY, MpcElement, eta, mat_mul, mat_sub_norm, random_mpc, rotation,
+)
 from gqw.parse import parse_expr
 from gqw.sample import DomainSampler, expr_equal
 from gqw.suites import run_suite
@@ -459,6 +461,36 @@ def test_rotation_arbitrary_angle(bundle):
     rep = example_base_rotation(bundle, rational(1))  # one radian
     assert rep.gamma_preserved and rep.equivariance_residual <= 1e-12
     assert abs(rep.fiber_difference - mat_sub_norm(IDENTITY, rotation(1.0))) < 1e-12
+
+
+@pytest.mark.parametrize("construct", [
+    example_fiberwise_twist, lambda bundle: example_base_rotation(bundle, rational(1)),
+], ids=["twist-eta", "rotation-equivariance"])
+def test_group_element_streams_follow_the_seed(monkeypatch, construct):
+    drawn = []
+
+    def recording(rng, r, phase):
+        drawn.append(random_mpc(rng, r, phase))
+        return drawn[-1]
+
+    monkeypatch.setattr(mpc_bundle, "random_mpc", recording)
+    by_seed = []
+    for seed in (42, 7):
+        construct(load_bundled(seed=seed).mpc_bundle())
+        by_seed.append(drawn[:])
+        drawn.clear()
+    assert len(by_seed[0]) == len(by_seed[1]) == 20
+    assert all(a != b for a, b in zip(*by_seed))
+
+
+def test_fiber_coordinates_are_not_drawn_from_the_base_stream(bundle):
+    # theta = -5/2 + 5 u for a uniform u of the fiber rng; were that rng the
+    # base-point stream's, u would be one of the stream's own uniforms
+    base = random.Random(f"{bundle.chart.sampler.seed}:fiber")
+    uniforms = [base.random() for _ in range(2000)]
+    for x in sample_fiber_points(bundle, 8):
+        u = (x[6] + 2.5) / 5
+        assert all(abs(u - v) > 1e-12 for v in uniforms)
 
 
 def test_zero_field_is_member(bundle):
