@@ -14,23 +14,35 @@ from typing import Sequence, Tuple
 
 from .errors import ChartMismatchError, DegreeError, ExprSyntaxError
 from .expr import Expr, ZERO, add, diff, mul, rational, symbol
-from .parse import _Parser
+from .parse import _FUNCTIONS, _RESERVED, _Parser
 from .sample import DomainSampler
 
 
 @dataclass(frozen=True)
 class Chart:
-    coords: Tuple[str, ...]
+    """A global chart, built from its evaluation context: its coordinates are
+    the sampler's.  Each must be an identifier that the grammar reads as a
+    symbol, not as a reserved constant, a function or a form token."""
+
     sampler: DomainSampler
 
     def __post_init__(self):
-        if len(set(self.coords)) != len(self.coords):
+        coords = self.coords
+        if len(set(coords)) != len(coords):
             raise ValueError("coordinate names must be distinct")
-        if not 1 <= len(self.coords) <= 6:
+        if not 1 <= len(coords) <= 6:
             raise ValueError("chart dimension must be between 1 and 6")
-        for c in self.coords:
-            if c.startswith("d") and c[1:] in self.coords:
+        for c in coords:
+            if not (c[:1].isalpha() and all(ch.isalnum() or ch == "_" for ch in c)):
+                raise ValueError(f"coordinate '{c}' is not an identifier")
+            if c in _RESERVED or c in _FUNCTIONS:
+                raise ValueError(f"coordinate '{c}' is a reserved name of the grammar")
+            if c.startswith("d") and c[1:] in coords:
                 raise ValueError(f"coordinate '{c}' collides with the form token d{c[1:]}")
+
+    @property
+    def coords(self) -> Tuple[str, ...]:
+        return self.sampler.coords
 
     @property
     def dim(self) -> int:
@@ -280,8 +292,8 @@ def pullback(phi: ChartMap, a: KForm) -> KForm:
 
 
 class _FormParser(_Parser):
-    def __init__(self, text: str, chart: Chart, extra_vocab=()):
-        super().__init__(text, tuple(chart.coords) + tuple(extra_vocab))
+    def __init__(self, text: str, chart: Chart):
+        super().__init__(text, chart.coords)
         self.chart = chart
 
     def atom_for_ident(self, name: str, pos: int):
@@ -345,9 +357,9 @@ def wedge(a: KForm, b: KForm) -> KForm:
     return KForm(chart, 2, out)
 
 
-def parse_form(text: str, chart: Chart, extra_vocab=()):
+def parse_form(text: str, chart: Chart):
     """Parse a form literal like "1/2*(p*dq - q*dp)" or "dp^dq".
 
     Returns a KForm, or a plain Expr if the text contains no dx tokens.
     """
-    return _FormParser(text, chart, extra_vocab).parse()
+    return _FormParser(text, chart).parse()

@@ -92,10 +92,10 @@ class MpcPrequant:
     """Bundle data for P = M x Mp^c over (M, dp^dq), with the potential beta
     of the circle bundle (which validated d(beta) = omega)."""
 
-    def __init__(self, circle: PrequantCircle, validate: bool = True):
+    def __init__(self, circle: PrequantCircle):
         if circle.chart.dim != 2:
             raise UnsupportedFieldError("the trivialized construction needs a 2-dimensional chart")
-        if validate and not circle.sympl.omega.coeffs[0].is_one():
+        if not circle.sympl.omega.coeffs[0].is_one():
             raise UnsupportedFieldError(
                 "the coordinate frame must be symplectic: omega must equal dp^dq")
         self.circle = circle
@@ -259,7 +259,7 @@ def sample_fiber_points(bundle: MpcPrequant, n: int, seed_tag: str = "fiber"):
     """Covering-coordinate sample points (p, q, g, theta) with g in SL(2,R):
     the base points of the ``{seed}:{seed_tag}`` stream, and (g, theta)
     from the stream's own ``{seed}:{seed_tag}:fiber`` rng."""
-    rng = random.Random(f"{bundle.chart.sampler.seed}:{seed_tag}:fiber")
+    rng = bundle.chart.sampler.rng(f"{seed_tag}:fiber")
     base_pts = bundle.chart.sampler.points(n, seed_tag=seed_tag)
     out = []
     for pt in base_pts:
@@ -290,7 +290,7 @@ def pushforward_residual(bundle: MpcPrequant, fmap: Callable, x: Sequence[float]
                          h: float) -> float:
     """max over 4 random unit tangents v of |gamma(K_* v) - gamma(v)|, with
     the pushforward taken by central differences of the coordinate map."""
-    rng = random.Random(f"{bundle.chart.sampler.seed}:push")
+    rng = bundle.chart.sampler.rng("push")
     worst = 0.0
     for _ in range(4):
         v = [rng.uniform(-1, 1) for _ in range(7)]
@@ -317,10 +317,10 @@ def right_action_map(b: MpcElement) -> Callable:
     return fn
 
 
-def eta_ad_residual(n: int, seed: int) -> float:
+def eta_ad_residual(n: int, rng: random.Random) -> float:
     """Numeric check that conjugation is invisible to half the determinant
-    character's derivative: (1/2) d/dt arg eta(a exp(t alpha) a^{-1}) = Im tau."""
-    rng = random.Random(f"{seed}:eta-ad")
+    character's derivative: (1/2) d/dt arg eta(a exp(t alpha) a^{-1}) = Im tau,
+    at n elements drawn from ``rng``."""
     h = 1e-6
     worst = 0.0
     for _ in range(n):
@@ -417,7 +417,7 @@ def example_fiberwise_twist(bundle: MpcPrequant) -> TwistReport:
     g0 = fiber_twist(MpcElement(IDENTITY, 1.0)).g
     g1 = fiber_twist(MpcElement(IDENTITY, cmath.exp(2j * math.pi / 8))).g
     gap = mat_sub_norm(g0, g1)
-    rng = random.Random(f"{bundle.chart.sampler.seed}:twist-eta")
+    rng = bundle.chart.sampler.rng("twist-eta")
     eta_worst = 0.0
     for _ in range(20):
         a = random_mpc(rng, 0.8, 3)
@@ -438,7 +438,7 @@ def example_base_rotation(bundle: MpcPrequant, angle: Expr) -> RotationReport:
     preserves gamma symbolically, the worst |K(x b) - K(x) b| at 20 fiber
     points, and the gap between the induced frame map (the identity) and the
     lift of T."""
-    angle_num = evalf(angle, {"hbar": bundle.chart.sampler.hbar}).real
+    angle_num = evalf(angle, bundle.chart.sampler.env(())).real
     if abs(math.remainder(angle_num, 2 * math.pi)) < 1e-9:
         raise DegenerateParameterError(
             f"rotation angle {angle_num} is an integer multiple of 2 pi")
@@ -452,7 +452,7 @@ def example_base_rotation(bundle: MpcPrequant, angle: Expr) -> RotationReport:
                  and pullback(base, bundle.sympl.omega) == bundle.sympl.omega)
 
     k = _rotation_covering_map(math.cos(angle_num), math.sin(angle_num))
-    rng = random.Random(f"{bundle.chart.sampler.seed}:rotation-equivariance")
+    rng = bundle.chart.sampler.rng("rotation-equivariance")
     equiv = 0.0
     for x in sample_fiber_points(bundle, 20, seed_tag="rotation"):
         act = right_action_map(random_mpc(rng, 0.8, 3))

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import ExprSyntaxError, UnknownSymbolError
-from .expr import Expr, Rational, call, add, mul, power, rational, symbol
+from .expr import Constant, Expr, Rational, call, add, mul, power, rational, symbol
 
 _RESERVED = {"pi", "i", "hbar"}
 _FUNCTIONS = {"sin", "cos", "exp", "sqrt"}
@@ -174,7 +174,7 @@ class _Parser:
                     return self.fn_call(t.text, arg, t.pos)
                 raise ExprSyntaxError(f"function '{t.text}' needs an argument list", t.pos)
             if t.text in _RESERVED:
-                return _reserved(t.text)
+                return Constant(t.text)  # interned: the one PI, IMAG or HBAR
             return self.atom_for_ident(t.text, t.pos)
         if t.kind == "op" and t.text == "(":
             inner = self.expr(0)
@@ -190,12 +190,6 @@ class _Parser:
         if not isinstance(arg, Expr):
             raise ExprSyntaxError("function arguments must be scalars", pos)
         return call(name, arg)
-
-
-def _reserved(name: str) -> Expr:
-    from .expr import PI, IMAG, HBAR
-
-    return {"pi": PI, "i": IMAG, "hbar": HBAR}[name]
 
 
 def parse_expr(text: str, vocabulary: Sequence[str]) -> Expr:

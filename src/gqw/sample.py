@@ -4,11 +4,13 @@ sampling-based equality.
 Symbolic zero-testing for the expression class here (rational + trig) is
 undecidable in general, so equality is decided by canonical simplification
 plus evaluation at N random points of the chart domain.  A DomainSampler
-holds everything an evaluation needs besides the point: the seed, the sample
-count, the tolerance and the value of ``hbar``.  Every numeric evaluation on
-a chart reads ``hbar`` from its sampler, so no caller passes it by hand.
-Draws come from one rejection loop, deterministic for a fixed seed and
-capped at 1000 draws per requested point.
+holds everything an evaluation needs besides the point: the chart's
+coordinates, the seed, the sample count, the tolerance and the value of
+``hbar``.  It is the one place that names a seeded stream (``rng(tag)``
+returns the ``{seed}:{tag}`` rng) and the one place that binds ``hbar``
+(``env``): every point it yields already carries it, so no caller writes it
+by hand.  Draws come from one rejection loop, deterministic for a fixed seed
+and capped at 1000 draws per requested point.
 
 Each ``{seed}:{tag}`` stream is drawn once per sampler: the sampler keeps
 the admissible points it has found, and a later request replays them before
@@ -37,8 +39,8 @@ class _Stream:
 
     __slots__ = ("rng", "drawn", "found")
 
-    def __init__(self, name: str):
-        self.rng = random.Random(name)
+    def __init__(self, rng: random.Random):
+        self.rng = rng
         self.drawn = 0
         self.found: List[Tuple[int, Dict[str, float]]] = []
 
@@ -65,6 +67,10 @@ class DomainSampler:
             if c not in self.box:
                 raise SamplingError(f"no bounding box for coordinate '{c}'")
 
+    def rng(self, tag: str) -> random.Random:
+        """A fresh rng for the ``{seed}:{tag}`` stream."""
+        return random.Random(f"{self.seed}:{tag}")
+
     def env(self, values) -> Dict[str, float]:
         """Evaluation environment: coordinate values (in chart order) and hbar."""
         out = dict(zip(self.coords, values))
@@ -72,21 +78,22 @@ class DomainSampler:
         return out
 
     def admissible(self, point: Mapping[str, float]) -> bool:
-        env = dict(point)
-        env["hbar"] = self.hbar
+        """Whether every entry of ``positive`` exceeds the tolerance at
+        ``point``, an environment from ``env``."""
         for ineq in self.positive:
-            v = evalf(ineq, env)
+            v = evalf(ineq, point)
             if not (v.real > self.tolerance and abs(v.imag) < 1e-12):
                 return False
         return True
 
     def _draws(self, n: int, seed_tag: str) -> Iterator[Dict[str, float]]:
         """Admissible points of the ``{seed}:{seed_tag}`` stream, each a fresh
-        dict; raises SamplingError after 1000 * n draws from the stream's
-        start.  Points found earlier are replayed, then the stream extends."""
+        ``env`` dict; raises SamplingError after 1000 * n draws from the
+        stream's start.  Points found earlier are replayed, then the stream
+        extends."""
         stream = self._streams.get(seed_tag)
         if stream is None:
-            stream = self._streams[seed_tag] = _Stream(f"{self.seed}:{seed_tag}")
+            stream = self._streams[seed_tag] = _Stream(self.rng(seed_tag))
         found = stream.found
         cap = _MAX_RESAMPLE * max(n, 1)
         k = 0
@@ -100,7 +107,7 @@ class DomainSampler:
                 continue
             if stream.drawn >= cap:
                 break
-            pt = {c: stream.rng.uniform(*self.box[c]) for c in self.coords}
+            pt = self.env([stream.rng.uniform(*self.box[c]) for c in self.coords])
             stream.drawn += 1
             try:
                 ok = self.admissible(pt)
@@ -111,7 +118,8 @@ class DomainSampler:
         raise SamplingError(f"could not find {n} usable points in {cap} draws")
 
     def points(self, n: Optional[int] = None, seed_tag: str = "") -> List[Dict[str, float]]:
-        """Deterministic list of admissible sample points."""
+        """Deterministic list of admissible sample points, each an ``env``
+        dict that binds the coordinates and hbar."""
         n = self.n_samples if n is None else n
         draws = self._draws(n, seed_tag)
         return [next(draws) for _ in range(n)]
@@ -135,7 +143,6 @@ def expr_equal(a: Expr, b: Expr, sampler: DomainSampler) -> Tuple[bool, float]:
     count = 0
     while count < n:
         pt = next(draws)
-        pt["hbar"] = sampler.hbar
         try:
             r = abs(evalf(delta, pt))
         except EvaluationError:

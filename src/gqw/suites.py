@@ -211,12 +211,12 @@ def poisson_checks(spec: SystemSpec) -> List[Check]:
             yield from zip(lhs.components, hamiltonian_vf(poisson(f, g, s), s).components)
 
     def random_pairs():
-        rng = random.Random(f"{spec.seed}:bracket-random")
+        rng = spec.chart.sampler.rng("bracket-random")
         for _ in range(20):
             yield _random_polynomial(rng, spec.coords), _random_polynomial(rng, spec.coords)
 
     def jacobi():
-        rng = random.Random(f"{spec.seed}:jacobi")
+        rng = spec.chart.sampler.rng("jacobi")
         triples = list(itertools.combinations(hs, 3))[:10]
         triples += [tuple(_random_polynomial(rng, spec.coords) for _ in range(3))
                     for _ in range(5)]
@@ -227,7 +227,7 @@ def poisson_checks(spec: SystemSpec) -> List[Check]:
             yield total, ZERO
 
     def leibniz():
-        rng = random.Random(f"{spec.seed}:leibniz")
+        rng = spec.chart.sampler.rng("leibniz")
         for _ in range(8):
             f = _random_polynomial(rng, spec.coords)
             g = _random_polynomial(rng, spec.coords)
@@ -305,7 +305,7 @@ def circle_checks(spec: SystemSpec) -> List[Check]:
             yield from field_pairs(back, z)
 
     def horizontal_gamma():
-        rng = random.Random(f"{spec.seed}:hlift")
+        rng = spec.chart.sampler.rng("hlift")
         for _ in range(10):
             f = _random_polynomial(rng, spec.coords)
             z = horizontal_lift(hamiltonian_vf(f, s), y)
@@ -314,7 +314,7 @@ def circle_checks(spec: SystemSpec) -> List[Check]:
     def bracket_flow_oracle():
         f, g = _oracle_pair(spec)
         z1, z2 = E_circle(f, y), E_circle(g, y)
-        rng = random.Random(f"{spec.seed}:circle-flow:fiber")
+        rng = spec.chart.sampler.rng("circle-flow:fiber")
         pts = [[pt[c] for c in spec.coords] + [rng.uniform(0, 1)]
                for pt in spec.chart.sampler.points(8, seed_tag="circle-flow")]
         worst = commutator_residual(lifted_rhs(z1), lifted_rhs(z2),
@@ -405,12 +405,10 @@ def dirac_checks(spec: SystemSpec) -> List[Check]:
 
 
 # ---------------------------------------------------------------------------
-# group suite (independent of the system; uses the seed and tolerances)
+# group suite (independent of the system's forms; draws the sampler's streams)
 
 
 def group_checks(spec: SystemSpec) -> List[Check]:
-    seed = spec.seed
-
     def rand_sp(rng):
         return mat_exp(random_traceless(rng, 1.2))
 
@@ -418,7 +416,7 @@ def group_checks(spec: SystemSpec) -> List[Check]:
         return random_mpc(rng, 1.2, math.pi)
 
     def cocycle_identity():
-        rng = random.Random(f"{seed}:cocycle")
+        rng = spec.chart.sampler.rng("cocycle")
         for k in range(1000):
             g1, g2, g3 = rand_sp(rng), rand_sp(rng), rand_sp(rng)
             lhs = kappa(g1, g2) + kappa(mat_mul(g1, g2), g3)
@@ -431,7 +429,7 @@ def group_checks(spec: SystemSpec) -> List[Check]:
               residual: Callable[[random.Random], float]) -> Verdict:
         """The worst residual(rng) over n draws of the {seed}:{tag} stream,
         against bound."""
-        rng = random.Random(f"{seed}:{tag}")
+        rng = spec.chart.sampler.rng(tag)
         worst = 0.0
         for _ in range(n):
             worst = max(worst, residual(rng))
@@ -453,7 +451,7 @@ def group_checks(spec: SystemSpec) -> List[Check]:
                    abs(eta(ab) - eta(a) * eta(b)))
 
     def path_lift_vs_cocycle():
-        rng = random.Random(f"{seed}:pathlift")
+        rng = spec.chart.sampler.rng("pathlift")
         for k in range(200):
             a1 = random_traceless(rng, 2)
             a2 = random_traceless(rng, 2)
@@ -542,7 +540,7 @@ def mpc_checks(spec: SystemSpec) -> List[Check]:
         return run
 
     def invariance():
-        rng = random.Random(f"{spec.seed}:invariance")
+        rng = spec.chart.sampler.rng("invariance")
         pts = sample_fiber_points(bundle, 4, seed_tag="inv")
         worst = 0.0
         for x in pts:
@@ -551,7 +549,7 @@ def mpc_checks(spec: SystemSpec) -> List[Check]:
         return worst <= 1e-6, worst, len(pts)
 
     def vertical_pairing():
-        rng = random.Random(f"{spec.seed}:vertical")
+        rng = spec.chart.sampler.rng("vertical")
         pairs = []
         for _ in range(10):
             a = rng.uniform(-1, 1)
@@ -560,7 +558,7 @@ def mpc_checks(spec: SystemSpec) -> List[Check]:
                                tau)
             pairs.append((v.gamma(), imag_expr(tau)))
         ok, worst, n = _sym_residual(spec, pairs)
-        ad = eta_ad_residual(30, spec.seed)
+        ad = eta_ad_residual(30, spec.chart.sampler.rng("eta-ad"))
         return ok and ad <= 1e-4, max(worst, ad), n + 30
 
     def curvature_structured():
@@ -606,7 +604,7 @@ def mpc_checks(spec: SystemSpec) -> List[Check]:
         return True, worst, n
 
     def hat_commutes_vertical():
-        rng = random.Random(f"{spec.seed}:hatvert")
+        rng = spec.chart.sampler.rng("hatvert")
         for f in hs[1:]:
             v = left_invariant(bundle, random_traceless(rng, 1), 1j * rng.uniform(-1, 1))
             out = structured_bracket(hat_lift(f, bundle), v)

@@ -98,7 +98,7 @@ class SymplecticChart:
         # |det W| = Pf(W)^2
         sampler = self.chart.sampler
         for pt in sampler.points(seed_tag="nondegenerate"):
-            v = evalf(pf, dict(pt, hbar=sampler.hbar))
+            v = evalf(pf, pt)
             if abs(v) ** 2 <= sampler.tolerance:
                 raise DegeneracyError(f"omega degenerate at sample point {pt}")
 

@@ -96,7 +96,7 @@ class SystemSpec:
 
     @functools.cached_property
     def _mpc(self) -> MpcPrequant:
-        return MpcPrequant(self._circle, validate=self.validate)
+        return MpcPrequant(self._circle)
 
     def circle_bundle(self) -> PrequantCircle:
         return self._circle
@@ -132,6 +132,11 @@ def _single(entries, key: str) -> Optional[str]:
     return found[0] if found else None
 
 
+def _line(entries, key: str) -> str:
+    """The "line N: " prefix of ``key``'s entry for error messages, or ""."""
+    return next((f"line {n}: " for k, _, n in entries if k == key), "")
+
+
 def _number(entries, key: str, convert, default: str, override):
     """The [tolerances] value of ``key`` converted by ``convert`` (int or
     float): the override when one is given, else the file's value, else
@@ -141,7 +146,7 @@ def _number(entries, key: str, convert, default: str, override):
     text = _single(entries, key)
     if text is None:
         text = default
-    where = next((f"line {n}: " for k, _, n in entries if k == key), "")
+    where = _line(entries, key)
     try:
         return convert(text), where
     except ValueError:
@@ -206,7 +211,11 @@ def load_spec_text(text: str, validate: bool = True,
     sampler = DomainSampler(coords=coords, box=box, positive=tuple(positive),
                             seed=seed_v, n_samples=n_samples, tolerance=epsilon,
                             hbar=hbar_v)
-    chart = Chart(coords, sampler)
+    try:
+        chart = Chart(sampler)
+    except ValueError as exc:
+        raise SystemSpecError(
+            f"{_line(man, 'coordinates')}'coordinates = {coords_text}': {exc}") from None
 
     omega_text = _single(sections["symplectic"], "omega")
     beta_text = _single(sections["prequant"], "beta")
@@ -255,10 +264,10 @@ def load_spec(path: str, validate: bool = True, **overrides) -> SystemSpec:
     return load_spec_text(text, validate=validate, **overrides)
 
 
-def bundled_spec_text(name: str = "punctured_plane") -> str:
-    resource = importlib.resources.files("gqw.data").joinpath(f"{name}.spec")
+def bundled_spec_text() -> str:
+    resource = importlib.resources.files("gqw.data").joinpath("punctured_plane.spec")
     return resource.read_text(encoding="utf-8")
 
 
-def load_bundled(name: str = "punctured_plane", **overrides) -> SystemSpec:
-    return load_spec_text(bundled_spec_text(name), **overrides)
+def load_bundled(**overrides) -> SystemSpec:
+    return load_spec_text(bundled_spec_text(), **overrides)

@@ -27,7 +27,7 @@ CORPUS = ["1", "p", "q", "p*q", "p^2+q^2", "1/2*(p^2+q^2)", "p^2-q^2"]
 def bundle():
     s = DomainSampler(coords=("p", "q"), box={"p": (-2, 2), "q": (-2, 2)},
                       positive=(add(power(P, 2), power(Q, 2)),), seed=42)
-    chart = Chart(("p", "q"), s)
+    chart = Chart(s)
     sympl = SymplecticChart(chart, parse_form("dp^dq", chart))
     return PrequantCircle(sympl, parse_form("1/2*(p*dq - q*dp)", chart))
 
@@ -48,7 +48,7 @@ def random_poly(rng):
 
 def test_potential_validation():
     s = DomainSampler(coords=("p", "q"), box={"p": (-2, 2), "q": (-2, 2)}, seed=7)
-    chart = Chart(("p", "q"), s)
+    chart = Chart(s)
     sympl = SymplecticChart(chart, parse_form("dp^dq", chart))
     with pytest.raises(NotQuantomorphismError):
         PrequantCircle(sympl, parse_form("p*dp", chart))  # d(p dp) = 0 != omega

@@ -18,7 +18,7 @@ P, Q = symbol("p"), symbol("q")
 def chart():
     s = DomainSampler(coords=("p", "q"), box={"p": (-2, 2), "q": (-2, 2)},
                       positive=(add(power(P, 2), power(Q, 2)),), seed=42)
-    return Chart(("p", "q"), s)
+    return Chart(s)
 
 
 @pytest.fixture
@@ -76,8 +76,7 @@ def test_repeated_contraction_vanishes(chart):
 
 
 def test_chart_mismatch_raises(chart):
-    other = Chart(("x", "y"), DomainSampler(coords=("x", "y"),
-                                            box={"x": (-1, 1), "y": (-1, 1)}))
+    other = Chart(DomainSampler(coords=("x", "y"), box={"x": (-1, 1), "y": (-1, 1)}))
     v = VectorField(other, [rational(1), ZERO])
     with pytest.raises(ChartMismatchError):
         interior_product(v, parse_form("dp^dq", chart))
@@ -267,7 +266,7 @@ def test_exterior_derivative_of_degree_two_rejected(chart):
 def test_lie_derivative_of_degree_two_needs_surface():
     coords = ("a", "b", "c")
     s = DomainSampler(coords=coords, box={k: (-1, 1) for k in coords})
-    big = Chart(coords, s)
+    big = Chart(s)
     v = VectorField(big, [rational(1), ZERO, ZERO])
     w = parse_form("da^db", big)
     with pytest.raises(DegreeError):

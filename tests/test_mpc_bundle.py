@@ -42,7 +42,7 @@ CORPUS = ["1", "p", "q", "p*q", "p^2+q^2", "1/2*(p^2+q^2)", "p^2-q^2"]
 def bundle():
     s = DomainSampler(coords=("p", "q"), box={"p": (-2, 2), "q": (-2, 2)},
                       positive=(add(power(P, 2), power(Q, 2)),), seed=42)
-    chart = Chart(("p", "q"), s)
+    chart = Chart(s)
     sympl = SymplecticChart(chart, parse_form("dp^dq", chart))
     return MpcPrequant(PrequantCircle(sympl, parse_form("1/2*(p*dq - q*dp)", chart)))
 
@@ -57,7 +57,7 @@ def hams(bundle):
 
 def test_requires_standard_area_form():
     s = DomainSampler(coords=("p", "q"), box={"p": (-2, 2), "q": (-2, 2)}, seed=3)
-    chart = Chart(("p", "q"), s)
+    chart = Chart(s)
     sympl = SymplecticChart(chart, parse_form("2*dp^dq", chart))
     with pytest.raises(UnsupportedFieldError):
         MpcPrequant(PrequantCircle(sympl, parse_form("p*dq - q*dp", chart)))
@@ -317,8 +317,8 @@ def test_gamma_on_vertical_generators_is_algebra_component(bundle):
         assert add(v.gamma(), mul(rational(-1), imag_expr(tau))).is_zero()
 
 
-def test_eta_blind_to_conjugation():
-    assert eta_ad_residual(50, 42) < 1e-4
+def test_eta_blind_to_conjugation(bundle):
+    assert eta_ad_residual(50, bundle.chart.sampler.rng("eta-ad")) < 1e-4
 
 
 def test_dgamma_equals_curvature_on_structured_pairs(bundle):

@@ -31,7 +31,7 @@ CORPUS = ["1", "p", "q", "p*q", "p^2+q^2", "1/2*(p^2+q^2)", "p^2-q^2"]
 def sc():
     s = DomainSampler(coords=("p", "q"), box={"p": (-2, 2), "q": (-2, 2)},
                       positive=(add(power(P, 2), power(Q, 2)),), seed=42)
-    chart = Chart(("p", "q"), s)
+    chart = Chart(s)
     return SymplecticChart(chart, parse_form("dp^dq", chart))
 
 
@@ -137,7 +137,7 @@ def test_pfaffian_inverse_is_exact_for_constant_omegas(dim):
     # gives the true inverse in every supported dimension
     coords = tuple(f"x{k}" for k in range(dim))
     sampler = DomainSampler(coords=coords, box={x: (-1, 1) for x in coords}, seed=dim)
-    chart = Chart(coords, sampler)
+    chart = Chart(sampler)
     rng = random.Random(f"pfaffian:{dim}")
     for _ in range(3):
         coeffs = [rational(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
@@ -151,7 +151,7 @@ def test_pfaffian_inverse_is_exact_for_constant_omegas(dim):
 
 def test_degenerate_omega_rejected():
     s = DomainSampler(coords=("p", "q"), box={"p": (-2, 2), "q": (-2, 2)}, seed=1)
-    chart = Chart(("p", "q"), s)
+    chart = Chart(s)
     with pytest.raises(DegeneracyError):
         SymplecticChart(chart, parse_form("0*dp^dq", chart))
 
@@ -159,7 +159,7 @@ def test_degenerate_omega_rejected():
 def test_nonclosed_omega_rejected_in_four_dimensions():
     coords = ("p1", "p2", "q1", "q2")
     s = DomainSampler(coords=coords, box={c: (-2, 2) for c in coords}, seed=1)
-    chart = Chart(coords, s)
+    chart = Chart(s)
     good = parse_form("dp1^dq1 + dp2^dq2", chart)
     SymplecticChart(chart, good)  # closed, constant coefficients
     bad = parse_form("dp1^dq1 + dp2^dq2 + q2*dp1^dq1", chart)
@@ -342,7 +342,7 @@ def test_four_dimensional_liouville_perturbation(seed):
     a = rng.choice([x for x in range(4) if x not in (k, j)])
     c = rng.choice(["1/8", "-1/8", "1/4", "-1/4"])
     sampler = DomainSampler(coords=coords, box={x: (-1, 1) for x in coords}, seed=seed)
-    chart = Chart(coords, sampler)
+    chart = Chart(sampler)
     beta = parse_form(f"p*dq + r*ds + {c}*{coords[a]}*{coords[k]}*d{coords[j]}", chart)
     omega = exterior_derivative(beta)
     s = SymplecticChart(chart, omega)

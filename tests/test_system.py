@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -99,6 +100,69 @@ def test_cli_bad_value_in_file_exit_two(tmp_path, capsys):
     bad.write_text(GOOD.replace("samples = 32", "samples = abc"))
     assert main(["check", "--system", str(bad)]) == 2
     assert "samples" in capsys.readouterr().err
+
+
+def on_coordinates(coords: str) -> str:
+    """A valid system file for any two names a, b, with omega = da^db; the
+    forms and Hamiltonians read only the first two coordinates."""
+    a, b = [c.strip() for c in coords.split(",")][:2]
+    hams = "".join(f"h{k} = {a}^{k}\n" for k in range(5))
+    return (f"[manifold]\ncoordinates = {coords}\n\n[symplectic]\nomega = d{a}^d{b}\n\n"
+            f"[prequant]\nbeta = {a}*d{b}\n\n[hamiltonians]\n{hams}")
+
+
+def test_coordinate_file_template_loads():
+    spec = load_spec_text(on_coordinates("p, q"))
+    assert spec.coords == ("p", "q") and len(spec.hamiltonians) == 5
+
+
+# names the grammar cannot read as coordinates: a duplicate, a seventh
+# dimension, a collision with a form token, the reserved constants (parsed as
+# constants, so {p, i} read 0), the function names and a non-identifier
+@pytest.mark.parametrize("coords", [
+    "p, p", "p, q, r, s, t, u, v", "p, dp",
+    "p, i", "p, pi", "p, hbar", "p, sin", "p, cos", "p, exp", "p, sqrt", "p, 2x",
+])
+def test_unusable_coordinates_are_load_errors(coords):
+    with pytest.raises(SystemSpecError) as err:
+        load_spec_text(on_coordinates(coords))
+    assert f"line 2: 'coordinates = {coords}'" in str(err.value)
+
+
+@pytest.mark.parametrize("coords, command", [
+    ("p, p", ["check", "--suite", "poisson"]),
+    ("p, i", ["poisson", "-f", "p", "-g", "i"]),
+])
+def test_cli_unusable_coordinates_exit_two(coords, command, tmp_path, capsys):
+    bad = tmp_path / "bad.spec"
+    bad.write_text(on_coordinates(coords))
+    assert main(command + ["--system", str(bad)]) == 2
+    assert "coordinates" in capsys.readouterr().err
+
+
+# every seeded stream one run of the bundled system draws, named by its tag
+STREAM_TAGS = set("""
+    axioms bracket-random center circle-flow circle-flow:fiber cocycle eta-ad
+    exp fiber fiber:fiber hatvert hlift homs inv inv:fiber invariance jacobi
+    leibniz nondegenerate pathlift probe push rotation rotation-equivariance
+    rotation:fiber split twist twist-eta twist:fiber vertical""".split())
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_every_stream_is_named_by_the_seed_and_its_tag(seed, monkeypatch):
+    names = []
+    seed_rng = random.Random.seed
+
+    def recording(self, a=None, *args, **kwargs):
+        names.append(a)
+        return seed_rng(self, a, *args, **kwargs)
+
+    monkeypatch.setattr(random.Random, "seed", recording)
+    run_suite(load_bundled(seed=seed), "all")
+    monkeypatch.undo()
+    prefix = f"{seed}:"
+    assert all(isinstance(a, str) and a.startswith(prefix) for a in names), names
+    assert {a[len(prefix):] for a in names} == STREAM_TAGS
 
 
 @pytest.mark.parametrize("flag, value, key", [

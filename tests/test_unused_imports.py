@@ -5,6 +5,10 @@ A stdlib stand-in for pyflakes' unused-import check: deleting a function
 must not leave the names it alone used imported, nor the private helpers it
 alone called.  ``__init__.py`` is skipped by the import check, because
 re-exporting is its purpose.
+
+It also keeps the evaluation context the one owner of its two decisions:
+no module but ``sample.py`` builds a ``random.Random`` or writes an
+``"hbar"`` key.
 """
 
 import ast
@@ -82,3 +86,43 @@ def test_no_unused_top_level_imports(module):
 def test_no_unused_private_names(module):
     with open(os.path.join(SRC, module), encoding="utf-8") as fh:
         assert unused_private_names(fh.read()) == [], module
+
+
+def context_leaks(source: str):
+    """Lines that build an rng or write an ``"hbar"`` key: both belong to the
+    evaluation context (``DomainSampler.rng`` and ``DomainSampler.env``).
+    An ``"hbar"`` key is written by a subscript store, a dict-literal key or
+    an ``hbar=`` keyword to ``dict(...)``."""
+    def is_hbar(node):
+        return isinstance(node, ast.Constant) and node.value == "hbar"
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            fn = node.func
+            if (isinstance(fn, ast.Attribute) and fn.attr == "Random"
+                    and isinstance(fn.value, ast.Name) and fn.value.id == "random"):
+                found.append((node.lineno, "random.Random"))
+            if (isinstance(fn, ast.Name) and fn.id == "dict"
+                    and any(k.arg == "hbar" for k in node.keywords)):
+                found.append((node.lineno, "hbar"))
+        elif (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+              and is_hbar(node.slice)):
+            found.append((node.lineno, "hbar"))
+        elif isinstance(node, ast.Dict) and any(is_hbar(k) for k in node.keys):
+            found.append((node.lineno, "hbar"))
+    return sorted(found)
+
+
+def test_the_check_sees_a_context_leak():
+    src = ("import random\nr = random.Random('7:x')\npt = {}\npt['hbar'] = 1.0\n"
+           "e = {'hbar': 2.0}\nf = dict(pt, hbar=3.0)\ng = pt['hbar']\n")
+    assert context_leaks(src) == [(2, "random.Random"), (4, "hbar"), (5, "hbar"),
+                                  (6, "hbar")]
+
+
+@pytest.mark.parametrize("module", sorted(f for f in os.listdir(SRC)
+                                          if f.endswith(".py") and f != "sample.py"))
+def test_only_the_sampler_names_streams_and_binds_hbar(module):
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        assert context_leaks(fh.read()) == [], module
