@@ -27,10 +27,17 @@ node's first evaluation from its children's closures and kept in the node,
 like the node's sort key, so each node is dispatched on its type once per
 process.
 
+diff keeps each derivative in the node it was taken of: the node's ``_d``
+maps a symbol to the derivative by it, so each (node, symbol) derivative is
+computed once and lives as long as the node.  Nodes are only ever built by
+their class's ``__new__``, never subclassed, so the kernel dispatches on the
+exact type (``type(e) is Mul``).
+
 All operations are pure; expressions may be shared freely across threads.
 Threads that build the same node at once get one node: the table is filled
 with dict.setdefault, and the first node stored wins.  Threads that evaluate
-a node for the first time at once each store an equivalent closure.
+or differentiate a node for the first time at once each store an equal
+value: an equivalent closure, or the same derivative node.
 """
 
 from __future__ import annotations
@@ -57,7 +64,7 @@ class Expr:
     interned: each node class builds one node per distinct field tuple, so
     ``==`` and ``hash`` are object identity."""
 
-    __slots__ = ("_sortkey", "_fn")
+    __slots__ = ("_sortkey", "_fn", "_d")
 
     def __repr__(self):
         return to_str(self)
@@ -181,20 +188,21 @@ def _key(e: Expr):
         pass
     # Rank-first tuples: payloads are only compared between same-rank nodes,
     # so the heterogeneous nesting is safe under tuple comparison.
-    if isinstance(e, Rational):
+    t = type(e)
+    if t is Rational:
         k = (0, (e.value.numerator, e.value.denominator))
-    elif isinstance(e, Constant):
+    elif t is Constant:
         k = (1, e.name)
-    elif isinstance(e, Symbol):
+    elif t is Symbol:
         k = (2, e.name)
-    elif isinstance(e, Call):
+    elif t is Call:
         k = (3, (e.fn, _key(e.arg)))
-    elif isinstance(e, Pow):
+    elif t is Pow:
         k = (4, (_key(e.base), (e.exponent.numerator, e.exponent.denominator)))
-    elif isinstance(e, Mul):
+    elif t is Mul:
         k = (5, tuple(_key(f) for f in e.factors))
-    elif isinstance(e, Add):
-        k = (6, tuple(_key(t) for t in e.terms))
+    elif t is Add:
+        k = (6, tuple(_key(term) for term in e.terms))
     else:
         raise TypeError(type(e))
     e._sortkey = k
@@ -215,9 +223,10 @@ def symbol(name: str) -> Symbol:
 
 def _split_coeff(term: Expr):
     """term -> (Fraction coefficient, monomial Expr)."""
-    if isinstance(term, Rational):
+    t = type(term)
+    if t is Rational:
         return term.value, ONE
-    if isinstance(term, Mul) and isinstance(term.factors[0], Rational):
+    if t is Mul and type(term.factors[0]) is Rational:
         rest = term.factors[1:]
         mono = rest[0] if len(rest) == 1 else Mul(rest)
         return term.factors[0].value, mono
@@ -225,7 +234,7 @@ def _split_coeff(term: Expr):
 
 
 def _monomial_factors(mono: Expr) -> tuple:
-    return mono.factors if isinstance(mono, Mul) else (mono,)
+    return mono.factors if type(mono) is Mul else (mono,)
 
 
 def _pythagoras(terms: dict) -> None:
@@ -241,7 +250,7 @@ def _pythagoras(terms: dict) -> None:
                 continue
             factors = _monomial_factors(mono)
             for idx, f in enumerate(factors):
-                if not (isinstance(f, Pow) and isinstance(f.base, Call)
+                if not (type(f) is Pow and type(f.base) is Call
                         and f.base.fn == "sin" and f.exponent.denominator == 1
                         and f.exponent >= 2):
                     continue
@@ -266,7 +275,7 @@ def _pythagoras(terms: dict) -> None:
 def add(*args: Expr) -> Expr:
     terms: dict = {}
     for a in args:
-        parts = a.terms if isinstance(a, Add) else (a,)
+        parts = a.terms if type(a) is Add else (a,)
         for t in parts:
             c, mono = _split_coeff(t)
             prev = terms.get(mono)
@@ -281,7 +290,7 @@ def add(*args: Expr) -> Expr:
             out.append(Rational(c))
         elif c == 1:
             out.append(mono)
-        elif isinstance(mono, Mul):
+        elif type(mono) is Mul:
             out.append(Mul((Rational(c),) + mono.factors))
         else:
             out.append(Mul((Rational(c), mono)))
@@ -299,7 +308,7 @@ def _expand_product(coeff: Fraction, plain: list, sums: list) -> Expr:
     out_terms = [tuple(partial)]
     for s in sums:
         out_terms = [prev + (t,) for prev in out_terms
-                     for t in (s.terms if isinstance(s, Add) else (s,))]
+                     for t in (s.terms if type(s) is Add else (s,))]
     return add(*[mul(*combo) for combo in out_terms])
 
 
@@ -314,13 +323,14 @@ def mul(*args: Expr) -> Expr:
         powers[base] = exp if prev is None else prev + exp
 
     for a in args:
-        factors = a.factors if isinstance(a, Mul) else (a,)
+        factors = a.factors if type(a) is Mul else (a,)
         for f in factors:
-            if isinstance(f, Rational):
+            t = type(f)
+            if t is Rational:
                 if f is ZERO:
                     return ZERO
                 coeff = f.value if coeff == 1 else coeff * f.value
-            elif isinstance(f, Pow):
+            elif t is Pow:
                 feed(f.base, f.exponent)
             else:
                 feed(f, 1)
@@ -342,16 +352,17 @@ def mul(*args: Expr) -> Expr:
         return ZERO
     plain, sums = [], []
     for p in pieces:
-        if isinstance(p, Rational):
+        t = type(p)
+        if t is Rational:
             coeff *= p.value
-        elif isinstance(p, Add):
+        elif t is Add:
             sums.append(p)
-        elif isinstance(p, Mul):
+        elif t is Mul:
             # power() may fold a piece into a product (e.g. via i-cycling)
             for q in p.factors:
-                if isinstance(q, Rational):
+                if type(q) is Rational:
                     coeff *= q.value
-                elif isinstance(q, Add):
+                elif type(q) is Add:
                     sums.append(q)
                 else:
                     plain.append(q)
@@ -361,7 +372,7 @@ def mul(*args: Expr) -> Expr:
         return ZERO
     if sums:
         return _expand_product(coeff, plain, sums)
-    bases = [f.base if isinstance(f, Pow) else f for f in plain]
+    bases = [f.base if type(f) is Pow else f for f in plain]
     if len(set(bases)) != len(bases):
         # a distributed power reintroduced an existing base; one more merge
         # pass strictly shrinks the factor list, so this terminates
@@ -375,7 +386,7 @@ def mul(*args: Expr) -> Expr:
 
 
 def power(base: Expr, exponent) -> Expr:
-    if isinstance(exponent, Rational):
+    if type(exponent) is Rational:
         exponent = exponent.value
     elif not isinstance(exponent, int):
         exponent = _exact(Fraction(exponent))
@@ -383,7 +394,8 @@ def power(base: Expr, exponent) -> Expr:
         return ONE
     if exponent == 1:
         return base
-    if isinstance(base, Rational):
+    t = type(base)
+    if t is Rational:
         if exponent.denominator == 1:
             if base.value == 0 and exponent < 0:
                 raise EvaluationError("division by zero in a constant power")
@@ -394,11 +406,11 @@ def power(base: Expr, exponent) -> Expr:
     if base is IMAG and exponent.denominator == 1:
         r = exponent.numerator % 4
         return (ONE, IMAG, MINUS_ONE, mul(MINUS_ONE, IMAG))[r]
-    if isinstance(base, Pow) and exponent.denominator == 1:
+    if t is Pow and exponent.denominator == 1:
         return power(base.base, base.exponent * exponent)
-    if isinstance(base, Mul) and exponent.denominator == 1:
+    if t is Mul and exponent.denominator == 1:
         return mul(*[power(f, exponent) for f in base.factors])
-    if isinstance(base, Add) and exponent.denominator == 1 and exponent >= 2:
+    if t is Add and exponent.denominator == 1 and exponent >= 2:
         # expand by distributing term lists; the terms are monomials, so the
         # inner products cannot re-enter this branch with the same base
         terms = [ONE]
@@ -425,14 +437,15 @@ def call(fn: str, arg: Expr) -> Expr:
 
 def _extract_sign(e: Expr):
     """Deterministic sign split used to orient sin/cos arguments."""
-    if isinstance(e, Rational):
+    t = type(e)
+    if t is Rational:
         return (1, e) if e.value > 0 else (-1, Rational(-e.value))
-    if isinstance(e, Mul) and isinstance(e.factors[0], Rational):
+    if t is Mul and type(e.factors[0]) is Rational:
         c = e.factors[0].value
         if c < 0:
             return -1, mul(Rational(-c), *e.factors[1:])
         return 1, e
-    if isinstance(e, Add):
+    if t is Add:
         c, _ = _split_coeff(e.terms[0])
         if c < 0:
             return -1, mul(MINUS_ONE, e)
@@ -445,14 +458,30 @@ def _extract_sign(e: Expr):
 
 
 def diff(e: Expr, v: Symbol) -> Expr:
-    """Exact partial derivative, returned in canonical form."""
-    if isinstance(e, (Rational, Constant)):
+    """Exact partial derivative, returned in canonical form.  It is computed
+    once per (node, symbol) and kept in the node's ``_d``; a race between
+    threads stores the same derivative node twice."""
+    try:
+        stored = e._d
+    except AttributeError:
+        stored = e._d = {}
+    d = stored.get(v)
+    if d is None:
+        d = stored[v] = _diff(e, v)
+    return d
+
+
+def _diff(e: Expr, v: Symbol) -> Expr:
+    """The derivative by a walk over one node, its children's taken by
+    ``diff``."""
+    t = type(e)
+    if t is Rational or t is Constant:
         return ZERO
-    if isinstance(e, Symbol):
+    if t is Symbol:
         return ONE if e is v else ZERO
-    if isinstance(e, Add):
-        return add(*[diff(t, v) for t in e.terms])
-    if isinstance(e, Mul):
+    if t is Add:
+        return add(*[diff(term, v) for term in e.terms])
+    if t is Mul:
         pieces = []
         for k, f in enumerate(e.factors):
             dk = diff(f, v)
@@ -460,12 +489,12 @@ def diff(e: Expr, v: Symbol) -> Expr:
                 continue
             pieces.append(mul(dk, *e.factors[:k], *e.factors[k + 1:]))
         return add(*pieces) if pieces else ZERO
-    if isinstance(e, Pow):
+    if t is Pow:
         db = diff(e.base, v)
         if db.is_zero():
             return ZERO
         return mul(Rational(e.exponent), power(e.base, e.exponent - 1), db)
-    if isinstance(e, Call):
+    if t is Call:
         da = diff(e.arg, v)
         if da.is_zero():
             return ZERO
@@ -502,13 +531,14 @@ def _compiled(e: Expr):
         return e._fn
     except AttributeError:
         pass
-    if isinstance(e, Rational) or e is PI or e is IMAG:
+    t = type(e)
+    if t is Rational or e is PI or e is IMAG:
         value = (1j if e is IMAG else complex(math.pi) if e is PI
                  else complex(e.value.numerator / e.value.denominator))
 
         def fn(env):
             return value
-    elif isinstance(e, (Symbol, Constant)):  # a symbol or hbar: read from env
+    elif t is Symbol or t is Constant:  # a symbol or hbar: read from env
         name = e.name
         unbound = f"unbound {'constant' if e is HBAR else 'symbol'} '{name}'"
 
@@ -517,12 +547,12 @@ def _compiled(e: Expr):
                 return complex(env[name])
             except KeyError:
                 raise EvaluationError(unbound) from None
-    elif isinstance(e, Add):
-        terms = tuple(_compiled(t) for t in e.terms)
+    elif t is Add:
+        terms = tuple(_compiled(term) for term in e.terms)
 
         def fn(env):
-            return sum([t(env) for t in terms])
-    elif isinstance(e, Mul):
+            return sum([term(env) for term in terms])
+    elif t is Mul:
         factors = tuple(_compiled(f) for f in e.factors)
 
         def fn(env):
@@ -530,12 +560,12 @@ def _compiled(e: Expr):
             for f in factors:
                 out *= f(env)
             return out
-    elif isinstance(e, Pow) and e.exponent.denominator == 1:
+    elif t is Pow and e.exponent.denominator == 1:
         base, n = _compiled(e.base), e.exponent.numerator
 
         def fn(env):
             return base(env) ** n
-    elif isinstance(e, Pow):
+    elif t is Pow:
         base, x, positive = _compiled(e.base), float(e.exponent), e.exponent > 0
 
         def fn(env):
@@ -545,7 +575,7 @@ def _compiled(e: Expr):
                     return complex(0)
                 raise ZeroDivisionError
             return b ** x
-    elif isinstance(e, Call):
+    elif t is Call:
         f, arg = getattr(cmath, e.fn), _compiled(e.arg)
 
         def fn(env):
@@ -558,17 +588,18 @@ def _compiled(e: Expr):
 
 def subs(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     """Substitute symbols by name; the result is re-canonicalized."""
-    if isinstance(e, Symbol):
+    t = type(e)
+    if t is Symbol:
         return mapping.get(e.name, e)
-    if isinstance(e, (Rational, Constant)):
+    if t is Rational or t is Constant:
         return e
-    if isinstance(e, Add):
-        return add(*[subs(t, mapping) for t in e.terms])
-    if isinstance(e, Mul):
+    if t is Add:
+        return add(*[subs(term, mapping) for term in e.terms])
+    if t is Mul:
         return mul(*[subs(f, mapping) for f in e.factors])
-    if isinstance(e, Pow):
+    if t is Pow:
         return power(subs(e.base, mapping), e.exponent)
-    if isinstance(e, Call):
+    if t is Call:
         return call(e.fn, subs(e.arg, mapping))
     raise TypeError(type(e))
 
@@ -584,24 +615,25 @@ def _frac_str(f: Fraction) -> str:
 
 
 def _paren_for_pow_base(b: Expr) -> bool:
-    if isinstance(b, Rational):
+    if type(b) is Rational:
         return not (b.value.denominator == 1 and b.value >= 0)
-    return isinstance(b, (Add, Mul, Pow))
+    return type(b) in (Add, Mul, Pow)
 
 
 def _factor_str(f: Expr) -> str:
     s = to_str(f)
-    return f"({s})" if isinstance(f, Add) else s
+    return f"({s})" if type(f) is Add else s
 
 
 def to_str(e: Expr) -> str:
-    if isinstance(e, Rational):
+    t = type(e)
+    if t is Rational:
         return _frac_str(e.value)
-    if isinstance(e, (Symbol, Constant)):
+    if t is Symbol or t is Constant:
         return e.name
-    if isinstance(e, Call):
+    if t is Call:
         return f"{e.fn}({to_str(e.arg)})"
-    if isinstance(e, Pow):
+    if t is Pow:
         b = to_str(e.base)
         if _paren_for_pow_base(e.base):
             b = f"({b})"
@@ -609,10 +641,10 @@ def to_str(e: Expr) -> str:
         if exp.denominator == 1 and exp >= 0:
             return f"{b}^{exp.numerator}"
         return f"{b}^({_frac_str(exp)})"
-    if isinstance(e, Mul):
+    if t is Mul:
         factors = e.factors
         prefix = ""
-        if isinstance(factors[0], Rational):
+        if type(factors[0]) is Rational:
             c = factors[0].value
             factors = factors[1:]
             if c == -1:
@@ -620,7 +652,7 @@ def to_str(e: Expr) -> str:
             else:
                 prefix = ("-" if c < 0 else "") + _frac_str(abs(c)) + "*"
         return prefix + "*".join(_factor_str(f) for f in factors)
-    if isinstance(e, Add):
+    if t is Add:
         parts = []
         for k, t in enumerate(e.terms):
             c, _ = _split_coeff(t)

@@ -1,15 +1,14 @@
-"""Numeric flow machinery: RK4 integration, flow commutators, and a
-pullback-under-flow derivative.  These are the independent oracles that the
-symbolic bracket and Lie-derivative code is checked against.  Fields and
-forms are evaluated in their chart's context (``chart.sampler.env``), so
-``hbar`` is the system's value."""
+"""Numeric flow machinery: RK4 steps and flow commutators, the independent
+oracle that the symbolic brackets are checked against.  Fields are evaluated
+in their chart's context (``chart.sampler.env``), so ``hbar`` is the
+system's value."""
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, List, Sequence
 
 from .expr import Expr, evalf
-from .forms import Chart, KForm, VectorField
+from .forms import Chart, VectorField
 
 RHS = Callable[[Sequence[float]], List[float]]
 
@@ -72,62 +71,3 @@ def components_rhs(chart: Chart, components: Sequence[Expr]) -> RHS:
 def vf_rhs(v: VectorField) -> RHS:
     """Numeric right-hand side of a symbolic vector field on its chart."""
     return components_rhs(v.chart, v.components)
-
-
-def flow_point(v: VectorField, x: Sequence[float], t: float,
-               steps: int = 16) -> List[float]:
-    f = vf_rhs(v)
-    h = t / steps
-    y = list(x)
-    for _ in range(steps):
-        y = rk4_step(f, y, h)
-    return y
-
-
-def _pullback_at(v: VectorField, a: KForm, x: Sequence[float],
-                 t: float) -> List[float]:
-    """Coefficients at x of the pullback of ``a`` under the time-t flow of v,
-    with the flow's Jacobian taken by central differences."""
-    chart = v.chart
-    n = chart.dim
-
-    def flowed(pt):
-        return flow_point(v, pt, t, steps=4)
-
-    def coeffs_at(pt):
-        env = chart.sampler.env(pt)
-        return [evalf(c, env).real for c in a.coeffs]
-
-    y = flowed(list(x))
-    if a.degree == 0:
-        return coeffs_at(y)
-    dx = 1e-5
-    jac = [[0.0] * n for _ in range(n)]  # jac[i][k] = d(flow_i)/dx_k
-    for k in range(n):
-        hi = list(x)
-        lo = list(x)
-        hi[k] += dx
-        lo[k] -= dx
-        fh, fl = flowed(hi), flowed(lo)
-        for i in range(n):
-            jac[i][k] = (fh[i] - fl[i]) / (2 * dx)
-    ay = coeffs_at(y)
-    if a.degree == 1:
-        return [sum(ay[i] * jac[i][k] for i in range(n)) for k in range(n)]
-    pairs = chart.pairs()
-    out = []
-    for (k, l) in pairs:
-        pb = 0.0
-        for c, (i, j) in zip(ay, pairs):
-            pb += c * (jac[i][k] * jac[j][l] - jac[i][l] * jac[j][k])
-        out.append(pb)
-    return out
-
-
-def pullback_under_flow(v: VectorField, a: KForm, x: Sequence[float],
-                        h: float = 1e-4) -> List[float]:
-    """Centered finite-difference Lie derivative:
-    (phi_h^* a - phi_{-h}^* a) / (2h) evaluated at x."""
-    hi = _pullback_at(v, a, x, h)
-    lo = _pullback_at(v, a, x, -h)
-    return [(p - m) / (2 * h) for p, m in zip(hi, lo)]

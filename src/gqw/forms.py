@@ -18,27 +18,32 @@ from .parse import _FUNCTIONS, _RESERVED, _Parser
 from .sample import DomainSampler
 
 
+def check_coordinate_names(coords: Sequence[str]) -> None:
+    """Raise ValueError unless ``coords`` can be a chart's coordinates: one to
+    six distinct identifiers that the grammar reads as symbols, not as
+    reserved constants, functions or form tokens."""
+    if len(set(coords)) != len(coords):
+        raise ValueError("coordinate names must be distinct")
+    if not 1 <= len(coords) <= 6:
+        raise ValueError("chart dimension must be between 1 and 6")
+    for c in coords:
+        if not (c[:1].isalpha() and all(ch.isalnum() or ch == "_" for ch in c)):
+            raise ValueError(f"coordinate '{c}' is not an identifier")
+        if c in _RESERVED or c in _FUNCTIONS:
+            raise ValueError(f"coordinate '{c}' is a reserved name of the grammar")
+        if c.startswith("d") and c[1:] in coords:
+            raise ValueError(f"coordinate '{c}' collides with the form token d{c[1:]}")
+
+
 @dataclass(frozen=True)
 class Chart:
     """A global chart, built from its evaluation context: its coordinates are
-    the sampler's.  Each must be an identifier that the grammar reads as a
-    symbol, not as a reserved constant, a function or a form token."""
+    the sampler's, and must pass ``check_coordinate_names``."""
 
     sampler: DomainSampler
 
     def __post_init__(self):
-        coords = self.coords
-        if len(set(coords)) != len(coords):
-            raise ValueError("coordinate names must be distinct")
-        if not 1 <= len(coords) <= 6:
-            raise ValueError("chart dimension must be between 1 and 6")
-        for c in coords:
-            if not (c[:1].isalpha() and all(ch.isalnum() or ch == "_" for ch in c)):
-                raise ValueError(f"coordinate '{c}' is not an identifier")
-            if c in _RESERVED or c in _FUNCTIONS:
-                raise ValueError(f"coordinate '{c}' is a reserved name of the grammar")
-            if c.startswith("d") and c[1:] in coords:
-                raise ValueError(f"coordinate '{c}' collides with the form token d{c[1:]}")
+        check_coordinate_names(self.coords)
 
     @property
     def coords(self) -> Tuple[str, ...]:
@@ -60,15 +65,17 @@ def _same_chart(a, b):
 
 
 class VectorField:
-    """Coefficients of d/dx_i on a chart."""
+    """Coefficients of d/dx_i on a chart.  ``_applied`` keeps each scalar's
+    directional derivative, so it is computed once per (field, scalar)."""
 
-    __slots__ = ("chart", "components")
+    __slots__ = ("chart", "components", "_applied")
 
     def __init__(self, chart: Chart, components: Sequence[Expr]):
         if len(components) != chart.dim:
             raise ValueError("component count must equal the chart dimension")
         self.chart = chart
         self.components = tuple(components)
+        self._applied = {}
 
     def __eq__(self, other):
         return (isinstance(other, VectorField)
@@ -84,8 +91,12 @@ class VectorField:
 
     def apply(self, f: Expr) -> Expr:
         """Directional derivative of a scalar."""
-        return add(*[mul(c, diff(f, symbol(x)))
-                     for c, x in zip(self.components, self.chart.coords)])
+        out = self._applied.get(f)
+        if out is None:
+            out = self._applied[f] = add(*[
+                mul(c, diff(f, symbol(x)))
+                for c, x in zip(self.components, self.chart.coords)])
+        return out
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)
@@ -100,10 +111,11 @@ class KForm:
 
     Degree-0: a single scalar coefficient.  Degree-1: one coefficient per
     dx_i.  Degree-2: one coefficient per strictly increasing pair (i, j),
-    in lexicographic order.
+    in lexicographic order.  ``_values`` keeps the form's value on each
+    tuple of fields it was evaluated on, so each is computed once.
     """
 
-    __slots__ = ("chart", "degree", "coeffs")
+    __slots__ = ("chart", "degree", "coeffs", "_values")
 
     def __init__(self, chart: Chart, degree: int, coeffs: Sequence[Expr]):
         if degree not in (0, 1, 2):
@@ -114,6 +126,7 @@ class KForm:
         self.chart = chart
         self.degree = degree
         self.coeffs = tuple(coeffs)
+        self._values = {}
 
     def __eq__(self, other):
         return (isinstance(other, KForm)
@@ -149,13 +162,18 @@ class KForm:
         """Evaluate on vector fields (1-form on one, 2-form on two)."""
         if len(fields) != self.degree:
             raise DegreeError(f"degree-{self.degree} form takes {self.degree} fields")
+        for v in fields:
+            _same_chart(self, v)
+        out = self._values.get(fields)
+        if out is None:
+            out = self._values[fields] = self._evaluate(fields)
+        return out
+
+    def _evaluate(self, fields) -> Expr:
         if self.degree == 1:
             (v,) = fields
-            _same_chart(self, v)
             return add(*[mul(c, vc) for c, vc in zip(self.coeffs, v.components)])
         u, v = fields
-        _same_chart(self, u)
-        _same_chart(self, v)
         terms = []
         for c, (i, j) in zip(self.coeffs, self.chart.pairs()):
             terms.append(mul(c, add(

@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import GqwError, SystemSpecError
 from .expr import Expr, add, mul, rational
-from .forms import Chart, KForm, parse_form
+from .forms import Chart, KForm, check_coordinate_names, parse_form
 from .mpc_bundle import MpcPrequant
 from .circle import PrequantCircle
 from .sample import DomainSampler
@@ -167,6 +167,12 @@ def load_spec_text(text: str, validate: bool = True,
     if not coords_text:
         raise SystemSpecError("missing 'coordinates' in [manifold]")
     coords = tuple(c.strip() for c in coords_text.replace(",", " ").split())
+    try:
+        # before the box and domain lines, which are read with these names
+        check_coordinate_names(coords)
+    except ValueError as exc:
+        raise SystemSpecError(
+            f"{_line(man, 'coordinates')}'coordinates = {coords_text}': {exc}") from None
 
     tols = sections.get("tolerances", [])
     epsilon, epsilon_at = _number(tols, "epsilon", float, "1e-9", tol)
@@ -211,11 +217,7 @@ def load_spec_text(text: str, validate: bool = True,
     sampler = DomainSampler(coords=coords, box=box, positive=tuple(positive),
                             seed=seed_v, n_samples=n_samples, tolerance=epsilon,
                             hbar=hbar_v)
-    try:
-        chart = Chart(sampler)
-    except ValueError as exc:
-        raise SystemSpecError(
-            f"{_line(man, 'coordinates')}'coordinates = {coords_text}': {exc}") from None
+    chart = Chart(sampler)
 
     omega_text = _single(sections["symplectic"], "omega")
     beta_text = _single(sections["prequant"], "beta")

@@ -9,8 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from gqw.errors import EvaluationError, ExprSyntaxError, SamplingError, UnknownSymbolError
 from gqw.expr import (
-    HBAR, IMAG, ONE, PI, Add, Call, Mul, Pow, Rational, Symbol, add, call, diff,
-    evalf, mul, power, rational, subs, symbol, to_str,
+    HBAR, IMAG, ONE, PI, Add, Call, Constant, Mul, Pow, Rational, Symbol, add, call,
+    diff, evalf, mul, power, rational, subs, symbol, to_str,
 )
 from gqw.parse import parse_expr
 from gqw.sample import DomainSampler, expr_equal
@@ -221,6 +221,62 @@ def test_print_parse_roundtrip(e):
 @given(exprs)
 def test_mixed_partials_commute(e):
     assert diff(diff(e, P), Q) == diff(diff(e, Q), P)
+
+
+# ---------------------------------------------------------------------------
+# stored derivatives
+
+
+def test_each_derivative_is_built_once_per_node_and_symbol(monkeypatch):
+    from collections import Counter
+    from gqw import expr
+    built = Counter()
+    walk = expr._diff
+
+    def counted(e, v):
+        built[e, v] += 1
+        return walk(e, v)
+
+    monkeypatch.setattr(expr, "_diff", counted)
+    x, y = symbol("stored_x"), symbol("stored_y")  # nodes new to this process
+    xy = mul(x, y)
+    e = add(mul(call("sin", xy), xy), power(add(xy, x), 3), call("exp", xy))
+    first = diff(e, x)
+    assert diff(e, x) is first
+    diff(e, y)
+    diff(diff(e, x), y)
+    assert built and max(built.values()) == 1
+    assert built[xy, x] == built[xy, y] == 1  # a shared child, once per symbol
+
+
+def _reference_diff(e, v):
+    """A plain tree walk over the node classes, storing nothing."""
+    if isinstance(e, (Rational, Constant)):
+        return rational(0)
+    if isinstance(e, Symbol):
+        return ONE if e is v else rational(0)
+    if isinstance(e, Add):
+        return add(*[_reference_diff(t, v) for t in e.terms])
+    if isinstance(e, Mul):
+        return add(*[mul(_reference_diff(f, v), *e.factors[:k], *e.factors[k + 1:])
+                     for k, f in enumerate(e.factors)])
+    if isinstance(e, Pow):
+        return mul(rational(e.exponent), power(e.base, e.exponent - 1),
+                   _reference_diff(e.base, v))
+    assert isinstance(e, Call)
+    outer = {"sin": lambda u: call("cos", u),
+             "cos": lambda u: mul(rational(-1), call("sin", u)),
+             "exp": lambda u: call("exp", u)}[e.fn](e.arg)
+    return mul(outer, _reference_diff(e.arg, v))
+
+
+@settings(max_examples=120, deadline=None)
+@given(exprs)
+def test_diff_matches_a_tree_walk_by_identity(e):
+    for v in (P, Q):
+        first = diff(e, v)
+        assert first is _reference_diff(e, v)
+        assert diff(e, v) is first
 
 
 # ---------------------------------------------------------------------------
@@ -570,3 +626,35 @@ def test_threads_evaluating_new_nodes_agree_with_a_tree_walk():
     assert not any(t.is_alive() for t in threads)
     assert all(r == expected for r in results)
 
+
+
+def test_threads_differentiating_new_nodes_agree_with_a_tree_walk():
+    # threads race to fill the stored derivatives of nodes never
+    # differentiated before; every result must be the tree walk's node
+    import sys
+    import threading
+    names = [f"diffrace{k}" for k in range(200)]
+    nodes = [mul(power(add(symbol(n), P), 3), call("sin", mul(symbol(n), Q)))
+             for n in names]
+    expected = [_reference_diff(e, P) for e in nodes]
+    results = [None] * 8
+    barrier = threading.Barrier(len(results))
+
+    def differentiate(slot):
+        barrier.wait(timeout=60)
+        results[slot] = [diff(e, P) for e in nodes]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=differentiate, args=(k,))
+                   for k in range(len(results))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert all(r is not None and all(a is b for a, b in zip(r, expected))
+               for r in results)

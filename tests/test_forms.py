@@ -3,13 +3,15 @@
 import pytest
 
 from gqw.errors import ChartMismatchError, DegreeError, ExprSyntaxError
-from gqw.expr import ZERO, add, call, mul, power, rational, symbol
-from gqw.flows import flow_commutator, pullback_under_flow, vf_rhs
+from gqw.expr import ZERO, add, call, diff, mul, power, rational, symbol
+from gqw.flows import flow_commutator, vf_rhs
 from gqw.forms import (
     Chart, ChartMap, VectorField, exterior_derivative, interior_product,
     lie_bracket, lie_derivative, parse_form, pullback, scalar_form, wedge,
 )
 from gqw.sample import DomainSampler, expr_equal
+
+from oracles import pullback_under_flow
 
 P, Q = symbol("p"), symbol("q")
 
@@ -80,6 +82,61 @@ def test_chart_mismatch_raises(chart):
     v = VectorField(other, [rational(1), ZERO])
     with pytest.raises(ChartMismatchError):
         interior_product(v, parse_form("dp^dq", chart))
+
+
+# ---------------------------------------------------------------------------
+# stored results: each is computed once per owner, and checks still run
+
+
+def test_directional_derivatives_are_computed_once_per_field(chart, monkeypatch):
+    from gqw import forms
+    calls = []
+
+    def counted(e, v):
+        calls.append((e, v))
+        return diff(e, v)
+
+    monkeypatch.setattr(forms, "diff", counted)
+    v = VectorField(chart, [mul(P, Q), add(P, power(Q, 3))])
+    f = call("sin", mul(rational(3), P, Q))
+    first = v.apply(f)
+    assert v.apply(f) is first
+    assert len(calls) == chart.dim  # one derivative per coordinate, once
+    assert VectorField(chart, v.components).apply(f) is first  # a new field computes it anew
+    assert len(calls) == 2 * chart.dim
+
+
+def test_form_values_are_computed_once_and_still_checked(chart, beta, monkeypatch):
+    from gqw.forms import KForm
+    evaluated = []
+    evaluate = KForm._evaluate
+
+    def counted(self, fields):
+        evaluated.append(fields)
+        return evaluate(self, fields)
+
+    monkeypatch.setattr(KForm, "_evaluate", counted)
+    omega = parse_form("dp^dq", chart)
+    u = VectorField(chart, [mul(P, Q), add(P, Q)])
+    v = VectorField(chart, [Q, power(P, 2)])
+    for form, fields in ((beta, (u,)), (omega, (u, v))):
+        value = form(*fields)
+        assert form(*fields) is value
+        assert form(*[VectorField(chart, w.components) for w in fields]) is value
+    assert evaluated == [(u,), (u, v)]
+    # after the hits, a field on other coordinates and a wrong field count
+    # are still refused before the stored values are looked up
+    other = Chart(DomainSampler(coords=("x", "y"), box={"x": (-1, 1), "y": (-1, 1)}))
+    moved = VectorField(other, u.components)
+    with pytest.raises(ChartMismatchError):
+        beta(moved)
+    with pytest.raises(ChartMismatchError):
+        omega(u, moved)
+    with pytest.raises(DegreeError):
+        beta(u, v)
+    with pytest.raises(DegreeError):
+        omega(u)
+    assert len(evaluated) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ import pytest
 
 from gqw.errors import DegeneracyError
 from gqw.expr import ONE, ZERO, add, evalf, mul, power, rational, symbol, to_str
-from gqw.flows import flow_point
 from gqw.forms import (
     Chart, KForm, VectorField, exterior_derivative, interior_product,
     lie_bracket, parse_form, scalar_form,
@@ -21,6 +20,8 @@ from gqw.symplectic import (
     poisson_ways,
 )
 from gqw.system import load_bundled, load_spec_text
+
+from oracles import flow_point
 
 P, Q = symbol("p"), symbol("q")
 

@@ -129,6 +129,19 @@ def test_unusable_coordinates_are_load_errors(coords):
     assert f"line 2: 'coordinates = {coords}'" in str(err.value)
 
 
+def test_unusable_coordinate_used_by_the_domain_names_the_coordinates_line(tmp_path, capsys):
+    # the domain is read with the coordinate names, so they are checked first
+    text = on_coordinates("p, sin").replace(
+        "coordinates = p, sin\n", "coordinates = p, sin\ndomain = sin > 0\n")
+    with pytest.raises(SystemSpecError) as err:
+        load_spec_text(text)
+    assert "line 2: 'coordinates = p, sin'" in str(err.value)
+    bad = tmp_path / "bad.spec"
+    bad.write_text(text)
+    assert main(["check", "--system", str(bad)]) == 2
+    assert "coordinates" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("coords, command", [
     ("p, p", ["check", "--suite", "poisson"]),
     ("p, i", ["poisson", "-f", "p", "-g", "i"]),
