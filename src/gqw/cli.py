@@ -79,6 +79,24 @@ def _cmd_group(args) -> int:
     return _print_report(run_suite(_load(args), "group"), args.format)
 
 
+_NUMBER_OPTIONS = ("--samples", "--tol", "--seed", "--hbar")
+
+
+def _attach_signed_values(argv: list) -> list:
+    """Join each number option to a following value that starts with one
+    '-' (``--hbar -1e-3`` becomes ``--hbar=-1e-3``): argparse reads a token
+    such as ``-1e-3`` or ``-inf`` as an option string, not as a value, and
+    the loader is the one to judge the number."""
+    out = []
+    for tok in argv:
+        signed = tok.startswith("-") and not tok.startswith("--")
+        if signed and out and out[-1] in _NUMBER_OPTIONS:
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gqw",
                                      description="prequantization geometry workbench")
@@ -116,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except GqwError as exc:

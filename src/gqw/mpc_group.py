@@ -9,8 +9,10 @@ never vanishes, and the wrapping defect of its principal argument
 
 is an integer in {-1, 0, 1} whose parity is a group 2-cocycle.  One-parameter
 subgroups are closed form: the Cayley-Hamilton exponential, and a sheet rule
-that counts the half-turns of c i + d.  Path lifting unwraps the argument of
-c i + d without calling kappa, an independent oracle for both.
+that counts the half-turns of c i + d.  Path lifting, an independent
+oracle for both, follows a left-translated one-parameter path g0 exp(s A)
+through the points g0 exp(A / n)^k and unwraps the argument of c i + d
+there without calling kappa.
 
 Elements of the circle extension are kept in canonical form (sp matrix,
 unit phase) with the sheet normalized to 0; multiplication picks up a sign
@@ -25,7 +27,7 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Tuple
 
 from .errors import NumericError
 
@@ -210,18 +212,22 @@ class MpcAlgebra:
 ROTATION_GENERATOR: Mat = (0.0, -1.0, 1.0, 0.0)
 
 
-def lift_path(path: Callable[[float], Mat], steps: int,
-              start: MpElement | None = None) -> MpElement:
-    """Continuous lift of a matrix path (path(0) must equal start's matrix,
-    identity by default), found without kappa: unwrap the argument of the
-    automorphy factor z = c i + d over ``steps`` equal subdivisions; the sheet
-    is the parity of the turns by which it leaves the principal branch."""
+def lift_path(A: Mat, steps: int, start: MpElement | None = None) -> MpElement:
+    """Continuous lift of the path s -> g0 exp(s A), s in [0, 1], from
+    ``start`` (over g0; identity by default), found without kappa or
+    exp_sheet.  The path is sampled at s = k / steps as g_k = g_{k-1} S with
+    S = exp(A / steps), since exp(A) = exp(A / steps)^steps, and its last
+    point is exactly g0 exp(A): on the branch cut the sheet follows the
+    endpoint's rounding.  The argument of the automorphy factor z = c i + d
+    is unwrapped over those points; the sheet is the parity of the turns by
+    which it leaves the principal branch."""
     current = start if start is not None else mp_identity()
-    g = current.g
+    g0 = g = current.g
     wound = automorphy_angle(g, 1j) + 2 * math.pi * current.sheet
     z = g[2] * 1j + g[3]
+    step = mat_exp(tuple(v / steps for v in A))
     for k in range(1, steps + 1):
-        g = path(k / steps)
+        g = mat_mul(g, step) if k < steps else mat_mul(g0, mat_exp(A))
         nz = g[2] * 1j + g[3]
         wound += cmath.phase(nz / z)
         z = nz

@@ -48,7 +48,7 @@ from .mpc_group import (
     IDENTITY, MpcAlgebra, ROTATION_GENERATOR, central, eta, exp_mpc, kappa,
     lift_path, mat_exp, mat_mul, mat_sub_norm, mp_mul, mpc_distance,
     mpc_identity, mpc_inv, mpc_mul, mu_loop, random_algebra, random_mpc,
-    random_traceless, rotation, sigma,
+    random_traceless, sigma,
 )
 from .parse import parse_expr
 from .sample import expr_equal
@@ -455,19 +455,17 @@ def group_checks(spec: SystemSpec) -> List[Check]:
         for k in range(200):
             a1 = random_traceless(rng, 2)
             a2 = random_traceless(rng, 2)
-            g1 = mat_exp(a1)
-            lift1 = lift_path(lambda u: mat_exp(tuple(u * v for v in a1)), 128)
-            lift2 = lift_path(lambda u: mat_exp(tuple(u * v for v in a2)), 128)
-            cont = lift_path(lambda u: mat_mul(g1, mat_exp(tuple(u * v for v in a2))),
-                             128, start=lift1)
+            lift1 = lift_path(a1, 128)
+            lift2 = lift_path(a2, 128)
+            cont = lift_path(a2, 128, start=lift1)
             prod = mp_mul(lift1, lift2)
             if cont.sheet != prod.sheet or mat_sub_norm(cont.g, prod.g) > 1e-9:
                 return False, 1.0, k + 1
         return True, 0.0, 200
 
     def loop_lifts():
-        single = lift_path(lambda u: rotation(2 * math.pi * u), 256)
-        double = lift_path(lambda u: rotation(4 * math.pi * u), 256)
+        single = lift_path(tuple(2 * math.pi * v for v in ROTATION_GENERATOR), 256)
+        double = lift_path(tuple(4 * math.pi * v for v in ROTATION_GENERATOR), 256)
         ok = (single.sheet == 1 and double.sheet == 0
               and mat_sub_norm(single.g, IDENTITY) < 1e-9
               and mat_sub_norm(double.g, IDENTITY) < 1e-9)

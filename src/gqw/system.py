@@ -181,8 +181,8 @@ def load_spec_text(text: str, validate: bool = True,
     hbar_v, hbar_at = _number(tols, "hbar", float, "1", hbar)
     if not n_samples >= 1:
         raise SystemSpecError(f"{samples_at}samples = {n_samples}: at least 1 is needed")
-    if not epsilon > 0:
-        raise SystemSpecError(f"{epsilon_at}epsilon = {epsilon}: it must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise SystemSpecError(f"{epsilon_at}epsilon = {epsilon}: it must be finite and positive")
     if not (math.isfinite(hbar_v) and hbar_v != 0):
         raise SystemSpecError(f"{hbar_at}hbar = {hbar_v}: it must be finite and nonzero")
 

@@ -1,13 +1,19 @@
-"""Numeric oracles of the tests: a field's RK4 flow, and the Lie derivative
-of a form as a centered finite difference of its pullbacks under that flow.
-They use nothing of the symbolic bracket or Lie-derivative code they check,
-only ``gqw.flows``' RK4 step and the chart's evaluation context."""
+"""Numeric oracles of the tests: a field's RK4 flow, the Lie derivative of
+a form as a centered finite difference of its pullbacks under that flow, and
+the lift of a matrix path evaluated afresh at every point.  The first two use
+nothing of the symbolic bracket or Lie-derivative code they check, only
+``gqw.flows``' RK4 step and the chart's evaluation context; the lift uses
+neither kappa nor the powers of one step that ``gqw.mpc_group.lift_path``
+multiplies."""
 
-from typing import List, Sequence
+import cmath
+import math
+from typing import Callable, List, Optional, Sequence
 
 from gqw.expr import evalf
 from gqw.flows import rk4_step, vf_rhs
 from gqw.forms import KForm, VectorField
+from gqw.mpc_group import Mat, MpElement, automorphy_angle, mp_identity
 
 
 def flow_point(v: VectorField, x: Sequence[float], t: float,
@@ -67,3 +73,21 @@ def pullback_under_flow(v: VectorField, a: KForm, x: Sequence[float],
     hi = _pullback_at(v, a, x, h)
     lo = _pullback_at(v, a, x, -h)
     return [(p - m) / (2 * h) for p, m in zip(hi, lo)]
+
+
+def lift_path_pointwise(path: Callable[[float], Mat], steps: int,
+                        start: Optional[MpElement] = None) -> MpElement:
+    """Continuous lift of a matrix path (path(0) must equal start's matrix,
+    identity by default): unwrap the argument of the automorphy factor
+    z = c i + d over path(k / steps), k = 1..steps; the sheet is the parity of
+    the turns by which it leaves the principal branch."""
+    current = start if start is not None else mp_identity()
+    g = current.g
+    wound = automorphy_angle(g, 1j) + 2 * math.pi * current.sheet
+    z = g[2] * 1j + g[3]
+    for k in range(1, steps + 1):
+        g = path(k / steps)
+        nz = g[2] * 1j + g[3]
+        wound += cmath.phase(nz / z)
+        z = nz
+    return MpElement(g, round((wound - automorphy_angle(g, 1j)) / (2 * math.pi)) & 1)

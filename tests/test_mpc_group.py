@@ -6,7 +6,9 @@ import math
 import random
 
 import pytest
+from oracles import lift_path_pointwise
 
+from gqw import mpc_group
 from gqw.errors import NumericError
 from gqw.mpc_group import (
     IDENTITY, ROTATION_GENERATOR, MpcAlgebra, MpcElement, MpElement, central,
@@ -131,13 +133,13 @@ def test_mp_inverse():
 
 def test_full_rotation_lift_is_deck_transformation():
     # the loop R(2 pi t) lifts open: it ends on the other sheet
-    lifted = lift_path(lambda s: rotation(2 * math.pi * s), 256)
+    lifted = lift_path(tuple(2 * math.pi * v for v in ROTATION_GENERATOR), 256)
     assert lifted.sheet == 1
     assert mat_sub_norm(lifted.g, IDENTITY) < 1e-9
 
 
 def test_double_rotation_lift_closes():
-    lifted = lift_path(lambda s: rotation(4 * math.pi * s), 256)
+    lifted = lift_path(tuple(4 * math.pi * v for v in ROTATION_GENERATOR), 256)
     assert lifted.sheet == 0
     assert mat_sub_norm(lifted.g, IDENTITY) < 1e-9
 
@@ -151,14 +153,52 @@ def test_path_lifting_agrees_with_cocycle_on_products():
         a2 = (rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2))
         m1 = (a1[0], a1[1], a1[2], -a1[0])
         m2 = (a2[0], a2[1], a2[2], -a2[0])
-        g1 = mat_exp(m1)
-        lift1 = lift_path(lambda s: mat_exp(tuple(s * v for v in m1)), 128)
-        lift2 = lift_path(lambda s: mat_exp(tuple(s * v for v in m2)), 128)
-        cont = lift_path(lambda s: mat_mul(g1, mat_exp(tuple(s * v for v in m2))),
-                         128, start=lift1)
+        lift1 = lift_path(m1, 128)
+        lift2 = lift_path(m2, 128)
+        cont = lift_path(m2, 128, start=lift1)
         prod = mp_mul(lift1, lift2)
         assert cont.sheet == prod.sheet
         assert mat_sub_norm(cont.g, prod.g) < 1e-9
+
+
+def test_lift_by_powers_matches_pointwise_lift():
+    # stepping by powers of exp(A / steps) reaches the sheet, and within
+    # 1e-12 relative the matrix, of evaluating g0 exp(s A) afresh at each
+    # point; the rotation generator at odd multiples of pi ends on the cut
+    rng = random.Random("lift-by-powers")
+    cases = [(random_traceless(rng, 2.0), MpElement(random_sp(rng), rng.randint(0, 1)))
+             for _ in range(400)]
+    cases += [(tuple(k * math.pi * v for v in ROTATION_GENERATOR), None)
+              for k in (-3, -1, 1, 3)]
+    for A, start in cases:
+        g0 = (start or mp_identity()).g
+        want = lift_path_pointwise(
+            lambda s: mat_mul(g0, mat_exp(tuple(s * v for v in A))), 128, start)
+        got = lift_path(A, 128, start)
+        assert got.sheet == want.sheet, (A, start)
+        assert mat_sub_norm(got.g, want.g) <= 1e-12 * mat_sub_norm(want.g, (0.0,) * 4)
+
+
+def test_lift_path_takes_two_exponentials_and_no_cocycle(monkeypatch):
+    # the oracle checks kappa and exp_sheet, so it must not call them; and it
+    # steps by one product, whatever the number of steps
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return mat_exp(x)
+
+    def forbidden(*args):
+        raise AssertionError("lift_path called the closed form it checks")
+
+    monkeypatch.setattr(mpc_group, "mat_exp", counting)
+    monkeypatch.setattr(mpc_group, "kappa", forbidden)
+    monkeypatch.setattr(mpc_group, "exp_sheet", forbidden)
+    start = MpElement(mat_exp((0.4, 1.1, -0.9, -0.4)), 1)
+    for steps in (1, 2, 128, 1000):
+        calls.clear()
+        lift_path((0.3, -1.7, 1.1, -0.3), steps, start=start)
+        assert len(calls) == 2, steps
 
 
 # ---------------------------------------------------------------------------
@@ -319,12 +359,13 @@ def test_closed_form_sheets_match_path_lifting():
     for A, t in cases:
         alpha = MpcAlgebra(A, 0j)
         out = exp_mpc(alpha, t)
-        lifted = lift_path(lambda s: mat_exp(tuple(s * t * v for v in A)), 256)
+        lifted = lift_path(tuple(t * v for v in A), 256)
         assert int(out.phase.real < 0) == lifted.sheet, (A, t)
         half = exp_mpc(alpha, t / 2)
         assert abs(out.phase - mpc_mul(half, half).phase) < 1e-9, (A, t)
     for t in [k / 40 for k in range(-40, 41)] + [rng.uniform(-3, 3) for _ in range(20)]:
-        lifted = lift_path(lambda s: rotation(4 * math.pi * s * (t % 1.0)), 256)
+        lifted = lift_path(tuple(4 * math.pi * (t % 1.0) * v for v in ROTATION_GENERATOR),
+                           256)
         assert mu_loop(t).sheet == lifted.sheet, t
 
 

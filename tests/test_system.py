@@ -85,6 +85,7 @@ def test_overrides():
     ("hbar = 1", "hbar = 0"),
     ("hbar = 1", "hbar = nan"),
     ("hbar = 1", "hbar = inf"),
+    ("epsilon = 1e-9", "epsilon = inf"),
 ])
 def test_bad_values_name_their_key_and_line(old, new):
     text = GOOD.replace(old, new)
@@ -186,6 +187,35 @@ def test_every_stream_is_named_by_the_seed_and_its_tag(seed, monkeypatch):
 def test_cli_rejects_out_of_range_overrides(flag, value, key, capsys):
     assert main(["check", "--suite", "poisson", flag, value]) == 2
     assert key in capsys.readouterr().err
+
+
+def test_cli_hands_signed_values_to_the_loader(monkeypatch):
+    # argparse reads -1e-3 as an option string; the value must still arrive
+    import gqw.cli as cli
+    from gqw.suites import Report
+
+    seen = []
+
+    def fake_run(spec, suite):
+        seen.append(spec)
+        return Report(suite, [])
+
+    monkeypatch.setattr(cli, "run_suite", fake_run)
+    argv = ["check", "--suite", "poisson", "--hbar", "-1e-3", "--seed", "-5",
+            "--tol", "1e-6", "--samples", "4"]
+    assert cli.main(argv) == 0
+    assert (seen[0].hbar, seen[0].seed, seen[0].epsilon, seen[0].samples) == (-1e-3, -5, 1e-6, 4)
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--hbar", "-inf", "hbar = -inf: it must be finite and nonzero"),
+    ("--hbar", "-1e400", "hbar = -inf: it must be finite and nonzero"),
+    ("--tol", "inf", "epsilon = inf: it must be finite and positive"),
+    ("--tol", "-1e-3", "epsilon = -0.001: it must be finite and positive"),
+])
+def test_cli_out_of_range_values_get_the_loaders_message(flag, value, message, capsys):
+    assert main(["check", "--suite", "poisson", flag, value]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_report_json_schema():
