@@ -80,17 +80,22 @@ def _cmd_group(args) -> int:
 
 
 _NUMBER_OPTIONS = ("--samples", "--tol", "--seed", "--hbar")
+_EXPRESSION_OPTIONS = ("-f", "-g")
+_SHORT_OPTIONS = _EXPRESSION_OPTIONS + ("-h",)
 
 
 def _attach_signed_values(argv: list) -> list:
-    """Join each number option to a following value that starts with one
-    '-' (``--hbar -1e-3`` becomes ``--hbar=-1e-3``): argparse reads a token
-    such as ``-1e-3`` or ``-inf`` as an option string, not as a value, and
-    the loader is the one to judge the number."""
+    """Join each number or expression option to a following value that
+    starts with one '-' (``--hbar -1e-3`` becomes ``--hbar=-1e-3``, ``-f
+    -p^2`` becomes ``-f=-p^2``): argparse reads a token such as ``-1e-3``,
+    ``-inf`` or ``-p^2`` as an option string, not as a value, and the loader
+    or the parser is the one to judge it.  An expression option is not
+    joined to another short option, so ``-f -g q`` still fails."""
     out = []
     for tok in argv:
         signed = tok.startswith("-") and not tok.startswith("--")
-        if signed and out and out[-1] in _NUMBER_OPTIONS:
+        if signed and out and (out[-1] in _NUMBER_OPTIONS or (
+                out[-1] in _EXPRESSION_OPTIONS and tok not in _SHORT_OPTIONS)):
             out[-1] += "=" + tok
         else:
             out.append(tok)

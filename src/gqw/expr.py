@@ -27,6 +27,13 @@ node's first evaluation from its children's closures and kept in the node,
 like the node's sort key, so each node is dispatched on its type once per
 process.
 
+mul keeps each product that distributed a sum in ``_EXPANDED``, a table
+from its argument tuple to the result, and answers a repeat from it, so a
+product over a sum is distributed once per process.  Products with no sum
+factor are cheap to rebuild and are not stored, which keeps the table small.
+The table lives for the process; racing threads fill it with
+dict.setdefault, like the intern tables, so they get the same node.
+
 diff keeps each derivative in the node it was taken of: the node's ``_d``
 maps a symbol to the derivative by it, so each (node, symbol) derivative is
 computed once and lives as long as the node.  Nodes are only ever built by
@@ -301,6 +308,10 @@ def add(*args: Expr) -> Expr:
     return Add(tuple(out))
 
 
+# mul's argument tuple -> its result, for the products that distributed a sum
+_EXPANDED: dict = {}
+
+
 def _expand_product(coeff: Fraction, plain: list, sums: list) -> Expr:
     # Distribute the Add factors; their terms are monomials, so the inner
     # products cannot reintroduce sums and the recursion is flat.
@@ -313,14 +324,23 @@ def _expand_product(coeff: Fraction, plain: list, sums: list) -> Expr:
 
 
 def mul(*args: Expr) -> Expr:
+    expanded = _EXPANDED.get(args)
+    if expanded is not None:
+        return expanded
     coeff = 1
     powers: dict = {}  # base -> summed exponent, in order of first appearance
+    single: dict = {}  # base -> its factor node, while the base is met once
 
-    def feed(base: Expr, exp: Fraction):
+    def feed(base: Expr, exp: Fraction, node: Expr):
         # power() folds a rational base under an integral exponent, so a
         # rational base met here carries a fractional one and stays a power
         prev = powers.get(base)
-        powers[base] = exp if prev is None else prev + exp
+        if prev is None:
+            powers[base] = exp
+            single[base] = node
+        else:
+            powers[base] = prev + exp
+            single.pop(base, None)
 
     for a in args:
         factors = a.factors if type(a) is Mul else (a,)
@@ -331,9 +351,9 @@ def mul(*args: Expr) -> Expr:
                     return ZERO
                 coeff = f.value if coeff == 1 else coeff * f.value
             elif t is Pow:
-                feed(f.base, f.exponent)
+                feed(f.base, f.exponent, f)
             else:
-                feed(f, 1)
+                feed(f, 1, f)
 
     pieces = []
     for base, exp in powers.items():
@@ -346,7 +366,8 @@ def mul(*args: Expr) -> Expr:
             if r in (1, 3):
                 pieces.append(IMAG)
             continue
-        pieces.append(power(base, exp))
+        # a factor met once is a canonical node: power(base, exp) is it
+        pieces.append(single.get(base) or power(base, exp))
 
     if coeff == 0:
         return ZERO
@@ -371,7 +392,7 @@ def mul(*args: Expr) -> Expr:
     if coeff == 0:
         return ZERO
     if sums:
-        return _expand_product(coeff, plain, sums)
+        return _EXPANDED.setdefault(args, _expand_product(coeff, plain, sums))
     bases = [f.base if type(f) is Pow else f for f in plain]
     if len(set(bases)) != len(bases):
         # a distributed power reintroduced an existing base; one more merge

@@ -1,16 +1,22 @@
-"""Numeric oracles of the tests: a field's RK4 flow, the Lie derivative of
-a form as a centered finite difference of its pullbacks under that flow, and
-the lift of a matrix path evaluated afresh at every point.  The first two use
-nothing of the symbolic bracket or Lie-derivative code they check, only
-``gqw.flows``' RK4 step and the chart's evaluation context; the lift uses
-neither kappa nor the powers of one step that ``gqw.mpc_group.lift_path``
-multiplies."""
+"""Oracles of the tests: a field's RK4 flow, the Lie derivative of a form
+as a centered finite difference of its pullbacks under that flow, the lift
+of a matrix path evaluated afresh at every point, and a product and power
+that store nothing.  The first two use nothing of the symbolic bracket or
+Lie-derivative code they check, only ``gqw.flows``' RK4 step and the chart's
+evaluation context; the lift uses neither kappa nor the powers of one step
+that ``gqw.mpc_group.lift_path`` multiplies; the product never reads the
+kernel's table of expanded products and rebuilds every factor through its
+power."""
 
 import cmath
 import math
+from fractions import Fraction
 from typing import Callable, List, Optional, Sequence
 
-from gqw.expr import evalf
+from gqw.expr import (
+    IMAG, MINUS_ONE, ONE, ZERO, Add, Expr, Mul, Pow, Rational, _key, add, evalf,
+    rational,
+)
 from gqw.flows import rk4_step, vf_rhs
 from gqw.forms import KForm, VectorField
 from gqw.mpc_group import Mat, MpElement, automorphy_angle, mp_identity
@@ -91,3 +97,69 @@ def lift_path_pointwise(path: Callable[[float], Mat], steps: int,
         wound += cmath.phase(nz / z)
         z = nz
     return MpElement(g, round((wound - automorphy_angle(g, 1j)) / (2 * math.pi)) & 1)
+
+
+def mul_rebuilt(*args: Expr) -> Expr:
+    """The canonical product, folded afresh on every call: exponents of equal
+    bases are summed, every factor is rebuilt by ``power_rebuilt`` and every
+    sum is distributed, with nothing stored between calls."""
+    coeff, powers = Fraction(1), {}
+    for a in args:
+        for f in (a.factors if type(a) is Mul else (a,)):
+            if type(f) is Rational:
+                coeff *= f.value
+            else:
+                base, exp = (f.base, f.exponent) if type(f) is Pow else (f, 1)
+                powers[base] = powers.get(base, 0) + exp
+    plain, sums = [], []
+    for base, exp in powers.items():
+        p = power_rebuilt(base, exp)
+        for q in (p.factors if type(p) is Mul else (p,)):
+            if type(q) is Rational:
+                coeff *= q.value
+            elif type(q) is Add:
+                sums.append(q)
+            else:
+                plain.append(q)
+    if coeff == 0:
+        return ZERO
+    if sums:
+        combos = [[rational(coeff)] + plain]
+        for s in sums:
+            combos = [c + [t] for c in combos for t in s.terms]
+        return add(*[mul_rebuilt(*c) for c in combos])
+    if len({f.base if type(f) is Pow else f for f in plain}) != len(plain):
+        return mul_rebuilt(rational(coeff), *plain)
+    plain.sort(key=_key)
+    if coeff != 1:
+        plain.insert(0, rational(coeff))
+    if not plain:
+        return ONE
+    return plain[0] if len(plain) == 1 else Mul(tuple(plain))
+
+
+def power_rebuilt(base: Expr, exponent) -> Expr:
+    """The canonical power, with every product in it taken by
+    ``mul_rebuilt``."""
+    exponent = Fraction(exponent)
+    if exponent == 0:
+        return ONE
+    if exponent == 1:
+        return base
+    integral = exponent.denominator == 1
+    if type(base) is Rational:
+        if integral:
+            return rational(Fraction(base.value) ** exponent.numerator)
+        return base if base.value in (0, 1) else Pow(base, exponent)
+    if base is IMAG and integral:
+        return (ONE, IMAG, MINUS_ONE, mul_rebuilt(MINUS_ONE, IMAG))[exponent.numerator % 4]
+    if type(base) is Pow and integral:
+        return power_rebuilt(base.base, base.exponent * exponent)
+    if type(base) is Mul and integral:
+        return mul_rebuilt(*[power_rebuilt(f, exponent) for f in base.factors])
+    if type(base) is Add and integral and exponent >= 2:
+        terms = [ONE]
+        for _ in range(exponent.numerator):
+            terms = [mul_rebuilt(t, s) for t in terms for s in base.terms]
+        return add(*terms)
+    return Pow(base, exponent)

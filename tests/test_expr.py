@@ -14,6 +14,7 @@ from gqw.expr import (
 )
 from gqw.parse import parse_expr
 from gqw.sample import DomainSampler, expr_equal
+from oracles import mul_rebuilt, power_rebuilt
 
 P = symbol("p")
 Q = symbol("q")
@@ -277,6 +278,95 @@ def test_diff_matches_a_tree_walk_by_identity(e):
         first = diff(e, v)
         assert first is _reference_diff(e, v)
         assert diff(e, v) is first
+
+
+# ---------------------------------------------------------------------------
+# expanded products
+
+
+def test_a_product_over_a_sum_is_distributed_once(monkeypatch):
+    from gqw import expr
+    distributed = []
+    expand = expr._expand_product
+
+    def counted(coeff, plain, sums):
+        distributed.append(sums)
+        return expand(coeff, plain, sums)
+
+    monkeypatch.setattr(expr, "_expand_product", counted)
+    x, y = symbol("expanded_x"), symbol("expanded_y")  # nodes new to this process
+    s = add(x, y)
+    first = mul(x, s)
+    assert mul(x, s) is first
+    assert distributed == [[s]]
+    assert expr._EXPANDED[x, s] is first
+    assert first is add(power(x, 2), mul(x, y))
+
+
+def test_a_product_without_a_sum_factor_is_not_stored():
+    from gqw import expr
+    x, y = symbol("unexpanded_x"), symbol("unexpanded_y")
+    inverse = power(add(x, y), -1)  # a power of a sum, but not a sum
+    before = dict(expr._EXPANDED)
+    mul(rational(3), x, power(y, 2), inverse, power(IMAG, 3), call("sin", x))
+    mul(x, x, inverse)
+    assert expr._EXPANDED == before
+
+
+def test_a_factor_met_once_is_kept_not_rebuilt(monkeypatch):
+    x, y = symbol("kept_x"), symbol("kept_y")
+    square = power(x, 2)
+    root = power(add(x, y), Fraction(1, 2))
+    built = []
+    new = Pow.__new__
+
+    def counted(cls, base, exponent):
+        built.append((base, exponent))
+        return new(cls, base, exponent)
+
+    monkeypatch.setattr(Pow, "__new__", staticmethod(counted))
+    assert mul(square) is square
+    product = mul(rational(2), y, square, root)
+    assert built == []
+    assert any(f is square for f in product.factors)
+    assert any(f is root for f in product.factors)
+
+
+def _random_expr(rng, depth, mul_, power_):
+    """A seeded expression over sums, products, powers of sums, powers of i
+    and sin/cos, built with the given product and power; the draws do not
+    depend on what is built, so one seed gives the same tree whichever pair
+    builds it."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice([P, Q, HBAR, IMAG, PI, rational(3, 2), rational(-2)])
+
+    def parts(k):
+        return [_random_expr(rng, depth - 1, mul_, power_) for _ in range(k)]
+
+    kind = rng.randrange(6)
+    if kind == 0:
+        return add(*parts(rng.randint(2, 3)))
+    if kind == 1:
+        return mul_(*parts(rng.randint(2, 3)))
+    if kind == 2:
+        return power_(add(*parts(2)), rng.choice([2, 3, -1, Fraction(1, 2)]))
+    if kind == 3:
+        return mul_(power_(IMAG, rng.randint(-5, 5)), *parts(1))
+    if kind == 4:
+        return power_(parts(1)[0], rng.choice([2, -2, Fraction(3, 2)]))
+    return call(rng.choice(["sin", "cos"]), *parts(1))
+
+
+def test_products_and_powers_match_a_fold_that_stores_nothing_by_identity():
+    import random
+    composite = set()
+    for seed in range(600):
+        kernel = _random_expr(random.Random(seed), 3, mul, power)
+        assert kernel is _random_expr(random.Random(seed), 3, mul_rebuilt, power_rebuilt)
+        assert _random_expr(random.Random(seed), 3, mul, power) is kernel
+        if type(kernel) in (Add, Mul, Pow, Call):
+            composite.add(kernel)
+    assert len(composite) >= 300
 
 
 # ---------------------------------------------------------------------------
@@ -567,23 +657,22 @@ def test_polynomials_are_interned(ta, tb, rnd):
     assert _poly(shuffled) is a
 
 
-def test_threads_building_the_same_nodes_get_one_node():
-    # every thread that races to build a node must get the node stored first
+def _race(work):
+    """``work()``'s result in each of 8 threads released at once by a
+    barrier, with the interpreter switching threads as often as it can."""
     import sys
     import threading
-    names = [f"race{k}" for k in range(1000)]  # symbols new to this process
     results = [None] * 8
     barrier = threading.Barrier(len(results))
 
-    def build(slot):
+    def run(slot):
         barrier.wait(timeout=60)
-        results[slot] = [add(power(symbol(n), 2), mul(rational(3, 7), symbol(n)))
-                         for n in names]
+        results[slot] = work()
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=build, args=(k,)) for k in range(len(results))]
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(results))]
         for t in threads:
             t.start()
         for t in threads:
@@ -592,38 +681,40 @@ def test_threads_building_the_same_nodes_get_one_node():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert all(r is not None for r in results)
+    return results
+
+
+def test_threads_building_the_same_nodes_get_one_node():
+    # every thread that races to build a node must get the node stored first
+    names = [f"race{k}" for k in range(1000)]  # symbols new to this process
+    results = _race(lambda: [add(power(symbol(n), 2), mul(rational(3, 7), symbol(n)))
+                             for n in names])
     for other in results[1:]:
         assert all(a is b for a, b in zip(results[0], other))
+
+
+def test_threads_expanding_the_same_products_get_one_node():
+    # threads race to distribute products never expanded before; each must
+    # get the node the table stored first
+    from gqw import expr
+    names = [f"expandrace{k}" for k in range(300)]
+    products = [(symbol(n), add(symbol(n), P)) for n in names]
+    results = _race(lambda: [mul(*args) for args in products])
+    for other in results[1:]:
+        assert all(a is b for a, b in zip(results[0], other))
+    assert all(expr._EXPANDED[args] is e for args, e in zip(products, results[0]))
+    assert all(e is mul_rebuilt(*args) for args, e in zip(products, results[0]))
 
 
 def test_threads_evaluating_new_nodes_agree_with_a_tree_walk():
     # threads race to build and store the closures of nodes never evaluated
     # before; every value must still be the tree walk's
-    import sys
-    import threading
     names = [f"evalrace{k}" for k in range(300)]
     nodes = [add(power(symbol(n), 3), mul(rational(2, 7), call("sin", symbol(n))), PI)
              for n in names]
     env = {n: 0.01 * k for k, n in enumerate(names)}
     expected = [_reference_evalf(e, env) for e in nodes]
-    results = [None] * 8
-    barrier = threading.Barrier(len(results))
-
-    def evaluate(slot):
-        barrier.wait(timeout=60)
-        results[slot] = [evalf(e, env) for e in nodes]
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=evaluate, args=(k,)) for k in range(len(results))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
+    results = _race(lambda: [evalf(e, env) for e in nodes])
     assert all(r == expected for r in results)
 
 
@@ -631,30 +722,9 @@ def test_threads_evaluating_new_nodes_agree_with_a_tree_walk():
 def test_threads_differentiating_new_nodes_agree_with_a_tree_walk():
     # threads race to fill the stored derivatives of nodes never
     # differentiated before; every result must be the tree walk's node
-    import sys
-    import threading
     names = [f"diffrace{k}" for k in range(200)]
     nodes = [mul(power(add(symbol(n), P), 3), call("sin", mul(symbol(n), Q)))
              for n in names]
     expected = [_reference_diff(e, P) for e in nodes]
-    results = [None] * 8
-    barrier = threading.Barrier(len(results))
-
-    def differentiate(slot):
-        barrier.wait(timeout=60)
-        results[slot] = [diff(e, P) for e in nodes]
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=differentiate, args=(k,))
-                   for k in range(len(results))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
-    assert all(r is not None and all(a is b for a, b in zip(r, expected))
-               for r in results)
+    results = _race(lambda: [diff(e, P) for e in nodes])
+    assert all(all(a is b for a, b in zip(r, expected)) for r in results)

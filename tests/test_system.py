@@ -265,6 +265,20 @@ def test_cli_poisson_command(capsys):
     assert "{f, g}" in out
 
 
+def test_cli_poisson_takes_negated_expressions_space_separated(capsys):
+    # argparse reads -p^2 as an option string; the expression must still arrive
+    assert main(["poisson", "-f", "-p^2", "-g", "-q"]) == 0
+    out = capsys.readouterr().out
+    assert "{f, g} = -2*p" in out.splitlines()
+
+
+def test_cli_poisson_option_is_not_taken_as_a_value(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["poisson", "-f", "-g", "q"])
+    assert exit_.value.code == 2
+    assert "argument -f: expected one argument" in capsys.readouterr().err
+
+
 def untimed(text):
     return re.sub(r"\d+\.\d\d s\)", "s)", text).splitlines()
 
