@@ -34,6 +34,15 @@ factor are cheap to rebuild and are not stored, which keeps the table small.
 The table lives for the process; racing threads fill it with
 dict.setdefault, like the intern tables, so they get the same node.
 
+add collects terms by monomial.  A product with a coefficient keeps its
+monomial (its factors after the coefficient, as one node) in ``_mono``,
+filled on its first split and kept as long as the product, so a term is
+taken apart once per process.  A term whose monomial add meets once is
+appended as the node it was given, since rebuilding it from its coefficient
+and monomial gives that node.  The sin(u)^2 + cos(u)^2 pass runs only when
+a collected monomial has a factor sin(u)^k with integral k >= 2, the factor
+every rewrite starts from; after it, every surviving term is rebuilt.
+
 diff keeps each derivative in the node it was taken of: the node's ``_d``
 maps a symbol to the derivative by it, so each (node, symbol) derivative is
 computed once and lives as long as the node.  Nodes are only ever built by
@@ -153,7 +162,7 @@ class Add(Expr):
 
 
 class Mul(Expr):
-    __slots__ = ("factors",)
+    __slots__ = ("factors", "_mono")  # _mono: see _split_coeff
     _table: dict = {}
 
     def __new__(cls, factors: tuple):
@@ -229,19 +238,42 @@ def symbol(name: str) -> Symbol:
 
 
 def _split_coeff(term: Expr):
-    """term -> (Fraction coefficient, monomial Expr)."""
+    """term -> (Fraction coefficient, monomial Expr).  A product with a
+    coefficient keeps its monomial in ``_mono``, filled on the first split
+    (a race stores the same interned node twice)."""
     t = type(term)
     if t is Rational:
         return term.value, ONE
     if t is Mul and type(term.factors[0]) is Rational:
-        rest = term.factors[1:]
-        mono = rest[0] if len(rest) == 1 else Mul(rest)
+        try:
+            mono = term._mono
+        except AttributeError:
+            rest = term.factors[1:]
+            mono = term._mono = rest[0] if len(rest) == 1 else Mul(rest)
         return term.factors[0].value, mono
     return 1, term
 
 
 def _monomial_factors(mono: Expr) -> tuple:
     return mono.factors if type(mono) is Mul else (mono,)
+
+
+def _is_sin_power(f: Expr) -> bool:
+    """sin(u)^k with integral k >= 2: every sin^2 + cos^2 rewrite starts
+    from such a factor."""
+    return (type(f) is Pow and type(f.base) is Call and f.base.fn == "sin"
+            and f.exponent.denominator == 1 and f.exponent >= 2)
+
+
+def _has_sin_power(monomials) -> bool:
+    """Whether a monomial has a factor sin(u)^k with integral k >= 2.  add
+    asks this of every sum, so the loop is inlined and most factors fail the
+    type test before any call."""
+    for mono in monomials:
+        for f in (mono.factors if type(mono) is Mul else (mono,)):
+            if type(f) is Pow and _is_sin_power(f):
+                return True
+    return False
 
 
 def _pythagoras(terms: dict) -> None:
@@ -257,9 +289,7 @@ def _pythagoras(terms: dict) -> None:
                 continue
             factors = _monomial_factors(mono)
             for idx, f in enumerate(factors):
-                if not (type(f) is Pow and type(f.base) is Call
-                        and f.base.fn == "sin" and f.exponent.denominator == 1
-                        and f.exponent >= 2):
+                if not _is_sin_power(f):
                     continue
                 u = f.base.arg
                 k = int(f.exponent)
@@ -280,20 +310,32 @@ def _pythagoras(terms: dict) -> None:
 
 
 def add(*args: Expr) -> Expr:
-    terms: dict = {}
+    terms: dict = {}  # monomial -> summed coefficient
+    single: dict = {}  # monomial -> its term node, while the monomial is met once
     for a in args:
         parts = a.terms if type(a) is Add else (a,)
         for t in parts:
             c, mono = _split_coeff(t)
             prev = terms.get(mono)
-            terms[mono] = c if prev is None else prev + c
-    _pythagoras(terms)
+            if prev is None:
+                terms[mono] = c
+                single[mono] = t
+            else:
+                terms[mono] = prev + c
+                single.pop(mono, None)
+    if _has_sin_power(terms):
+        _pythagoras(terms)
+        single = {}  # the pass may have rewritten any coefficient
     out = []
     for mono in sorted(terms, key=_key):
         c = terms[mono]
         if c == 0:
             continue
-        if mono is ONE:
+        node = single.get(mono)
+        if node is not None:
+            # a term met once is canonical: rebuilding it from (c, mono) gives it
+            out.append(node)
+        elif mono is ONE:
             out.append(Rational(c))
         elif c == 1:
             out.append(mono)

@@ -89,15 +89,19 @@ def jacobian(v: VectorField) -> EMat:
 
 
 class MpcPrequant:
-    """Bundle data for P = M x Mp^c over (M, dp^dq), with the potential beta
-    of the circle bundle (which validated d(beta) = omega)."""
+    """Bundle data for P = M x Mp^c over (M, dx^dy), where (x, y) are the
+    chart's coordinates, with the potential beta of the circle bundle (which
+    validated d(beta) = omega)."""
 
     def __init__(self, circle: PrequantCircle):
         if circle.chart.dim != 2:
             raise UnsupportedFieldError("the trivialized construction needs a 2-dimensional chart")
-        if not circle.sympl.omega.coeffs[0].is_one():
+        omega = circle.sympl.omega
+        if not omega.coeffs[0].is_one():
+            x, y = circle.chart.coords
             raise UnsupportedFieldError(
-                "the coordinate frame must be symplectic: omega must equal dp^dq")
+                f"the coordinate frame must be symplectic: omega must equal d{x}^d{y}, "
+                f"got omega = {omega!r}")
         self.circle = circle
         self.sympl = circle.sympl
         self.chart = circle.chart

@@ -6,7 +6,8 @@ Lie-derivative code they check, only ``gqw.flows``' RK4 step and the chart's
 evaluation context; the lift uses neither kappa nor the powers of one step
 that ``gqw.mpc_group.lift_path`` multiplies; the product never reads the
 kernel's table of expanded products and rebuilds every factor through its
-power."""
+power; the sum splits and rebuilds every term and always runs the
+sin^2 + cos^2 pass."""
 
 import cmath
 import math
@@ -14,8 +15,8 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Sequence
 
 from gqw.expr import (
-    IMAG, MINUS_ONE, ONE, ZERO, Add, Expr, Mul, Pow, Rational, _key, add, evalf,
-    rational,
+    IMAG, MINUS_ONE, ONE, ZERO, Add, Expr, Mul, Pow, Rational, _key, _pythagoras,
+    add, evalf, rational,
 )
 from gqw.flows import rk4_step, vf_rhs
 from gqw.forms import KForm, VectorField
@@ -163,3 +164,35 @@ def power_rebuilt(base: Expr, exponent) -> Expr:
             terms = [mul_rebuilt(t, s) for t in terms for s in base.terms]
         return add(*terms)
     return Pow(base, exponent)
+
+
+def add_rebuilt(*args: Expr) -> Expr:
+    """The canonical sum, collected afresh: every term is split into its
+    coefficient and a monomial built anew, the sin^2 + cos^2 pass always
+    runs, and every surviving term is rebuilt from its coefficient."""
+    terms = {}
+    for a in args:
+        for t in (a.terms if type(a) is Add else (a,)):
+            if type(t) is Rational:
+                c, mono = t.value, ONE
+            elif type(t) is Mul and type(t.factors[0]) is Rational:
+                rest = t.factors[1:]
+                c, mono = t.factors[0].value, rest[0] if len(rest) == 1 else Mul(rest)
+            else:
+                c, mono = 1, t
+            terms[mono] = terms.get(mono, 0) + c
+    _pythagoras(terms)
+    out = []
+    for mono in sorted(terms, key=_key):
+        c = terms[mono]
+        if c == 0:
+            continue
+        if mono is ONE:
+            out.append(rational(c))
+        elif c == 1:
+            out.append(mono)
+        else:
+            out.append(Mul((rational(c),) + (mono.factors if type(mono) is Mul else (mono,))))
+    if not out:
+        return ZERO
+    return out[0] if len(out) == 1 else Add(tuple(out))

@@ -14,7 +14,7 @@ from gqw.expr import (
 )
 from gqw.parse import parse_expr
 from gqw.sample import DomainSampler, expr_equal
-from oracles import mul_rebuilt, power_rebuilt
+from oracles import add_rebuilt, mul_rebuilt, power_rebuilt
 
 P = symbol("p")
 Q = symbol("q")
@@ -370,6 +370,99 @@ def test_products_and_powers_match_a_fold_that_stores_nothing_by_identity():
 
 
 # ---------------------------------------------------------------------------
+# collected sums
+
+SIN_P, COS_P = call("sin", P), call("cos", P)
+
+
+def test_the_sin_cos_pass_runs_only_on_a_sum_with_a_sin_power(monkeypatch):
+    from gqw import expr
+    passes = []
+    pythagoras = expr._pythagoras
+
+    def counted(terms):
+        passes.append(dict(terms))
+        pythagoras(terms)
+
+    monkeypatch.setattr(expr, "_pythagoras", counted)
+    add(mul(rational(3), power(P, 2), Q), power(Q, 3), rational(-1, 2), mul(P, Q))
+    add(SIN_P, COS_P, power(COS_P, 2), mul(SIN_P, power(COS_P, 3)))  # no sin(u)^k, k >= 2
+    assert passes == []
+    add(mul(Q, power(SIN_P, 2)), P)
+    assert len(passes) == 1
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["sin-first", "cos-first"])
+def test_matched_sin_cos_squares_collapse(reverse):
+    pair = [mul(rational(3), Q, power(SIN_P, 2)), mul(rational(3), Q, power(COS_P, 2))]
+    if reverse:
+        pair.reverse()
+    assert add(*pair) is mul(rational(3), Q)
+    assert add(pair[0]) is pair[0]  # a lone term is returned as it is
+
+
+def test_a_sin_power_collapses_against_its_partner():
+    assert add(power(SIN_P, 4), mul(power(SIN_P, 2), power(COS_P, 2))) is power(SIN_P, 2)
+
+
+def test_unequal_sin_cos_coefficients_do_not_collapse():
+    a, b = mul(rational(2), power(SIN_P, 2)), mul(rational(3), power(COS_P, 2))
+    e = add(a, b)
+    assert type(e) is Add and set(e.terms) == {a, b}
+
+
+def test_a_term_met_once_is_reused_not_rebuilt(monkeypatch):
+    x, y, z = symbol("collected_x"), symbol("collected_y"), symbol("collected_z")
+    term = mul(rational(3), x, y)  # nodes new to this process
+    first = add(term, z)
+    built = []
+    new = Mul.__new__
+
+    def counted(cls, factors):
+        built.append(factors)
+        return new(cls, factors)
+
+    monkeypatch.setattr(Mul, "__new__", staticmethod(counted))
+    assert add(term, z) is first
+    assert built == []
+    assert any(t is term for t in first.terms)
+
+
+_coeffs = st.sampled_from([rational(1), rational(-1), rational(3), rational(-2, 3)])
+
+
+@st.composite
+def _term_lists(draw):
+    """Terms over ``exprs`` in any order: repeated monomials, coefficients
+    that cancel, and sin^k*R, sin^(k-2)*cos^2*R pairs whose coefficients
+    may or may not match."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        e, c = draw(exprs), draw(_coeffs)
+        terms.append(mul(c, e))
+        again = draw(st.sampled_from(["once", "repeat", "cancel"]))
+        if again == "repeat":
+            terms.append(mul(draw(_coeffs), e))
+        elif again == "cancel":
+            terms.append(mul(rational(-1), c, e))
+    for _ in range(draw(st.integers(1, 2))):
+        u, r, c, k = draw(exprs), draw(exprs), draw(_coeffs), draw(st.integers(2, 4))
+        terms.append(mul(c, r, power(call("sin", u), k)))
+        partner = draw(st.sampled_from([c, rational(2)]))
+        terms.append(mul(partner, r, power(call("sin", u), k - 2), power(call("cos", u), 2)))
+    return draw(st.permutations(terms)), draw(st.integers(0, len(terms)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_term_lists())
+def test_add_matches_a_collection_that_rebuilds_every_term_by_identity(case):
+    terms, cut = case
+    assert add(*terms) is add_rebuilt(*terms)
+    grouped = (add(*terms[:cut]), *terms[cut:])  # sums among the arguments
+    assert add(*grouped) is add_rebuilt(*grouped)
+
+
+# ---------------------------------------------------------------------------
 # sampling equality
 
 
@@ -685,12 +778,16 @@ def _race(work):
 
 
 def test_threads_building_the_same_nodes_get_one_node():
-    # every thread that races to build a node must get the node stored first
+    # every thread that races to build a node, or to store a term's monomial,
+    # must get the node stored first
     names = [f"race{k}" for k in range(1000)]  # symbols new to this process
-    results = _race(lambda: [add(power(symbol(n), 2), mul(rational(3, 7), symbol(n)))
+    results = _race(lambda: [add(power(symbol(n), 2), mul(rational(3, 7), symbol(n), Q))
                              for n in names])
     for other in results[1:]:
         assert all(a is b for a, b in zip(results[0], other))
+    for n, e in zip(names, results[0]):
+        [term] = [t for t in e.terms if type(t) is Mul]
+        assert term._mono is mul(symbol(n), Q)
 
 
 def test_threads_expanding_the_same_products_get_one_node():

@@ -455,6 +455,34 @@ def test_setup_failures_keep_their_own_error():
                              "needs a 2-dimensional chart")
 
 
+NON_STANDARD_AREA = """
+[manifold]
+coordinates = x, y
+domain = x > 0
+box x = 0.5, 2
+box y = -2, 2
+
+[symplectic]
+omega = x*dx^dy
+
+[prequant]
+beta = 1/2*x^2*dy
+
+[hamiltonians]
+lin_x = x
+lin_y = y
+"""
+
+
+def test_setup_failures_name_the_charts_own_area_form():
+    spec = load_spec_text(NON_STANDARD_AREA)
+    rows = [c for c in run_suite(spec, "all").checks if c.id.endswith("-setup")]
+    assert [c.id for c in rows] == ["mpc-iso-setup", "delta-setup", "counterexamples-setup"]
+    for row in rows:
+        assert row.error == ("UnsupportedFieldError: the coordinate frame must be symplectic: "
+                             "omega must equal dx^dy, got omega = (x)*dx^dy")
+
+
 def test_cli_demo_on_a_system_it_cannot_use_is_a_load_error(tmp_path, capsys):
     path = tmp_path / "four.spec"
     path.write_text(FOUR_DIM)
