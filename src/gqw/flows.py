@@ -8,7 +8,8 @@ from __future__ import annotations
 from typing import Callable, Iterable, List, Sequence
 
 from .expr import Expr, evalf
-from .forms import Chart, VectorField
+from .forms import Chart
+from .sample import worst_of
 
 RHS = Callable[[Sequence[float]], List[float]]
 
@@ -49,11 +50,8 @@ def commutator_residual(f1: RHS, f2: RHS, bracket: RHS,
                         points: Iterable[Sequence[float]]) -> float:
     """Worst deviation, over the points and the components, of the field
     ``bracket`` from the flow-commutator estimate of [f1, f2]."""
-    worst = 0.0
-    for x in points:
-        oracle = flow_commutator(f1, f2, x)
-        worst = max(worst, max(abs(a - b) for a, b in zip(oracle, bracket(x))))
-    return worst
+    return worst_of(abs(a - b) for x in points
+                    for a, b in zip(flow_commutator(f1, f2, x), bracket(x)))
 
 
 def components_rhs(chart: Chart, components: Sequence[Expr]) -> RHS:
@@ -66,8 +64,3 @@ def components_rhs(chart: Chart, components: Sequence[Expr]) -> RHS:
         return [evalf(c, e).real for c in components]
 
     return f
-
-
-def vf_rhs(v: VectorField) -> RHS:
-    """Numeric right-hand side of a symbolic vector field on its chart."""
-    return components_rhs(v.chart, v.components)

@@ -53,7 +53,7 @@ from .mpc_group import (
     mp_mul, mpc_inv, mpc_mul, mu_loop, random_algebra, random_mpc, random_traceless,
     rotation,
 )
-from .sample import worst_residual
+from .sample import worst_of, worst_residual
 from .symplectic import hamiltonian_vf
 
 EMat = Tuple[Expr, Expr, Expr, Expr]  # 2x2 matrix of expressions, row-major
@@ -219,7 +219,7 @@ def F_mpc(z: StructuredVF, *, check: bool = True) -> Expr:
         if not all(r <= z.bundle.chart.sampler.tolerance for r in residuals):
             raise NotQuantomorphismError(
                 "field is not an infinitesimal structure-preserving symmetry",
-                max(residuals))
+                worst_of(residuals))
     return mul(rational(-1), IMAG, HBAR, z.gamma())
 
 
@@ -295,18 +295,17 @@ def pushforward_residual(bundle: MpcPrequant, fmap: Callable, x: Sequence[float]
     """max over 4 random unit tangents v of |gamma(K_* v) - gamma(v)|, with
     the pushforward taken by central differences of the coordinate map."""
     rng = bundle.chart.sampler.rng("push")
-    worst = 0.0
-    for _ in range(4):
+
+    def gap() -> float:
         v = [rng.uniform(-1, 1) for _ in range(7)]
         norm = math.sqrt(sum(c * c for c in v))
         v = [c / norm for c in v]
         hi = fmap([a + h * b for a, b in zip(x, v)])
         lo = fmap([a - h * b for a, b in zip(x, v)])
         pushed = [(a - b) / (2 * h) for a, b in zip(hi, lo)]
-        g1 = gamma_numeric(bundle, fmap(list(x)), pushed)
-        g0 = gamma_numeric(bundle, x, v)
-        worst = max(worst, abs(g1 - g0))
-    return worst
+        return abs(gamma_numeric(bundle, fmap(list(x)), pushed) - gamma_numeric(bundle, x, v))
+
+    return worst_of(gap() for _ in range(4))
 
 
 def right_action_map(b: MpcElement) -> Callable:
@@ -326,8 +325,8 @@ def eta_ad_residual(n: int, rng: random.Random) -> float:
     character's derivative: (1/2) d/dt arg eta(a exp(t alpha) a^{-1}) = Im tau,
     at n elements drawn from ``rng``."""
     h = 1e-6
-    worst = 0.0
-    for _ in range(n):
+
+    def gap() -> float:
         alg = random_algebra(rng)
         g = rng.uniform(-0.9, 0.9)
         a = MpcElement(
@@ -335,9 +334,9 @@ def eta_ad_residual(n: int, rng: random.Random) -> float:
                     (math.exp(g), 0.0, rng.uniform(-0.5, 0.5), math.exp(-g))),
             cmath.exp(1j * rng.uniform(-3, 3)))
         conj = mpc_mul(mpc_mul(a, exp_mpc(alg, h)), mpc_inv(a))
-        fd = 0.5 * cmath.phase(eta(conj)) / h
-        worst = max(worst, abs(fd - alg.tau.imag))
-    return worst
+        return abs(0.5 * cmath.phase(eta(conj)) / h - alg.tau.imag)
+
+    return worst_of(gap() for _ in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -410,22 +409,16 @@ def example_fiberwise_twist(bundle: MpcPrequant) -> TwistReport:
     difference steps), the frame gap between the images of two points of one
     Sigma-fiber, and the change of the determinant character."""
     pts = sample_fiber_points(bundle, 8, seed_tag="twist")
-    worst = 0.0
-    worst_half = 0.0
-    for x in pts:
-        worst = max(worst, pushforward_residual(bundle, _twist_covering_map, x,
-                                                h=1e-6))
-        worst_half = max(worst_half, pushforward_residual(
-            bundle, _twist_covering_map, x, h=5e-7))
+    worst = worst_of(pushforward_residual(bundle, _twist_covering_map, x, 1e-6) for x in pts)
+    worst_half = worst_of(pushforward_residual(bundle, _twist_covering_map, x, 5e-7)
+                          for x in pts)
     # two points of one Sigma-fiber: t = 0 and t = 1/8
     g0 = fiber_twist(MpcElement(IDENTITY, 1.0)).g
     g1 = fiber_twist(MpcElement(IDENTITY, cmath.exp(2j * math.pi / 8))).g
     gap = mat_sub_norm(g0, g1)
     rng = bundle.chart.sampler.rng("twist-eta")
-    eta_worst = 0.0
-    for _ in range(20):
-        a = random_mpc(rng, 0.8, 3)
-        eta_worst = max(eta_worst, abs(eta(fiber_twist(a)) - eta(a)))
+    eta_worst = worst_of(abs(eta(fiber_twist(a)) - eta(a))
+                         for a in (random_mpc(rng, 0.8, 3) for _ in range(20)))
     return TwistReport(gamma_residual=worst, gamma_residual_half_step=worst_half,
                        fiber_gap=gap, eta_residual=eta_worst)
 
@@ -457,10 +450,11 @@ def example_base_rotation(bundle: MpcPrequant, angle: Expr) -> RotationReport:
 
     k = _rotation_covering_map(math.cos(angle_num), math.sin(angle_num))
     rng = bundle.chart.sampler.rng("rotation-equivariance")
-    equiv = 0.0
+    gaps = []
     for x in sample_fiber_points(bundle, 20, seed_tag="rotation"):
         act = right_action_map(random_mpc(rng, 0.8, 3))
-        equiv = max(equiv, *(abs(a - b) for a, b in zip(k(act(x)), act(k(x)))))
+        gaps.extend(abs(a - b) for a, b in zip(k(act(x)), act(k(x))))
+    equiv = worst_of(gaps)
 
     # the induced frame map keeps g, while the lift of T rotates the frame
     return RotationReport(gamma_preserved=gamma_sym, equivariance_residual=equiv,

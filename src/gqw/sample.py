@@ -22,6 +22,7 @@ gqw itself is single-threaded.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
@@ -152,6 +153,17 @@ def expr_equal(a: Expr, b: Expr, sampler: DomainSampler) -> Tuple[bool, float]:
     return worst <= sampler.tolerance, worst
 
 
+def worst_of(residuals: Iterable[float]) -> float:
+    """The largest of the residuals, 0.0 for none, and NaN if any is NaN:
+    ``max`` keeps a NaN only when it comes first, so a reduction by ``max``
+    can read a failed evaluation as a residual of 0.0."""
+    worst = 0.0
+    for r in residuals:
+        if r > worst or math.isnan(r):
+            worst = r
+    return worst
+
+
 def worst_residual(pairs: Iterable[Tuple[Expr, Expr]], sampler: DomainSampler) -> float:
     """The largest expr_equal residual over (a, b) pairs; 0.0 for none."""
-    return max((expr_equal(a, b, sampler)[1] for a, b in pairs), default=0.0)
+    return worst_of(expr_equal(a, b, sampler)[1] for a, b in pairs)

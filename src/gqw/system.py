@@ -236,6 +236,10 @@ def load_spec_text(text: str, validate: bool = True,
     hams: Dict[str, Expr] = {}
     entries = sections.get("hamiltonians", [])
     if not entries:
+        if not {"p", "q"} <= set(coords):
+            raise SystemSpecError(
+                f"the built-in Hamiltonians are written in p, q, but the coordinates "
+                f"are {', '.join(coords)}: declare a [hamiltonians] section")
         entries = [(k, v, 0) for k, v in DEFAULT_HAMILTONIANS]
     for k, v, lineno in entries:
         try:

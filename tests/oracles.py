@@ -1,13 +1,13 @@
-"""Oracles of the tests: a field's RK4 flow, the Lie derivative of a form
-as a centered finite difference of its pullbacks under that flow, the lift
-of a matrix path evaluated afresh at every point, and a product and power
-that store nothing.  The first two use nothing of the symbolic bracket or
-Lie-derivative code they check, only ``gqw.flows``' RK4 step and the chart's
-evaluation context; the lift uses neither kappa nor the powers of one step
-that ``gqw.mpc_group.lift_path`` multiplies; the product never reads the
-kernel's table of expanded products and rebuilds every factor through its
-power; the sum splits and rebuilds every term and always runs the
-sin^2 + cos^2 pass."""
+"""Oracles of the tests: a field's numeric right-hand side and RK4 flow, the
+Lie derivative of a form as a centered finite difference of its pullbacks
+under that flow, the lift of a matrix path evaluated afresh at every point,
+and a product and power that store nothing.  The first two use nothing of the
+symbolic bracket or Lie-derivative code they check, only ``gqw.flows``' RK4
+step and the chart's evaluation context; the lift uses neither kappa nor the
+powers of one step that ``gqw.mpc_group.lift_path`` multiplies; the product
+never reads the kernel's table of expanded products and rebuilds every
+factor through its power; the sum splits and rebuilds every term and always
+runs the sin^2 + cos^2 pass."""
 
 import cmath
 import math
@@ -18,9 +18,14 @@ from gqw.expr import (
     IMAG, MINUS_ONE, ONE, ZERO, Add, Expr, Mul, Pow, Rational, _key, _pythagoras,
     add, evalf, rational,
 )
-from gqw.flows import rk4_step, vf_rhs
+from gqw.flows import RHS, components_rhs, rk4_step
 from gqw.forms import KForm, VectorField
 from gqw.mpc_group import Mat, MpElement, automorphy_angle, mp_identity
+
+
+def vf_rhs(v: VectorField) -> RHS:
+    """Numeric right-hand side of a symbolic vector field on its chart."""
+    return components_rhs(v.chart, v.components)
 
 
 def flow_point(v: VectorField, x: Sequence[float], t: float,

@@ -1,17 +1,19 @@
 """Exterior calculus on charts: d, interior product, brackets, pullback."""
 
+import math
+
 import pytest
 
 from gqw.errors import ChartMismatchError, DegreeError, ExprSyntaxError
 from gqw.expr import ZERO, add, call, diff, mul, power, rational, symbol
-from gqw.flows import flow_commutator, vf_rhs
+from gqw.flows import commutator_residual, flow_commutator
 from gqw.forms import (
     Chart, ChartMap, VectorField, exterior_derivative, interior_product,
     lie_bracket, lie_derivative, parse_form, pullback, scalar_form, wedge,
 )
 from gqw.sample import DomainSampler, expr_equal
 
-from oracles import pullback_under_flow
+from oracles import pullback_under_flow, vf_rhs
 
 P, Q = symbol("p"), symbol("q")
 
@@ -180,6 +182,19 @@ def test_bracket_matches_flow_commutator(chart):
         exact = rhs(x)
         for a, b in zip(oracle, exact):
             assert abs(a - b) < 1e-5
+
+
+def test_commutator_residual_keeps_a_nan_at_a_later_point():
+    # the fields commute; the claimed bracket is nan at the second point only,
+    # which a reduction by max() would read as residual 0.0
+    def bracket(x):
+        return [0.0, float("nan") if x[0] > 0 else 0.0]
+
+    def shift(k):
+        return lambda x: [1.0 if i == k else 0.0 for i in range(2)]
+
+    assert math.isnan(commutator_residual(shift(0), shift(1), bracket, [(-1.0, 0.0), (1.0, 0.0)]))
+    assert commutator_residual(shift(0), shift(1), bracket, [(-1.0, 0.0)]) == 0.0
 
 
 def test_jacobi_identity_on_corpus(chart):

@@ -1,6 +1,8 @@
 """System file loading, validation, suite reports, and the CLI contract."""
 
+import hashlib
 import json
+import math
 import os
 import random
 import re
@@ -377,6 +379,99 @@ def test_tuple_verdict_passes_through_unchanged(monkeypatch):
         ("pass", 0.25, 7, None), ("fail", 1.5, 3, None)]
 
 
+def test_measurement_row_stops_at_its_first_over_bound_measurement(monkeypatch):
+    from gqw.suites import _within
+    taken = []
+
+    def measure():
+        for m in [(0.1, 2), (0.4, 3), (0.7, 4), (0.9, 5)]:
+            taken.append(m)
+            yield m
+
+    _, checks = run_rows(monkeypatch, [
+        ("over", "a", _within(0.5, measure)),
+        ("within", "b", _within(0.5, lambda: [(0.1, 2), (0.5, 3), (0.0, 0)])),
+        ("none", "c", _within(0.0, lambda: []))])
+    # worst and n up to the first residual over 0.5; the last is never taken
+    assert [(c.status, c.residual, c.n_samples, c.error) for c in checks] == [
+        ("fail", 0.7, 9, None), ("pass", 0.5, 5, None), ("pass", 0.0, 0, None)]
+    assert taken == [(0.1, 2), (0.4, 3), (0.7, 4)]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_measurement_fails_its_row_with_valid_json(monkeypatch, bad):
+    from gqw.suites import Report, _within
+    _, checks = run_rows(monkeypatch, [
+        # a NaN under the bound and a NaN after a passing residual alike
+        ("first", "a", _within(1.0, lambda: [(bad, 1), (0.5, 1)])),
+        ("later", "b", _within(1.0, lambda: [(0.5, 1), (bad, 1)]))])
+    for c in checks:
+        assert (c.status, c.residual, c.n_samples) == ("fail", None, 0)
+        assert c.error == f"NumericError: non-finite residual {bad}"
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    rows = json.loads(Report("poisson", checks).to_json(), parse_constant=reject)["checks"]
+    assert [r["residual"] for r in rows] == [None, None]
+
+
+def test_worst_of_keeps_a_nan_wherever_it_stands():
+    from gqw.sample import worst_of
+    nan = float("nan")
+    assert max(0.0, 0.5, nan) == 0.5  # what a reduction by max reads
+    for values in ([nan, 0.5], [0.5, nan], [0.5, nan, 2.0], [nan, float("inf")]):
+        assert math.isnan(worst_of(values))
+    assert worst_of([0.5, 2.0, 1.0]) == 2.0 and worst_of([]) == 0.0
+    assert worst_of([float("inf"), 1.0]) == float("inf")
+
+
+def test_a_non_finite_residual_fails_only_its_own_row_at_tiny_hbar():
+    # at hbar = 1e-310 gamma carries 1/(i hbar) = -inf*i, so every sampled
+    # difference of prequant-invariance is nan; max() dropped them and the
+    # row passed with residual 0.0
+    spec = load_bundled(hbar=1e-310)
+    rows = {c.id: c for c in run_suite(spec, "all").checks}
+    row = rows["prequant-invariance"]
+    assert (row.status, row.residual, row.n_samples) == ("fail", None, 0)
+    assert row.error == "NumericError: non-finite residual nan"
+    # the twist report is shared: its other rows are finite and still pass
+    assert rows["twist-eta-preserved"].passed and rows["twist-no-frame-map"].passed
+    assert rows["twist-gamma-preserved"].error == "NumericError: non-finite residual nan"
+
+
+# SHA-256 of the CLI's JSON output, `gqw check --format json --seed S` for
+# `all` and `gqw group selftest --format json --seed S` for `group`
+REPORT_DIGESTS = {
+    ("all", 42): "95192642c97a763672f10c65fca32dc5ada786031cba04f765ec0498534914df",
+    ("all", 7): "ef1f821ada2c93fa137076bb3f6754f707630b5b12e15518df1e4f82bceebd07",
+    ("all", 7919): "e4e5e7756be28945f44712b5a1b57483478a1f8b5767c8c1239168dc80e60e3f",
+    ("group", 42): "9665167c201f02a36494ee351e8f7dfbb1ad3b017f15a0024a4488e01e20fadb",
+    ("group", 7): "c9aa26003e980e63b4fa1aa0d5a946b738298315b60d9b8ba483cd7cb09433cd",
+    ("group", 7919): "c738b935231bdad13cafbc3a458d223468cd0f914a4b6bce7ee4e3055a9af82e",
+}
+
+
+@pytest.mark.parametrize("suite, seed", sorted(REPORT_DIGESTS))
+def test_reports_match_their_pinned_digests(suite, seed):
+    """The gate of a refactor: the bundled reports are byte-identical to the
+    pinned ones.  A change that alters reports on purpose updates these pins
+    and says so, with the old and new digests, in CHANGES.md."""
+    out = run_suite(load_bundled(seed=seed), suite).to_json() + "\n"
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS[suite, seed]
+
+
+def test_only_the_witness_rows_decide_themselves(monkeypatch):
+    # with the rule failing everything, the rows that still pass are exactly
+    # those that return their own verdict
+    from gqw import suites
+    monkeypatch.setattr(suites, "_decide", lambda measurements, bound: (False, 0.0, 0))
+    report = run_suite(load_bundled(), "all")
+    assert {c.id for c in report.checks if c.passed} == {
+        "twist-no-frame-map", "rotation-frame-mismatch", "membership-regression"}
+    assert all(c.error is None for c in report.checks)
+
+
 ONE_HAMILTONIAN = GOOD[:GOOD.index("[hamiltonians]")] + """[hamiltonians]
 energy = 1/2*(p^2 + q^2)
 """
@@ -472,6 +567,19 @@ beta = 1/2*x^2*dy
 lin_x = x
 lin_y = y
 """
+
+
+def test_built_in_hamiltonians_need_p_and_q():
+    # they used to fail as "hamiltonian 'lin_p': unknown symbol 'p'", naming
+    # a Hamiltonian the file never declared
+    text = NON_STANDARD_AREA.replace("omega = x*dx^dy", "omega = dx^dy").replace(
+        "beta = 1/2*x^2*dy", "beta = x*dy")
+    spec = load_spec_text(text)
+    assert spec.coords == ("x", "y") and run_suite(spec, "poisson").passed
+    with pytest.raises(SystemSpecError) as err:
+        load_spec_text(text[:text.index("[hamiltonians]")])
+    assert str(err.value) == ("the built-in Hamiltonians are written in p, q, but the "
+                              "coordinates are x, y: declare a [hamiltonians] section")
 
 
 def test_setup_failures_name_the_charts_own_area_form():
