@@ -33,19 +33,16 @@ TWO_PI_HBAR_INV = power(mul(rational(2), PI, HBAR), -1)
 class PrequantCircle:
     """Bundle data: a symplectic chart plus a potential with d(beta) = omega."""
 
-    def __init__(self, sympl: SymplecticChart, beta: KForm, validate: bool = True):
+    def __init__(self, sympl: SymplecticChart, beta: KForm):
         if beta.degree != 1 or beta.chart.coords != sympl.chart.coords:
             raise ValueError("beta must be a 1-form on the symplectic chart")
         self.sympl = sympl
         self.chart = sympl.chart
         self.beta = beta
-        if validate:
-            d_beta = exterior_derivative(beta)
-            for a, b in zip(d_beta.coeffs, sympl.omega.coeffs):
-                ok, res = expr_equal(a, b, self.chart.sampler)
-                if not ok:
-                    raise NotQuantomorphismError(
-                        "d(beta) != omega for the supplied potential", res)
+        for a, b in zip(exterior_derivative(beta).coeffs, sympl.omega.coeffs):
+            ok, res = expr_equal(a, b, self.chart.sampler)
+            if not ok:
+                raise NotQuantomorphismError("d(beta) != omega for the supplied potential", res)
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,11 +117,9 @@ def F_circle(z: CircleLiftedVF) -> Expr:
     """Inverse of E on connection-preserving fields:
     -(1/(i hbar)) F(zeta) = gamma(zeta), so F = -(i hbar) gamma(zeta); the
     field must preserve gamma within its bundle's sampler tolerance."""
-    if not gamma_lie_derivative(z).is_zero():
-        res = quantomorphism_residual(z)
-        if res > z.bundle.chart.sampler.tolerance:
-            raise NotQuantomorphismError(
-                "the field does not preserve the connection form", res)
+    res = quantomorphism_residual(z)
+    if res > z.bundle.chart.sampler.tolerance:
+        raise NotQuantomorphismError("the field does not preserve the connection form", res)
     return mul(rational(-1), IMAG, HBAR, z.gamma())
 
 

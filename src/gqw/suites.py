@@ -434,13 +434,11 @@ def group_checks(spec: SystemSpec) -> List[Check]:
     def rand_mpc(rng):
         return random_mpc(rng, 1.2, math.pi)
 
-    def cocycle_identity():
-        rng = spec.chart.sampler.rng("cocycle")
-        for _ in range(1000):
-            g1, g2, g3 = rand_sp(rng), rand_sp(rng), rand_sp(rng)
-            lhs = kappa(g1, g2) + kappa(mat_mul(g1, g2), g3)
-            rhs = kappa(g2, g3) + kappa(g1, mat_mul(g2, g3))
-            yield float((lhs - rhs) % 2 != 0), 1
+    def cocycle_identity(rng):
+        g1, g2, g3 = rand_sp(rng), rand_sp(rng), rand_sp(rng)
+        lhs = kappa(g1, g2) + kappa(mat_mul(g1, g2), g3)
+        rhs = kappa(g2, g3) + kappa(g1, mat_mul(g2, g3))
+        return float((lhs - rhs) % 2 != 0)
 
     def drawn(tag: str, n: int, residual: Callable[[random.Random], float]):
         """Measurements residual(rng) of n draws of the {seed}:{tag} stream."""
@@ -465,16 +463,14 @@ def group_checks(spec: SystemSpec) -> List[Check]:
         return worst_of((mat_sub_norm(sigma(ab), mat_mul(sigma(a), sigma(b))),
                          abs(eta(ab) - eta(a) * eta(b))))
 
-    def path_lift_vs_cocycle():
-        rng = spec.chart.sampler.rng("pathlift")
-        for _ in range(200):
-            a1 = random_traceless(rng, 2)
-            a2 = random_traceless(rng, 2)
-            lift1 = lift_path(a1, 128)
-            lift2 = lift_path(a2, 128)
-            cont = lift_path(a2, 128, start=lift1)
-            prod = mp_mul(lift1, lift2)
-            yield float(cont.sheet != prod.sheet or not mat_sub_norm(cont.g, prod.g) <= 1e-9), 1
+    def path_lift_vs_cocycle(rng):
+        a1 = random_traceless(rng, 2)
+        a2 = random_traceless(rng, 2)
+        lift1 = lift_path(a1, 128)
+        lift2 = lift_path(a2, 128)
+        cont = lift_path(a2, 128, start=lift1)
+        prod = mp_mul(lift1, lift2)
+        return float(cont.sheet != prod.sheet or not mat_sub_norm(cont.g, prod.g) <= 1e-9)
 
     def loop_lifts():
         single = lift_path(tuple(2 * math.pi * v for v in ROTATION_GENERATOR), 256)
@@ -506,7 +502,7 @@ def group_checks(spec: SystemSpec) -> List[Check]:
 
     return [
         ("cocycle-identity", "kappa parity satisfies the 2-cocycle identity",
-         _within(0.0, cocycle_identity)),
+         _within(0.0, drawn("cocycle", 1000, cocycle_identity))),
         ("group-axioms", "associativity and inverses in the circle extension",
          _within(1e-9, drawn("axioms", 1000, axioms))),
         ("eta-center", "eta(lambda) = lambda^2 on the central circle",
@@ -515,7 +511,7 @@ def group_checks(spec: SystemSpec) -> List[Check]:
          _within(1e-9, drawn("homs", 1000, homomorphisms))),
         ("path-lift-vs-cocycle",
          "continuous path lifting agrees with the cocycle sheets on products",
-         _within(0.0, path_lift_vs_cocycle)),
+         _within(0.0, drawn("pathlift", 200, path_lift_vs_cocycle))),
         ("loop-lifts", "R(2 pi t) lifts open; R(4 pi t) lifts closed", _within(0.0, loop_lifts)),
         ("exp-one-parameter", "exp((t+s) alpha) = exp(t alpha) exp(s alpha)",
          _within(1e-9, exp_one_parameter)),
@@ -679,7 +675,8 @@ def delta_checks(spec: SystemSpec) -> List[Check]:
     s = spec.sympl
     hs = list(spec.hamiltonians.values())
     vocab = section_vocabulary(bundle)
-    sections = [parse_expr(t, vocab) for t in ["1", "g11*p", "p*q + g21"]]
+    x1, x2 = spec.coords  # the bundle exists, so the chart is 2-d
+    sections = [parse_expr(t, vocab) for t in ["1", f"g11*{x1}", f"{x1}*{x2} + g21"]]
 
     def identity_rule():
         for u in sections:
@@ -696,7 +693,7 @@ def delta_checks(spec: SystemSpec) -> List[Check]:
     def scaled_operator():
         y = spec.circle_bundle()
         for f in hs[3:6]:
-            for t in ["1", "p*q"]:
+            for t in ["1", f"{x1}*{x2}"]:
                 u = parse_expr(t, spec.coords)
                 lhs = mul(IMAG, HBAR, delta_operator(f, u, bundle))
                 yield lhs, ks_operator(f, u, y)

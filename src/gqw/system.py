@@ -33,7 +33,9 @@ from __future__ import annotations
 import functools
 import importlib.resources
 import math
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .errors import GqwError, SystemSpecError
@@ -60,7 +62,6 @@ class SystemSpec:
     sympl: SymplecticChart
     beta: KForm
     hamiltonians: Dict[str, Expr]
-    validate: bool = True
 
     @property
     def chart(self) -> Chart:
@@ -69,10 +70,6 @@ class SystemSpec:
     @property
     def coords(self) -> Tuple[str, ...]:
         return self.chart.coords
-
-    @property
-    def omega(self) -> KForm:
-        return self.sympl.omega
 
     @property
     def seed(self) -> int:
@@ -92,7 +89,7 @@ class SystemSpec:
 
     @functools.cached_property
     def _circle(self) -> PrequantCircle:
-        return PrequantCircle(self.sympl, self.beta, validate=self.validate)
+        return PrequantCircle(self.sympl, self.beta)
 
     @functools.cached_property
     def _mpc(self) -> MpcPrequant:
@@ -137,7 +134,7 @@ def _line(entries, key: str) -> str:
     return next((f"line {n}: " for k, _, n in entries if k == key), "")
 
 
-def _number(entries, key: str, convert, default: str, override):
+def _number(entries, key: str, convert, default, override):
     """The [tolerances] value of ``key`` converted by ``convert`` (int or
     float): the override when one is given, else the file's value, else
     ``default``.  Also returns the "line N: " prefix for error messages."""
@@ -145,7 +142,7 @@ def _number(entries, key: str, convert, default: str, override):
         return override, ""
     text = _single(entries, key)
     if text is None:
-        text = default
+        return default, ""
     where = _line(entries, key)
     try:
         return convert(text), where
@@ -154,8 +151,7 @@ def _number(entries, key: str, convert, default: str, override):
         raise SystemSpecError(f"{where}'{key} = {text}' is not {kind}") from None
 
 
-def load_spec_text(text: str, validate: bool = True,
-                   samples: Optional[int] = None, tol: Optional[float] = None,
+def load_spec_text(text: str, samples: Optional[int] = None, tol: Optional[float] = None,
                    seed: Optional[int] = None, hbar: Optional[float] = None) -> SystemSpec:
     sections = _parse_sections(text)
     for required in ("manifold", "symplectic", "prequant"):
@@ -175,27 +171,35 @@ def load_spec_text(text: str, validate: bool = True,
             f"{_line(man, 'coordinates')}'coordinates = {coords_text}': {exc}") from None
 
     tols = sections.get("tolerances", [])
-    epsilon, epsilon_at = _number(tols, "epsilon", float, "1e-9", tol)
-    n_samples, samples_at = _number(tols, "samples", int, "32", samples)
-    seed_v, _ = _number(tols, "seed", int, "42", seed)
-    hbar_v, hbar_at = _number(tols, "hbar", float, "1", hbar)
+    epsilon, epsilon_at = _number(tols, "epsilon", float, DomainSampler.tolerance, tol)
+    n_samples, samples_at = _number(tols, "samples", int, DomainSampler.n_samples, samples)
+    seed_v, _ = _number(tols, "seed", int, DomainSampler.seed, seed)
+    hbar_v, hbar_at = _number(tols, "hbar", float, DomainSampler.hbar, hbar)
     if not n_samples >= 1:
         raise SystemSpecError(f"{samples_at}samples = {n_samples}: at least 1 is needed")
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise SystemSpecError(f"{epsilon_at}epsilon = {epsilon}: it must be finite and positive")
     if not (math.isfinite(hbar_v) and hbar_v != 0):
         raise SystemSpecError(f"{hbar_at}hbar = {hbar_v}: it must be finite and nonzero")
+    if not math.isfinite(1 / hbar_v):
+        # gamma carries 1/(i hbar), which would be infinite at every point
+        raise SystemSpecError(f"{hbar_at}hbar = {hbar_v}: 1/hbar overflows; |hbar| must "
+                              f"be at least about {1 / sys.float_info.max:.2g}")
 
     box = {}
     for k, v, lineno in man:
         if k.startswith("box "):
             name = k[4:].strip()
             try:
-                bounds = tuple(float(x) for x in v.replace(",", " ").split())
-            except ValueError:
+                # Fraction reads 3/2, 0.5 and 1e-3 alike and refuses nan and inf
+                bounds = tuple(float(Fraction(x)) for x in v.replace(",", " ").split())
+            except (ValueError, ZeroDivisionError, OverflowError):
                 bounds = ()
             if name not in coords or len(bounds) != 2:
                 raise SystemSpecError(f"line {lineno}: bad box entry '{k} = {v}'")
+            if not bounds[0] < bounds[1]:
+                raise SystemSpecError(
+                    f"line {lineno}: '{k} = {v}': the lower bound must be below the upper")
             box[name] = bounds
     for c in coords:
         box.setdefault(c, (-2.0, 2.0))
@@ -248,26 +252,22 @@ def load_spec_text(text: str, validate: bool = True,
             raise SystemSpecError(f"hamiltonian '{k}': {exc}") from exc
 
     try:
-        sympl = SymplecticChart(chart, omega)
-        spec = SystemSpec(sympl=sympl, beta=beta, hamiltonians=hams,
-                          validate=validate)
-        if validate:
-            spec.circle_bundle()  # runs the d(beta) = omega check now
-            sampler.points(1, seed_tag="probe")  # sampler must be nonempty
+        # the nondegeneracy check draws the domain's first points, so an
+        # empty domain fails here; the bundle checks d(beta) = omega
+        spec = SystemSpec(sympl=SymplecticChart(chart, omega), beta=beta, hamiltonians=hams)
+        spec.circle_bundle()
     except GqwError as exc:
-        if isinstance(exc, SystemSpecError):
-            raise
         raise SystemSpecError(f"validation failed: {exc}") from exc
     return spec
 
 
-def load_spec(path: str, validate: bool = True, **overrides) -> SystemSpec:
+def load_spec(path: str, **overrides) -> SystemSpec:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise SystemSpecError(f"cannot read '{path}': {exc}") from exc
-    return load_spec_text(text, validate=validate, **overrides)
+    return load_spec_text(text, **overrides)
 
 
 def bundled_spec_text() -> str:

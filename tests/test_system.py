@@ -40,11 +40,15 @@ def test_bad_potential_rejected_at_load():
         load_spec_text(text)
 
 
-def test_validation_can_be_deferred_for_mutation_runs():
+def test_validation_can_be_deferred_for_mutation_runs(monkeypatch):
+    import gqw.circle
     text = GOOD.replace("beta = 1/2*(p*dq - q*dp)", "beta = -1/2*(p*dq - q*dp)")
     with pytest.raises(SystemSpecError):
         load_spec_text(text)
-    spec = load_spec_text(text, validate=False)
+    # a mutation run bypasses the d(beta) = omega check for the load only
+    with monkeypatch.context() as patched:
+        patched.setattr(gqw.circle, "expr_equal", lambda a, b, sampler: (True, 0.0))
+        spec = load_spec_text(text)
     report = run_suite(spec, "dirac")
     assert not report.passed
     failed = {c.id for c in report.checks if not c.passed}
@@ -87,7 +91,17 @@ def test_overrides():
     ("hbar = 1", "hbar = 0"),
     ("hbar = 1", "hbar = nan"),
     ("hbar = 1", "hbar = inf"),
+    ("hbar = 1", "hbar = 1e-310"),
+    ("hbar = 1", "hbar = -1e-310"),
     ("epsilon = 1e-9", "epsilon = inf"),
+    # nan failed to sample with "could not find 32 usable points in 32000
+    # draws"; an empty interval loaded and sampled only the line p = 1
+    ("box p = -2, 2", "box p = nan, 2"),
+    ("box p = -2, 2", "box p = -2, inf"),
+    ("box p = -2, 2", "box p = 1/0, 2"),
+    ("box p = -2, 2", "box p = -2, 1e400"),
+    ("box p = -2, 2", "box p = 1, 1"),
+    ("box p = -2, 2", "box p = 2, -2"),
 ])
 def test_bad_values_name_their_key_and_line(old, new):
     text = GOOD.replace(old, new)
@@ -96,6 +110,19 @@ def test_bad_values_name_their_key_and_line(old, new):
         load_spec_text(text)
     assert f"line {line}: " in str(err.value)
     assert new.split(" = ")[0] in str(err.value)
+
+
+def test_box_bounds_read_rationals_decimals_and_exponents():
+    # a box bound used to be read by float(), which refused 3/2 and took nan
+    text = GOOD.replace("box p = -2, 2", "box p = -2, 3/2").replace(
+        "box q = -2, 2", "box q = -1/2, 1e-3")
+    assert load_spec_text(text).chart.sampler.box == {"p": (-2.0, 1.5), "q": (-0.5, 0.001)}
+
+
+def test_hbar_loads_down_to_where_its_reciprocal_overflows():
+    assert load_bundled(hbar=6e-309).hbar == 6e-309
+    with pytest.raises(SystemSpecError):
+        load_bundled(hbar=5e-309)
 
 
 def test_cli_bad_value_in_file_exit_two(tmp_path, capsys):
@@ -160,7 +187,7 @@ def test_cli_unusable_coordinates_exit_two(coords, command, tmp_path, capsys):
 STREAM_TAGS = set("""
     axioms bracket-random center circle-flow circle-flow:fiber cocycle eta-ad
     exp fiber fiber:fiber hatvert hlift homs inv inv:fiber invariance jacobi
-    leibniz nondegenerate pathlift probe push rotation rotation-equivariance
+    leibniz nondegenerate pathlift push rotation rotation-equivariance
     rotation:fiber split twist twist-eta twist:fiber vertical""".split())
 
 
@@ -185,6 +212,7 @@ def test_every_stream_is_named_by_the_seed_and_its_tag(seed, monkeypatch):
     ("--samples", "0", "samples"), ("--samples", "-3", "samples"),
     ("--tol", "-1", "epsilon"), ("--tol", "0", "epsilon"),
     ("--hbar", "0", "hbar"), ("--hbar", "nan", "hbar"), ("--hbar", "inf", "hbar"),
+    ("--hbar", "1e-310", "hbar"), ("--hbar", "-1e-310", "hbar"),
 ])
 def test_cli_rejects_out_of_range_overrides(flag, value, key, capsys):
     assert main(["check", "--suite", "poisson", flag, value]) == 2
@@ -212,6 +240,7 @@ def test_cli_hands_signed_values_to_the_loader(monkeypatch):
 @pytest.mark.parametrize("flag, value, message", [
     ("--hbar", "-inf", "hbar = -inf: it must be finite and nonzero"),
     ("--hbar", "-1e400", "hbar = -inf: it must be finite and nonzero"),
+    ("--hbar", "1e-310", "hbar = 1e-310: 1/hbar overflows; |hbar| must be at least about 5.6e-309"),
     ("--tol", "inf", "epsilon = inf: it must be finite and positive"),
     ("--tol", "-1e-3", "epsilon = -0.001: it must be finite and positive"),
 ])
@@ -426,11 +455,13 @@ def test_worst_of_keeps_a_nan_wherever_it_stands():
     assert worst_of([float("inf"), 1.0]) == float("inf")
 
 
-def test_a_non_finite_residual_fails_only_its_own_row_at_tiny_hbar():
-    # at hbar = 1e-310 gamma carries 1/(i hbar) = -inf*i, so every sampled
-    # difference of prequant-invariance is nan; max() dropped them and the
-    # row passed with residual 0.0
-    spec = load_bundled(hbar=1e-310)
+def test_a_non_finite_residual_fails_only_its_own_row(monkeypatch):
+    # with gamma evaluating to nan every sampled difference of
+    # prequant-invariance is nan; max() dropped them and the row passed with
+    # residual 0.0
+    import gqw.mpc_bundle
+    spec = load_bundled()
+    monkeypatch.setattr(gqw.mpc_bundle, "gamma_numeric", lambda *args, **kwargs: complex("nan"))
     rows = {c.id: c for c in run_suite(spec, "all").checks}
     row = rows["prequant-invariance"]
     assert (row.status, row.residual, row.n_samples) == ("fail", None, 0)
@@ -580,6 +611,18 @@ def test_built_in_hamiltonians_need_p_and_q():
         load_spec_text(text[:text.index("[hamiltonians]")])
     assert str(err.value) == ("the built-in Hamiltonians are written in p, q, but the "
                               "coordinates are x, y: declare a [hamiltonians] section")
+
+
+def test_every_suite_runs_on_a_standard_chart_with_other_names():
+    # the delta suite parsed sections written in p, q and failed its setup
+    # with "unknown symbol 'p'".  x, y keep the report byte-identical: terms
+    # are ordered by symbol name, and x, y sort against g11 ... g22 as p, q
+    # do, while other names may reorder sums and move residuals' last bits
+    text = re.sub(r"\b(d?)q\b", r"\1y", re.sub(r"\b(d?)p\b", r"\1x", GOOD))
+    assert "coordinates = x, y" in text and "omega = dx^dy" in text
+    renamed = load_spec_text(text)
+    assert renamed.coords == ("x", "y")
+    assert run_suite(renamed, "all").to_json() == run_suite(load_bundled(), "all").to_json()
 
 
 def test_setup_failures_name_the_charts_own_area_form():
