@@ -33,7 +33,7 @@ from .circle import (
 )
 from .mpc_group import (
     MpcAlgebra, MpcElement, MpElement, eta, exp_mpc, kappa, lift_path,
-    mp_mul, mpc_inv, mpc_mul, mu_loop, sigma,
+    lift_steps, mp_mul, mpc_inv, mpc_mul, mu_loop, sigma,
 )
 from .mpc_bundle import (
     E_mpc, F_mpc, MpcPrequant, StructuredVF, delta_operator,
@@ -54,7 +54,8 @@ __all__ = [
     "CircleLiftedVF", "E_circle", "F_circle", "PrequantCircle",
     "bracket_lifted", "connection_nabla", "horizontal_lift",
     "ks_operator", "MpcAlgebra", "MpcElement", "MpElement", "eta", "exp_mpc",
-    "kappa", "lift_path", "mp_mul", "mpc_inv", "mpc_mul", "mu_loop", "sigma",
+    "kappa", "lift_path", "lift_steps", "mp_mul", "mpc_inv", "mpc_mul",
+    "mu_loop", "sigma",
     "E_mpc", "F_mpc", "MpcPrequant", "StructuredVF", "delta_operator",
     "example_base_rotation", "example_fiberwise_twist", "frame_lift",
     "hat_lift", "quantomorphism_membership", "structured_bracket",

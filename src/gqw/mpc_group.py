@@ -12,7 +12,9 @@ subgroups are closed form: the Cayley-Hamilton exponential, and a sheet rule
 that counts the half-turns of c i + d.  Path lifting, an independent
 oracle for both, follows a left-translated one-parameter path g0 exp(s A)
 through the points g0 exp(A / n)^k and unwraps the argument of c i + d
-there without calling kappa.
+there without calling kappa.  Since |d arg(c i + d) / ds| <= |A|_2, the step
+count n = lift_steps(A) = max(1, ceil(2 |A|_2 / pi)) keeps each step's turn
+within pi/2, so the unwrapping is certified; lift_path refuses fewer steps.
 
 Elements of the circle extension are kept in canonical form (sp matrix,
 unit phase) with the sheet normalized to 0; multiplication picks up a sign
@@ -99,17 +101,26 @@ def automorphy_angle(g: Mat, tau: complex) -> float:
     return _arg_branch(g[2] * tau + g[3])
 
 
-def mobius(g: Mat, tau: complex) -> complex:
-    return (g[0] * tau + g[1]) / (g[2] * tau + g[3])
-
-
 def kappa(g1: Mat, g2: Mat) -> int:
-    """Angle-wrapping defect of the automorphy factor at i; in {-1, 0, 1}."""
-    i0 = 1j
-    total = (automorphy_angle(g1, mobius(g2, i0))
-             + automorphy_angle(g2, i0)
-             - automorphy_angle(mat_mul(g1, g2), i0))
-    return round(total / (2 * math.pi))
+    """Angle-wrapping defect of the automorphy factor at i; in {-1, 0, 1}.
+
+    One pass over w(g1, g2 . i) + w(g2, i) - w(g1 g2, i), doing the float
+    operations of automorphy_angle, the Mobius image (a i + b) / (c i + d)
+    and mat_mul in the same order (only the bottom row of g1 g2 is formed),
+    so that ties on the branch cut round as they would through those calls."""
+    a1, b1, c1, d1 = g1
+    a2, b2, c2, d2 = g2
+    z2 = c2 * 1j + d2
+    w1 = cmath.phase(c1 * ((a2 * 1j + b2) / z2) + d1)
+    if w1 <= -math.pi:
+        w1 += 2 * math.pi
+    w2 = cmath.phase(z2)
+    if w2 <= -math.pi:
+        w2 += 2 * math.pi
+    w3 = cmath.phase((c1 * a2 + d1 * c2) * 1j + (c1 * b2 + d1 * d2))
+    if w3 <= -math.pi:
+        w3 += 2 * math.pi
+    return round((w1 + w2 - w3) / (2 * math.pi))
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +223,20 @@ class MpcAlgebra:
 ROTATION_GENERATOR: Mat = (0.0, -1.0, 1.0, 0.0)
 
 
+def lift_steps(A: Mat) -> int:
+    """Steps that certify lift_path(A, steps): max(1, ceil(2 |A|_2 / pi)).
+
+    The bottom row r of g0 exp(s A) solves r' = r A, so z = c i + d turns at
+    rate |d arg z / ds| <= |z'| / |z| <= |A|_2; with this many steps each
+    step turns z by at most pi/2.  For a 2x2 matrix the spectral norm is
+    (hypot(a + d, b - c) + hypot(a - d, b + c)) / 2."""
+    a, b, c, d = A
+    norm = 0.5 * (math.hypot(a + d, b - c) + math.hypot(a - d, b + c))
+    if not math.isfinite(norm):
+        raise NumericError(f"cannot lift along a matrix of norm {norm}")
+    return max(1, math.ceil(2 * norm / math.pi))
+
+
 def lift_path(A: Mat, steps: int, start: MpElement | None = None) -> MpElement:
     """Continuous lift of the path s -> g0 exp(s A), s in [0, 1], from
     ``start`` (over g0; identity by default), found without kappa or
@@ -220,7 +245,13 @@ def lift_path(A: Mat, steps: int, start: MpElement | None = None) -> MpElement:
     point is exactly g0 exp(A): on the branch cut the sheet follows the
     endpoint's rounding.  The argument of the automorphy factor z = c i + d
     is unwrapped over those points; the sheet is the parity of the turns by
-    which it leaves the principal branch."""
+    which it leaves the principal branch.  Unwrapping is right while each
+    step turns z by less than pi, which ``lift_steps(A)`` steps certify:
+    fewer raise NumericError rather than return a sheet that may be wrong."""
+    needed = lift_steps(A)
+    if steps < needed:
+        raise NumericError(f"lifting along a matrix of this norm needs at least "
+                           f"{needed} steps, not {steps}")
     current = start if start is not None else mp_identity()
     g0 = g = current.g
     wound = automorphy_angle(g, 1j) + 2 * math.pi * current.sheet

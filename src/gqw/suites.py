@@ -54,9 +54,9 @@ from .mpc_bundle import (
 )
 from .mpc_group import (
     IDENTITY, MpcAlgebra, ROTATION_GENERATOR, central, eta, exp_mpc, kappa,
-    lift_path, mat_exp, mat_mul, mat_sub_norm, mp_mul, mpc_distance,
-    mpc_identity, mpc_inv, mpc_mul, mu_loop, random_algebra, random_mpc,
-    random_traceless, sigma,
+    lift_path, lift_steps, mat_exp, mat_mul, mat_sub_norm, mp_mul,
+    mpc_distance, mpc_identity, mpc_inv, mpc_mul, mu_loop, random_algebra,
+    random_mpc, random_traceless, sigma,
 )
 from .parse import parse_expr
 from .sample import expr_equal, worst_of
@@ -466,15 +466,18 @@ def group_checks(spec: SystemSpec) -> List[Check]:
     def path_lift_vs_cocycle(rng):
         a1 = random_traceless(rng, 2)
         a2 = random_traceless(rng, 2)
-        lift1 = lift_path(a1, 128)
-        lift2 = lift_path(a2, 128)
-        cont = lift_path(a2, 128, start=lift1)
+        n2 = lift_steps(a2)
+        lift1 = lift_path(a1, lift_steps(a1))
+        lift2 = lift_path(a2, n2)
+        cont = lift_path(a2, n2, start=lift1)
         prod = mp_mul(lift1, lift2)
         return float(cont.sheet != prod.sheet or not mat_sub_norm(cont.g, prod.g) <= 1e-9)
 
     def loop_lifts():
-        single = lift_path(tuple(2 * math.pi * v for v in ROTATION_GENERATOR), 256)
-        double = lift_path(tuple(4 * math.pi * v for v in ROTATION_GENERATOR), 256)
+        turn = tuple(2 * math.pi * v for v in ROTATION_GENERATOR)
+        double_turn = tuple(4 * math.pi * v for v in ROTATION_GENERATOR)
+        single = lift_path(turn, lift_steps(turn))
+        double = lift_path(double_turn, lift_steps(double_turn))
         ok = (single.sheet == 1 and double.sheet == 0
               and mat_sub_norm(single.g, IDENTITY) < 1e-9
               and mat_sub_norm(double.g, IDENTITY) < 1e-9)

@@ -200,6 +200,10 @@ def load_spec_text(text: str, samples: Optional[int] = None, tol: Optional[float
             if not bounds[0] < bounds[1]:
                 raise SystemSpecError(
                     f"line {lineno}: '{k} = {v}': the lower bound must be below the upper")
+            if not math.isfinite(bounds[1] - bounds[0]):
+                # every draw lo + (hi - lo) * r would be infinite
+                raise SystemSpecError(
+                    f"line {lineno}: '{k} = {v}': the width of the box overflows")
             box[name] = bounds
     for c in coords:
         box.setdefault(c, (-2.0, 2.0))

@@ -1,13 +1,15 @@
 """Oracles of the tests: a field's numeric right-hand side and RK4 flow, the
 Lie derivative of a form as a centered finite difference of its pullbacks
 under that flow, the lift of a matrix path evaluated afresh at every point,
-and a product and power that store nothing.  The first two use nothing of the
-symbolic bracket or Lie-derivative code they check, only ``gqw.flows``' RK4
-step and the chart's evaluation context; the lift uses neither kappa nor the
-powers of one step that ``gqw.mpc_group.lift_path`` multiplies; the product
-never reads the kernel's table of expanded products and rebuilds every
-factor through its power; the sum splits and rebuilds every term and always
-runs the sin^2 + cos^2 pass."""
+the cocycle kappa as three separate automorphy angles, and a product and
+power that store nothing.  The first two use nothing of the symbolic bracket
+or Lie-derivative code they check, only ``gqw.flows``' RK4 step and the
+chart's evaluation context; the lift uses neither kappa nor the powers of one
+step that ``gqw.mpc_group.lift_path`` multiplies; the cocycle takes each
+angle, the Mobius image and the whole product g1 g2 by its own call; the
+product never reads the kernel's table of expanded products and rebuilds
+every factor through its power; the sum splits and rebuilds every term and
+always runs the sin^2 + cos^2 pass."""
 
 import cmath
 import math
@@ -20,7 +22,7 @@ from gqw.expr import (
 )
 from gqw.flows import RHS, components_rhs, rk4_step
 from gqw.forms import KForm, VectorField
-from gqw.mpc_group import Mat, MpElement, automorphy_angle, mp_identity
+from gqw.mpc_group import Mat, MpElement, automorphy_angle, mat_mul, mp_identity
 
 
 def vf_rhs(v: VectorField) -> RHS:
@@ -103,6 +105,20 @@ def lift_path_pointwise(path: Callable[[float], Mat], steps: int,
         wound += cmath.phase(nz / z)
         z = nz
     return MpElement(g, round((wound - automorphy_angle(g, 1j)) / (2 * math.pi)) & 1)
+
+
+def mobius(g: Mat, tau: complex) -> complex:
+    return (g[0] * tau + g[1]) / (g[2] * tau + g[3])
+
+
+def kappa_reference(g1: Mat, g2: Mat) -> int:
+    """kappa(g1, g2) = (w(g1, g2 . i) + w(g2, i) - w(g1 g2, i)) / (2 pi), each
+    term by its own call."""
+    i0 = 1j
+    total = (automorphy_angle(g1, mobius(g2, i0))
+             + automorphy_angle(g2, i0)
+             - automorphy_angle(mat_mul(g1, g2), i0))
+    return round(total / (2 * math.pi))
 
 
 def mul_rebuilt(*args: Expr) -> Expr:

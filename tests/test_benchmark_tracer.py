@@ -62,9 +62,10 @@ def test_tracer_counts_every_probed_layer():
                  "mpc_group.mat_exp", "sample.expr_equal", "expr.evalf"):
         assert metrics[f"{name}.calls"] > 0, name
     # the tracer's lift_path probe takes (path, steps, ...) and sums steps:
-    # 600 lifts of 128 steps in path-lift-vs-cocycle, 2 of 256 in loop-lifts
+    # 600 lifts of lift_steps(A) steps (1 to 3 each, 1,059 in all) in
+    # path-lift-vs-cocycle, and 4 + 8 for the two turns in loop-lifts
     assert metrics["mpc_group.lift_path.calls"] == 602
-    assert metrics["mpc_group.lift_path.steps"] == 77312
+    assert metrics["mpc_group.lift_path.steps"] == 1071
 
 
 def test_tracer_counts_each_point_of_a_sampled_identity():

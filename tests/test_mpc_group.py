@@ -6,15 +6,15 @@ import math
 import random
 
 import pytest
-from oracles import lift_path_pointwise
+from oracles import kappa_reference, lift_path_pointwise
 
 from gqw import mpc_group
 from gqw.errors import NumericError
 from gqw.mpc_group import (
     IDENTITY, ROTATION_GENERATOR, MpcAlgebra, MpcElement, MpElement, central,
-    eta, exp_mpc, kappa, lift_path, mat_exp, mat_mul, mat_sub_norm,
-    mp_identity, mp_inv, mp_mul, mpc_distance, mpc_identity, mpc_inv, mpc_mul,
-    mu_loop, random_traceless, rotation, sigma,
+    eta, exp_mpc, exp_sheet, kappa, lift_path, lift_steps, mat_exp, mat_mul,
+    mat_sub_norm, mp_identity, mp_inv, mp_mul, mpc_distance, mpc_identity,
+    mpc_inv, mpc_mul, mu_loop, random_traceless, rotation, sigma,
 )
 
 
@@ -96,6 +96,33 @@ def test_kappa_against_angle_oracle():
         assert kappa(rotation(t1), rotation(t2)) == expected
 
 
+def test_kappa_matches_its_three_angle_definition_bit_for_bit():
+    # kappa is one pass over the three automorphy angles; it must round every
+    # pair as the separate calls do, ties on the branch cut included
+    rng = random.Random("kappa-reference")
+    for r in (1.2, 3.0):
+        for _ in range(20000):
+            g1 = mat_exp(random_traceless(rng, r))
+            g2 = mat_exp(random_traceless(rng, r))
+            assert kappa(g1, g2) == kappa_reference(g1, g2), (g1, g2)
+    quarter = (0.0, -1.0, 1.0, 0.0)  # R(pi/2) exactly; its square is -I
+    cut = [
+        IDENTITY, (-1.0, 0.0, 0.0, -1.0), (-1.0, -0.0, -0.0, -1.0),
+        (-1.0, 0.5, 0.0, -1.0), (-1.0, 0.5, -0.0, -1.0),
+        (-2.0, 3.0, 0.0, -0.5), (-2.0, 3.0, -0.0, -0.5), (1.0, 2.0, 0.0, 1.0),
+        (2.0, -1.0, -0.0, 0.5), quarter, tuple(-v for v in quarter),
+        rotation(math.pi / 2), rotation(-math.pi / 2), rotation(math.pi),
+        rotation(-math.pi),
+    ]
+    on_axis = 0
+    for g1 in cut:
+        for g2 in cut:
+            assert kappa(g1, g2) == kappa_reference(g1, g2), (g1, g2)
+            prod = mat_mul(g1, g2)
+            on_axis += prod[2] == 0 and prod[3] < 0
+    assert on_axis >= 30
+
+
 def test_kappa_cocycle_identity():
     rng = random.Random("cocycle")
     for _ in range(1000):
@@ -159,6 +186,9 @@ def test_path_lifting_agrees_with_cocycle_on_products():
         prod = mp_mul(lift1, lift2)
         assert cont.sheet == prod.sheet
         assert mat_sub_norm(cont.g, prod.g) < 1e-9
+        # the certified counts the group suite lifts with give the same lifts
+        assert lift_path(m1, lift_steps(m1)) == lift1
+        assert lift_path(m2, lift_steps(m2), start=lift1) == cont
 
 
 def test_lift_by_powers_matches_pointwise_lift():
@@ -195,10 +225,76 @@ def test_lift_path_takes_two_exponentials_and_no_cocycle(monkeypatch):
     monkeypatch.setattr(mpc_group, "kappa", forbidden)
     monkeypatch.setattr(mpc_group, "exp_sheet", forbidden)
     start = MpElement(mat_exp((0.4, 1.1, -0.9, -0.4)), 1)
-    for steps in (1, 2, 128, 1000):
+    for steps in (2, 128, 1000):
         calls.clear()
         lift_path((0.3, -1.7, 1.1, -0.3), steps, start=start)
         assert len(calls) == 2, steps
+    # this A has norm 1.82, which one step of at most pi/2 cannot cover
+    with pytest.raises(NumericError):
+        lift_path((0.3, -1.7, 1.1, -0.3), 1, start=start)
+
+
+def _spectral_norm(A):
+    # the square root of the largest eigenvalue of A^T A, from its trace and
+    # determinant
+    a, b, c, d = A
+    tr = a * a + b * b + c * c + d * d
+    det = (a * d - b * c) ** 2
+    return math.sqrt(0.5 * (tr + math.sqrt(max(tr * tr - 4 * det, 0.0))))
+
+
+def _step_cases():
+    # traceless and general matrices small enough for normalize_det, and the
+    # rotation generator at multiples of pi up to four full turns
+    rng = random.Random("lift-steps")
+    cases = [random_traceless(rng, r) for r in (0.5, 2.0, 5.0) for _ in range(100)]
+    cases += [(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2))
+              for _ in range(100)]
+    cases += [tuple(k * math.pi * v for v in ROTATION_GENERATOR) for k in range(-8, 9)]
+    return cases
+
+
+def test_lift_steps_keeps_each_turn_within_a_quarter():
+    # n steps of at most |A|_2 / n radians each: n >= 2 |A|_2 / pi, and one
+    # step more than that bound would be waste
+    for A in _step_cases():
+        n = lift_steps(A)
+        bound = 2 * _spectral_norm(A) / math.pi
+        assert n >= 1 and n >= bound * (1 - 1e-12), A
+        assert n < max(1.0, bound) + 1 + 1e-9, A
+
+
+def test_lift_path_refuses_fewer_steps_than_certified():
+    # too few steps used to return a wrong sheet silently: one step along
+    # the full turn R(2 pi s) reported sheet 0
+    refused = 0
+    for A in _step_cases():
+        n = lift_steps(A)
+        if n > 1:
+            with pytest.raises(NumericError):
+                lift_path(A, n - 1)
+            refused += 1
+        assert lift_path(A, n) == lift_path(A, 4 * n), A
+    assert refused > 100
+    with pytest.raises(NumericError):
+        lift_path(tuple(2 * math.pi * v for v in ROTATION_GENERATOR), 1)
+    with pytest.raises(NumericError):
+        lift_steps((math.inf, 0.0, 0.0, -math.inf))
+
+
+@pytest.mark.parametrize("k", [-3, 3])
+def test_certified_lift_of_three_half_turns(k):
+    # R(3 pi s) turns c i + d through 3 pi and ends on the branch cut; the
+    # certified lift agrees with the closed-form sheet and with the lift
+    # evaluated afresh at every point
+    A = tuple(k * math.pi * v for v in ROTATION_GENERATOR)
+    n = lift_steps(A)
+    lifted = lift_path(A, n)
+    g = mat_exp(A)
+    assert lifted.sheet == exp_sheet(ROTATION_GENERATOR, k * math.pi, g) == 1
+    pointwise = lift_path_pointwise(lambda s: mat_exp(tuple(s * v for v in A)), n)
+    assert lifted.sheet == pointwise.sheet
+    assert mat_sub_norm(lifted.g, pointwise.g) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,9 @@ def test_overrides():
     ("box p = -2, 2", "box p = -2, 1e400"),
     ("box p = -2, 2", "box p = 1, 1"),
     ("box p = -2, 2", "box p = 2, -2"),
+    # finite bounds whose width overflows: every draw was infinite, so the
+    # load failed with "could not find 32 usable points in 32000 draws"
+    ("box p = -2, 2", "box p = -1e308, 1e308"),
 ])
 def test_bad_values_name_their_key_and_line(old, new):
     text = GOOD.replace(old, new)
