@@ -21,7 +21,9 @@ from dataclasses import dataclass, field
 from .errors import NotQuantomorphismError
 from .expr import Expr, HBAR, IMAG, PI, ZERO, add, mul, power, rational
 from .flows import RHS, components_rhs
-from .forms import KForm, VectorField, exterior_derivative, lie_derivative, scalar_form
+from .forms import (
+    KForm, VectorField, exterior_derivative, lie_bracket, lie_derivative, scalar_form,
+)
 from .sample import expr_equal, worst_residual
 from .symplectic import SymplecticChart, hamiltonian_vf
 
@@ -87,7 +89,6 @@ def E_circle(f: Expr, y: PrequantCircle) -> CircleLiftedVF:
 def bracket_lifted(z1: CircleLiftedVF, z2: CircleLiftedVF) -> CircleLiftedVF:
     """Bracket on the restricted class: fiber coefficients depend on the base
     only, so vertical parts commute and only get differentiated."""
-    from .forms import lie_bracket
     base = lie_bracket(z1.base, z2.base)
     fiber = add(z1.base.apply(z2.fiber), mul(rational(-1), z2.base.apply(z1.fiber)))
     return CircleLiftedVF(z1.bundle, base, fiber)

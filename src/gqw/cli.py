@@ -75,10 +75,6 @@ def _cmd_demo(args) -> int:
     return _print_report(Report(report.suite, rows, report.elapsed), "text")
 
 
-def _cmd_group(args) -> int:
-    return _print_report(run_suite(_load(args), "group"), args.format)
-
-
 _NUMBER_OPTIONS = ("--samples", "--tol", "--seed", "--hbar")
 _EXPRESSION_OPTIONS = ("-f", "-g")
 _SHORT_OPTIONS = _EXPRESSION_OPTIONS + ("-h",)
@@ -132,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("action", choices=("selftest",))
     group.add_argument("--seed", type=int)
     group.add_argument("--format", default="text", choices=("text", "json"))
-    group.set_defaults(fn=_cmd_group)
+    group.set_defaults(fn=_cmd_check, suite="group")
 
     return parser
 

@@ -25,6 +25,11 @@ class EvaluationError(GqwError):
     """Numeric evaluation failed (unbound symbol, division by zero, overflow)."""
 
 
+class UnboundSymbolError(EvaluationError):
+    """An expression names a symbol the environment does not bind: it fails
+    at every point, so a sampler must not skip the point and draw again."""
+
+
 class SamplingError(GqwError):
     """The domain sampler could not produce an admissible point."""
 

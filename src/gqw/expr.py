@@ -63,7 +63,7 @@ import math
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import EvaluationError
+from .errors import EvaluationError, UnboundSymbolError
 
 __all__ = [
     "Expr", "Rational", "Symbol", "Constant", "Add", "Mul", "Pow", "Call",
@@ -372,56 +372,38 @@ def mul(*args: Expr) -> Expr:
     coeff = 1
     powers: dict = {}  # base -> summed exponent, in order of first appearance
     single: dict = {}  # base -> its factor node, while the base is met once
-
-    def feed(base: Expr, exp: Fraction, node: Expr):
-        # power() folds a rational base under an integral exponent, so a
-        # rational base met here carries a fractional one and stays a power
-        prev = powers.get(base)
-        if prev is None:
-            powers[base] = exp
-            single[base] = node
-        else:
-            powers[base] = prev + exp
-            single.pop(base, None)
-
     for a in args:
-        factors = a.factors if type(a) is Mul else (a,)
-        for f in factors:
+        for f in (a.factors if type(a) is Mul else (a,)):
             t = type(f)
             if t is Rational:
                 if f is ZERO:
                     return ZERO
                 coeff = f.value if coeff == 1 else coeff * f.value
-            elif t is Pow:
-                feed(f.base, f.exponent, f)
+                continue
+            # power() folds a rational base under an integral exponent, so a
+            # rational base met here carries a fractional one and stays a power
+            base, exp = (f.base, f.exponent) if t is Pow else (f, 1)
+            prev = powers.get(base)
+            if prev is None:
+                powers[base] = exp
+                single[base] = f
             else:
-                feed(f, 1, f)
+                powers[base] = prev + exp
+                single.pop(base, None)
 
-    pieces = []
+    plain, sums = [], []
     for base, exp in powers.items():
         if exp == 0:
             continue
-        if base is IMAG and exp.denominator == 1:
-            r = exp.numerator % 4
-            if r in (2, 3):
-                coeff = -coeff
-            if r in (1, 3):
-                pieces.append(IMAG)
-            continue
         # a factor met once is a canonical node: power(base, exp) is it
-        pieces.append(single.get(base) or power(base, exp))
-
-    if coeff == 0:
-        return ZERO
-    plain, sums = [], []
-    for p in pieces:
+        p = single.get(base) or power(base, exp)
         t = type(p)
         if t is Rational:
             coeff *= p.value
         elif t is Add:
             sums.append(p)
         elif t is Mul:
-            # power() may fold a piece into a product (e.g. via i-cycling)
+            # power() may fold a piece into a product (e.g. i^3 = -i)
             for q in p.factors:
                 if type(q) is Rational:
                     coeff *= q.value
@@ -609,7 +591,7 @@ def _compiled(e: Expr):
             try:
                 return complex(env[name])
             except KeyError:
-                raise EvaluationError(unbound) from None
+                raise UnboundSymbolError(unbound) from None
     elif t is Add:
         terms = tuple(_compiled(term) for term in e.terms)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from .errors import ChartMismatchError, DegreeError, ExprSyntaxError
-from .expr import Expr, ZERO, add, diff, mul, rational, symbol
+from .expr import Expr, ZERO, add, diff, mul, rational, subs, symbol
 from .parse import _FUNCTIONS, _RESERVED, _Parser
 from .sample import DomainSampler
 
@@ -271,14 +271,12 @@ class ChartMap:
         if inner.target.coords != self.source.coords:
             raise ChartMismatchError("composition chart mismatch")
         sub = inner.substitution()
-        from .expr import subs
         return ChartMap(inner.source, self.target,
                         [subs(c, sub) for c in self.components])
 
 
 def pullback(phi: ChartMap, a: KForm) -> KForm:
     """phi^* a, computed by substitution and the Jacobian of phi."""
-    from .expr import subs
     if a.chart.coords != phi.target.coords:
         raise ChartMismatchError("form does not live on the map's target chart")
     src = phi.source

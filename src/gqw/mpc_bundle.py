@@ -152,12 +152,7 @@ def frame_lift(f: Expr, bundle: MpcPrequant) -> StructuredVF:
     right-invariant with matrix the Jacobian of the Hamiltonian field (the
     linearization of a symplectic flow, hence traceless)."""
     xi = hamiltonian_vf(f, bundle.sympl)
-    jac = jacobian(xi)
-    tr = add(jac[0], jac[3])
-    if not tr.is_zero():
-        raise UnsupportedFieldError(
-            f"frame lift got a non-Hamiltonian linearization with trace {tr}")
-    return StructuredVF(bundle, xi, a_r=jac)
+    return StructuredVF(bundle, xi, a_r=jacobian(xi))
 
 
 def hat_lift(f: Expr, bundle: MpcPrequant) -> StructuredVF:
@@ -344,6 +339,13 @@ def eta_ad_residual(n: int, rng: random.Random) -> float:
 
 
 def section_vocabulary(bundle: MpcPrequant):
+    """The names a section encoding is written in: the chart's coordinates,
+    then the fiber entries, which no coordinate may share."""
+    for c in bundle.chart.coords:
+        if c in FIBER_SYMBOLS:
+            raise UnsupportedFieldError(
+                f"coordinate '{c}' clashes with the fiber entries {', '.join(FIBER_SYMBOLS)} "
+                f"of the section encoding: rename it")
     return tuple(bundle.chart.coords) + FIBER_SYMBOLS
 
 
@@ -359,7 +361,7 @@ def delta_operator(f: Expr, u: Expr, bundle: MpcPrequant) -> Expr:
     """
     z = hat_lift(f, bundle)
     out = z.base.apply(u)
-    gmat = tuple(symbol(s) for s in FIBER_SYMBOLS)
+    gmat = tuple(symbol(s) for s in section_vocabulary(bundle)[2:])
     ag = (add(mul(z.a_r[0], gmat[0]), mul(z.a_r[1], gmat[2])),
           add(mul(z.a_r[0], gmat[1]), mul(z.a_r[1], gmat[3])),
           add(mul(z.a_r[2], gmat[0]), mul(z.a_r[3], gmat[2])),

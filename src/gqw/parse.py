@@ -18,10 +18,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import ExprSyntaxError, UnknownSymbolError
+from .expr import _CONSTANTS, _FUNCTIONS as _CALLS
 from .expr import Constant, Expr, Rational, call, add, mul, power, rational, symbol
 
-_RESERVED = {"pi", "i", "hbar"}
-_FUNCTIONS = {"sin", "cos", "exp", "sqrt"}
+_RESERVED = set(_CONSTANTS)
+_FUNCTIONS = {*_CALLS, "sqrt"}  # call() reads sqrt(x) as x^(1/2)
 
 _BP_ADD = 10
 _BP_MUL = 20

@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
-from .errors import EvaluationError, SamplingError
+from .errors import EvaluationError, SamplingError, UnboundSymbolError
 from .expr import Expr, evalf, add, mul, rational
 
 _MAX_RESAMPLE = 1000
@@ -112,6 +112,8 @@ class DomainSampler:
             stream.drawn += 1
             try:
                 ok = self.admissible(pt)
+            except UnboundSymbolError:
+                raise
             except EvaluationError:
                 ok = False
             if ok:
@@ -133,7 +135,8 @@ def expr_equal(a: Expr, b: Expr, sampler: DomainSampler) -> Tuple[bool, float]:
     structural zero report residual exactly 0.0.  Otherwise it is evaluated
     at ``n_samples`` admissible points of the ``{seed}:equal`` stream, at
     the sampler's hbar; points where the difference fails to evaluate are
-    skipped, within the sampler's draw cap.
+    skipped, within the sampler's draw cap.  A symbol the sampler does not
+    bind fails at every point and raises UnboundSymbolError at once.
     """
     delta = add(a, mul(rational(-1), b))
     if delta.is_zero():
@@ -146,6 +149,8 @@ def expr_equal(a: Expr, b: Expr, sampler: DomainSampler) -> Tuple[bool, float]:
         pt = next(draws)
         try:
             r = abs(evalf(delta, pt))
+        except UnboundSymbolError:
+            raise
         except EvaluationError:
             continue
         worst = max(worst, r)

@@ -788,12 +788,8 @@ def _build(name: str, spec: SystemSpec) -> List[Check]:
 
 def run_suite(spec: SystemSpec, suite: str) -> Report:
     """Execute one named suite (or 'all') against a loaded system."""
-    if suite == "all":
-        checks = []
-        for name in SUITE_NAMES:
-            checks.extend(_build(name, spec))
-        return _run_checks("all", checks)
-    if suite not in _SUITE_BUILDERS:
-        raise ValueError(f"unknown suite '{suite}' (choose from "
-                         f"{', '.join(SUITE_NAMES + ('all',))})")
-    return _run_checks(suite, _build(suite, spec))
+    choices = SUITE_NAMES + ("all",)
+    if suite not in choices:
+        raise ValueError(f"unknown suite '{suite}' (choose from {', '.join(choices)})")
+    names = SUITE_NAMES if suite == "all" else (suite,)
+    return _run_checks(suite, [c for name in names for c in _build(name, spec)])

@@ -17,7 +17,7 @@ from typing import Dict, List
 
 from .errors import DegeneracyError
 from .expr import Expr, ZERO, add, diff, evalf, mul, power, rational, symbol
-from .forms import Chart, KForm, VectorField, exterior_derivative, interior_product
+from .forms import Chart, KForm, VectorField, exterior_derivative, interior_product, scalar_form
 from .sample import expr_equal
 
 Matrix = List[List[Expr]]
@@ -151,7 +151,6 @@ def poisson_ways(f: Expr, g: Expr, s: SymplecticChart) -> Dict[str, Expr]:
     of xi_f with dg through the interior product."""
     xi_f = hamiltonian_vf(f, s)
     xi_g = hamiltonian_vf(g, s)
-    from .forms import exterior_derivative, scalar_form
     dg = exterior_derivative(scalar_form(s.chart, g))
     return {
         "minus_omega": mul(rational(-1), s.omega(xi_f, xi_g)),

@@ -47,12 +47,6 @@ from .sample import DomainSampler
 from .symplectic import SymplecticChart
 from .parse import parse_expr
 
-DEFAULT_HAMILTONIANS = [
-    ("one", "1"), ("lin_p", "p"), ("lin_q", "q"), ("pq", "p*q"),
-    ("r2", "p^2+q^2"), ("energy", "1/2*(p^2+q^2)"), ("hyperbolic", "p^2-q^2"),
-]
-
-
 @dataclass
 class SystemSpec:
     """A loaded system.  The chart, its coordinates and the evaluation
@@ -248,8 +242,8 @@ def load_spec_text(text: str, samples: Optional[int] = None, tol: Optional[float
             raise SystemSpecError(
                 f"the built-in Hamiltonians are written in p, q, but the coordinates "
                 f"are {', '.join(coords)}: declare a [hamiltonians] section")
-        entries = [(k, v, 0) for k, v in DEFAULT_HAMILTONIANS]
-    for k, v, lineno in entries:
+        entries = _parse_sections(bundled_spec_text())["hamiltonians"]
+    for k, v, _ in entries:
         try:
             hams[k] = parse_expr(v, coords)
         except GqwError as exc:

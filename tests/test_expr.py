@@ -7,7 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gqw.errors import EvaluationError, ExprSyntaxError, SamplingError, UnknownSymbolError
+from gqw.errors import (
+    EvaluationError, ExprSyntaxError, SamplingError, UnboundSymbolError, UnknownSymbolError,
+)
 from gqw.expr import (
     HBAR, IMAG, ONE, PI, Add, Call, Constant, Mul, Pow, Rational, Symbol, add, call,
     diff, evalf, mul, power, rational, subs, symbol, to_str,
@@ -541,6 +543,18 @@ def test_expr_equal_symmetric():
     assert expr_equal(a, b, sampler()) == expr_equal(b, a, sampler())
 
 
+def test_a_symbol_the_sampler_does_not_bind_raises_at_once():
+    # it fails at every point: expr_equal and the domain test skipped each
+    # point and raised "could not find 32 usable points in 32000 draws"
+    z = symbol("z")
+    with pytest.raises(EvaluationError, match="unbound symbol 'z'") as err:
+        expr_equal(add(P, z), P, sampler())
+    assert type(err.value) is UnboundSymbolError
+    with pytest.raises(EvaluationError, match="unbound symbol 'z'") as err:
+        sampler(positive=(add(power(P, 2), z),)).points()
+    assert type(err.value) is UnboundSymbolError
+
+
 def test_resample_cap_raises():
     # exp(exp(p^2*100 + 10)) overflows at every admissible point
     blow = call("exp", call("exp", add(mul(rational(100), power(P, 2)), rational(10))))
@@ -692,6 +706,23 @@ def test_half_powers_merging_to_integers_stay_canonical():
     e = mul(half, half, power(P, -1))  # (p*q)^(1/2) twice must merge to p*q
     assert e == Q
     assert subs(e, {}) == e
+
+
+SQRT2 = call("sqrt", rational(2))
+ONE_PLUS_I = add(ONE, IMAG)
+
+
+@pytest.mark.parametrize("args, expected", [
+    ((IMAG, IMAG, IMAG), mul(rational(-1), IMAG)),
+    ((IMAG, P, IMAG, Q, IMAG), mul(rational(-1), IMAG, P, Q)),
+    ((power(IMAG, 2), IMAG, IMAG), ONE),
+    ((ONE_PLUS_I, ONE_PLUS_I), mul(rational(2), IMAG)),
+    ((SQRT2, SQRT2), rational(2)),
+], ids=["i-i-i", "i-p-i-q-i", "i^2-i-i", "(1+i)^2", "sqrt2-sqrt2"])
+def test_merged_bases_fold_through_power(args, expected):
+    # power() of a merged base may give a rational, or a product whose
+    # rational factor joins the coefficient: i^3 = -i and (1+i)^2 = 2i
+    assert mul(*args) is mul_rebuilt(*args) is expected
 
 
 # ---------------------------------------------------------------------------

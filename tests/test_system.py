@@ -12,7 +12,8 @@ import sys
 import pytest
 
 from gqw.cli import main
-from gqw.errors import SystemSpecError
+from gqw.errors import SystemSpecError, UnsupportedFieldError
+from gqw.mpc_bundle import delta_operator
 from gqw.parse import parse_expr
 from gqw.sample import expr_equal
 from gqw.suites import run_suite
@@ -487,11 +488,14 @@ REPORT_DIGESTS = {
 
 
 @pytest.mark.parametrize("suite, seed", sorted(REPORT_DIGESTS))
-def test_reports_match_their_pinned_digests(suite, seed):
-    """The gate of a refactor: the bundled reports are byte-identical to the
-    pinned ones.  A change that alters reports on purpose updates these pins
-    and says so, with the old and new digests, in CHANGES.md."""
-    out = run_suite(load_bundled(seed=seed), suite).to_json() + "\n"
+def test_reports_match_their_pinned_digests(suite, seed, capsys):
+    """The gate of a refactor: the bundled reports, as the CLI prints them,
+    are byte-identical to the pinned ones.  A change that alters reports on
+    purpose updates these pins and says so, with the old and new digests, in
+    CHANGES.md."""
+    command = ["check"] if suite == "all" else ["group", "selftest"]
+    assert main(command + ["--format", "json", "--seed", str(seed)]) == 0
+    out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS[suite, seed]
 
 
@@ -626,6 +630,21 @@ def test_every_suite_runs_on_a_standard_chart_with_other_names():
     renamed = load_spec_text(text)
     assert renamed.coords == ("x", "y")
     assert run_suite(renamed, "all").to_json() == run_suite(load_bundled(), "all").to_json()
+
+
+def test_coordinates_named_like_the_fiber_entries_fail_only_the_delta_setup():
+    # the delta suite read g11 both as a coordinate and as a fiber entry of
+    # its sections; delta-scaled-operator failed with "SamplingError: could
+    # not find 32 usable points in 32000 draws"
+    text = re.sub(r"\b(d?)q\b", r"\1g22", re.sub(r"\b(d?)p\b", r"\1g11", GOOD))
+    assert "coordinates = g11, g22" in text and "omega = dg11^dg22" in text
+    spec = load_spec_text(text)
+    message = ("coordinate 'g11' clashes with the fiber entries g11, g12, g21, g22 "
+               "of the section encoding: rename it")
+    failed = [(c.id, c.error) for c in run_suite(spec, "all").checks if not c.passed]
+    assert failed == [("delta-setup", f"UnsupportedFieldError: {message}")]
+    with pytest.raises(UnsupportedFieldError, match=message):
+        delta_operator(spec.hamiltonians["energy"], parse_expr("1", ()), spec.mpc_bundle())
 
 
 def test_setup_failures_name_the_charts_own_area_form():

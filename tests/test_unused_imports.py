@@ -6,6 +6,10 @@ must not leave the names it alone used imported, nor the private helpers it
 alone called.  ``__init__.py`` is skipped by the import check, because
 re-exporting is its purpose.
 
+No module imports a gqw module inside a function body: none of them has an
+import cycle to break, so every import is at the top, where the first check
+sees it.
+
 It also keeps the evaluation context the one owner of its two decisions:
 no module but ``sample.py`` builds a ``random.Random`` or writes an
 ``"hbar"`` key.
@@ -34,6 +38,25 @@ def unused_imports(source: str):
                 imported[name] = node.lineno
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def nested_gqw_imports(source: str):
+    """Lines inside a function body that import a gqw module, by a relative
+    import or by name."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] if node.level == 0 else ["gqw"]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(name.split(".")[0] == "gqw" for name in names):
+                found.add(node.lineno)
+    return sorted(found)
 
 
 def unused_private_names(source: str):
@@ -74,6 +97,19 @@ def test_the_check_sees_an_unused_private_name():
 def test_the_check_sees_an_unused_import():
     assert unused_imports("import os\nimport sys\nprint(sys.argv)\n") == [(1, "os")]
     assert unused_imports("from a import b as c\nx: c = 1\n") == []
+
+
+def test_the_check_sees_a_nested_gqw_import():
+    src = ("import os\nfrom .expr import add\ndef f():\n    from .forms import wedge\n"
+           "    def g():\n        import gqw.expr\n        import json\n"
+           "    from gqw import cli\n    from os import path\n")
+    assert nested_gqw_imports(src) == [4, 6, 8]
+
+
+@pytest.mark.parametrize("module", sorted(f for f in os.listdir(SRC) if f.endswith(".py")))
+def test_no_gqw_import_inside_a_function(module):
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        assert nested_gqw_imports(fh.read()) == [], module
 
 
 @pytest.mark.parametrize("module", MODULES)
