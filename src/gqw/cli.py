@@ -54,12 +54,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_poisson(args) -> int:
     spec = _load(args)
-    try:
-        f = parse_expr(args.f, spec.coords)
-        g = parse_expr(args.g, spec.coords)
-    except GqwError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    f = parse_expr(args.f, spec.coords)
+    g = parse_expr(args.g, spec.coords)
     xi = hamiltonian_vf(f, spec.sympl)
     print(f"xi_f = {xi!r}")
     print(f"{{f, g}} = {poisson(f, g, spec.sympl)!r}")

@@ -403,18 +403,15 @@ def mul(*args: Expr) -> Expr:
         elif t is Add:
             sums.append(p)
         elif t is Mul:
-            # power() may fold a piece into a product (e.g. i^3 = -i)
+            # power() may fold a piece into a product (e.g. i^3 = -i); products
+            # distribute over sums, so no Mul has an Add factor
             for q in p.factors:
                 if type(q) is Rational:
                     coeff *= q.value
-                elif type(q) is Add:
-                    sums.append(q)
                 else:
                     plain.append(q)
         else:
             plain.append(p)
-    if coeff == 0:
-        return ZERO
     if sums:
         return _EXPANDED.setdefault(args, _expand_product(coeff, plain, sums))
     bases = [f.base if type(f) is Pow else f for f in plain]

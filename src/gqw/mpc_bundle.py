@@ -64,11 +64,12 @@ M_ZERO: Mat = (0.0, 0.0, 0.0, 0.0)
 FIBER_SYMBOLS = ("g11", "g12", "g21", "g22")
 
 
+def emat_mul(a: EMat, b: EMat) -> EMat:
+    return tuple(add(mul(a[i], b[j]), mul(a[i + 1], b[j + 2])) for i in (0, 2) for j in (0, 1))
+
+
 def emat_commutator(a: EMat, b: EMat) -> EMat:
-    def entry(i, j):
-        return add(*[mul(a[2 * i + k], b[2 * k + j]) for k in range(2)],
-                   *[mul(rational(-1), b[2 * i + k], a[2 * k + j]) for k in range(2)])
-    return (entry(0, 0), entry(0, 1), entry(1, 0), entry(1, 1))
+    return tuple(add(x, mul(rational(-1), y)) for x, y in zip(emat_mul(a, b), emat_mul(b, a)))
 
 
 def emat_apply(v: VectorField, a: EMat) -> EMat:
@@ -362,11 +363,7 @@ def delta_operator(f: Expr, u: Expr, bundle: MpcPrequant) -> Expr:
     z = hat_lift(f, bundle)
     out = z.base.apply(u)
     gmat = tuple(symbol(s) for s in section_vocabulary(bundle)[2:])
-    ag = (add(mul(z.a_r[0], gmat[0]), mul(z.a_r[1], gmat[2])),
-          add(mul(z.a_r[0], gmat[1]), mul(z.a_r[1], gmat[3])),
-          add(mul(z.a_r[2], gmat[0]), mul(z.a_r[3], gmat[2])),
-          add(mul(z.a_r[2], gmat[1]), mul(z.a_r[3], gmat[3])))
-    for coeff, gsym in zip(ag, gmat):
+    for coeff, gsym in zip(emat_mul(z.a_r, gmat), gmat):
         out = add(out, mul(coeff, diff(u, gsym)))
     out = add(out, mul(rational(-1), z.tau_r, u))
     return add(out, mul(I_HBAR_INV, f, u))

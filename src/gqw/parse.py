@@ -7,8 +7,10 @@ decimals like 0.5 (converted to exact rationals), reserved constants
 pi, i, hbar.
 
 There is no division operator: '/' is only legal between two integer
-literals, where it forms a rational constant.  General quotients are
-written with negative exponents, e.g. p*q^(-1).
+literals, where it forms a rational constant; as an exponent that constant
+is parenthesized, p^(1/2), since p^1/2 is refused rather than read as
+either p^(1/2) or 1/2*p.  General quotients are written with negative
+exponents, e.g. p*q^(-1).  Digits are decimal digits: '²' is not one.
 """
 
 from __future__ import annotations
@@ -46,13 +48,13 @@ def _tokenize(text: str) -> list:
         if c.isspace():
             k += 1
             continue
-        if c.isdigit():
+        if c.isdecimal():
             start = k
-            while k < n and text[k].isdigit():
+            while k < n and text[k].isdecimal():
                 k += 1
-            if k < n and text[k] == "." and k + 1 < n and text[k + 1].isdigit():
+            if k < n and text[k] == "." and k + 1 < n and text[k + 1].isdecimal():
                 k += 1
-                while k < n and text[k].isdigit():
+                while k < n and text[k].isdecimal():
                     k += 1
                 toks.append(_Token("dec", text[start:k], start))
             else:
@@ -144,11 +146,22 @@ class _Parser:
                 left = self.combine_mul(left, right, t.pos)
             elif t.text == "^" and _BP_POW >= min_bp:
                 self.advance()
+                self._reject_bare_fraction()
                 right = self.expr(_BP_POW)  # right associative
                 left = self.combine_caret(left, right, t.pos)
             else:
                 break
         return left
+
+    def _reject_bare_fraction(self):
+        """p^2/2 would read as p^(2/2) and p^-1/2 as p^(-1/2): a rational
+        literal right after '^', signed or not, must be parenthesized."""
+        k = self.k + (self.peek().text in ("+", "-"))
+        if (self.toks[k].kind == "int" and self.toks[k + 1].text == "/"
+                and self.toks[k + 2].kind == "int"):
+            raise ExprSyntaxError("ambiguous '/' in an exponent: write p^(3/2) for a "
+                                  "fractional exponent, 1/2*p^3 for a quotient",
+                                  self.toks[k + 1].pos)
 
     def prefix(self):
         t = self.advance()
@@ -172,7 +185,9 @@ class _Parser:
                     self.advance()
                     arg = self.expr(0)
                     self.expect_op(")")
-                    return self.fn_call(t.text, arg, t.pos)
+                    if not isinstance(arg, Expr):
+                        raise ExprSyntaxError("function arguments must be scalars", t.pos)
+                    return call(t.text, arg)
                 raise ExprSyntaxError(f"function '{t.text}' needs an argument list", t.pos)
             if t.text in _RESERVED:
                 return Constant(t.text)  # interned: the one PI, IMAG or HBAR
@@ -186,11 +201,6 @@ class _Parser:
         if t.kind == "op" and t.text == "+":
             return self.expr(_BP_NEG)
         raise ExprSyntaxError(f"unexpected {t.text!r}" if t.text else "unexpected end of input", t.pos)
-
-    def fn_call(self, name: str, arg, pos: int):
-        if not isinstance(arg, Expr):
-            raise ExprSyntaxError("function arguments must be scalars", pos)
-        return call(name, arg)
 
 
 def parse_expr(text: str, vocabulary: Sequence[str]) -> Expr:

@@ -396,7 +396,7 @@ def dirac_checks(spec: SystemSpec) -> List[Check]:
                     b = connection_nabla(etaf, connection_nabla(xi, sec, y), y)
                     c = connection_nabla(lie_bracket(xi, etaf), sec, y)
                     lhs = add(a, mul(rational(-1), b), mul(rational(-1), c))
-                    rhs = mul(power(mul(IMAG, HBAR), -1), s.omega(xi, etaf), sec)
+                    rhs = mul(I_HBAR_INV, s.omega(xi, etaf), sec)
                     yield lhs, rhs
 
     def operator_via_connection():
@@ -683,7 +683,7 @@ def delta_checks(spec: SystemSpec) -> List[Check]:
 
     def identity_rule():
         for u in sections:
-            yield delta_operator(rational(1), u, bundle), mul(power(mul(IMAG, HBAR), -1), u)
+            yield delta_operator(rational(1), u, bundle), mul(I_HBAR_INV, u)
 
     def homomorphism():
         for u in sections:

@@ -102,9 +102,6 @@ class SymplecticChart:
             if abs(v) ** 2 <= sampler.tolerance:
                 raise DegeneracyError(f"omega degenerate at sample point {pt}")
 
-    def gradient(self, f: Expr) -> List[Expr]:
-        return [diff(f, symbol(x)) for x in self.chart.coords]
-
 
 def hamiltonian_vf(f: Expr, s: SymplecticChart) -> VectorField:
     """The unique field with xi_f . omega = df, i.e. xi = -W^{-1} grad f
@@ -124,7 +121,7 @@ def hamiltonian_vf(f: Expr, s: SymplecticChart) -> VectorField:
 
 
 def _build_hamiltonian_vf(f: Expr, s: SymplecticChart) -> VectorField:
-    grads = s.gradient(f)
+    grads = exterior_derivative(scalar_form(s.chart, f)).coeffs
     n = s.chart.dim
     comps = []
     for i in range(n):

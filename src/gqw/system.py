@@ -24,8 +24,9 @@ and tolerances.
     hbar = 1
 
 Expressions use the scalar grammar; omega and beta use the form grammar.
-Lines starting with '#' are comments.  Loading validates d(beta) = omega and
-nondegeneracy of omega at the sampled points.
+Lines starting with '#' are comments.  An unknown section or key, or a
+repeated key, is a load error that names its line.  Loading validates
+d(beta) = omega and nondegeneracy of omega at the sampled points.
 """
 
 from __future__ import annotations
@@ -96,6 +97,16 @@ class SystemSpec:
         return self._mpc
 
 
+# the keys each section takes; [hamiltonians] takes any name
+_KEYS = {
+    "manifold": ("coordinates", "domain", "box <coordinate>"),
+    "symplectic": ("omega",),
+    "prequant": ("beta",),
+    "hamiltonians": None,
+    "tolerances": ("epsilon", "samples", "seed", "hbar"),
+}
+
+
 def _parse_sections(text: str) -> Dict[str, List[Tuple[str, str, int]]]:
     sections: Dict[str, List[Tuple[str, str, int]]] = {}
     current = None
@@ -105,27 +116,32 @@ def _parse_sections(text: str) -> Dict[str, List[Tuple[str, str, int]]]:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
+            if current not in _KEYS:
+                raise SystemSpecError(f"line {lineno}: unknown section [{current}]; the "
+                                      f"sections are {', '.join(f'[{s}]' for s in _KEYS)}")
             sections.setdefault(current, [])
             continue
         if current is None:
             raise SystemSpecError(f"line {lineno}: content before any [section]")
         if "=" not in line:
             raise SystemSpecError(f"line {lineno}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        sections[current].append((key.strip(), value.strip(), lineno))
+        key, value = (part.strip() for part in line.split("=", 1))
+        known = _KEYS[current]
+        name = "box <coordinate>" if key.startswith("box ") else key
+        if known is not None and name not in known:
+            raise SystemSpecError(f"line {lineno}: unknown key '{key}' in [{current}], "
+                                  f"which takes {', '.join(known)}")
+        sections[current].append((key, value, lineno))
     return sections
 
 
-def _single(entries, key: str) -> Optional[str]:
-    found = [v for k, v, _ in entries if k == key]
+def _entry(entries, key: str) -> Tuple[Optional[str], str]:
+    """The value of ``key``, or None, with its "line N: " prefix for error
+    messages ("" when the key is absent)."""
+    found = [(v, f"line {n}: ") for k, v, n in entries if k == key]
     if len(found) > 1:
-        raise SystemSpecError(f"duplicate key '{key}'")
-    return found[0] if found else None
-
-
-def _line(entries, key: str) -> str:
-    """The "line N: " prefix of ``key``'s entry for error messages, or ""."""
-    return next((f"line {n}: " for k, _, n in entries if k == key), "")
+        raise SystemSpecError(f"{found[1][1]}duplicate key '{key}'")
+    return found[0] if found else (None, "")
 
 
 def _number(entries, key: str, convert, default, override):
@@ -134,10 +150,9 @@ def _number(entries, key: str, convert, default, override):
     ``default``.  Also returns the "line N: " prefix for error messages."""
     if override is not None:
         return override, ""
-    text = _single(entries, key)
+    text, where = _entry(entries, key)
     if text is None:
         return default, ""
-    where = _line(entries, key)
     try:
         return convert(text), where
     except ValueError:
@@ -153,7 +168,7 @@ def load_spec_text(text: str, samples: Optional[int] = None, tol: Optional[float
             raise SystemSpecError(f"missing [{required}] section")
 
     man = sections["manifold"]
-    coords_text = _single(man, "coordinates")
+    coords_text, coords_at = _entry(man, "coordinates")
     if not coords_text:
         raise SystemSpecError("missing 'coordinates' in [manifold]")
     coords = tuple(c.strip() for c in coords_text.replace(",", " ").split())
@@ -162,7 +177,7 @@ def load_spec_text(text: str, samples: Optional[int] = None, tol: Optional[float
         check_coordinate_names(coords)
     except ValueError as exc:
         raise SystemSpecError(
-            f"{_line(man, 'coordinates')}'coordinates = {coords_text}': {exc}") from None
+            f"{coords_at}'coordinates = {coords_text}': {exc}") from None
 
     tols = sections.get("tolerances", [])
     epsilon, epsilon_at = _number(tols, "epsilon", float, DomainSampler.tolerance, tol)
@@ -184,6 +199,8 @@ def load_spec_text(text: str, samples: Optional[int] = None, tol: Optional[float
     for k, v, lineno in man:
         if k.startswith("box "):
             name = k[4:].strip()
+            if name in box:
+                raise SystemSpecError(f"line {lineno}: duplicate key '{k}'")
             try:
                 # Fraction reads 3/2, 0.5 and 1e-3 alike and refuses nan and inf
                 bounds = tuple(float(Fraction(x)) for x in v.replace(",", " ").split())
@@ -221,19 +238,21 @@ def load_spec_text(text: str, samples: Optional[int] = None, tol: Optional[float
                             hbar=hbar_v)
     chart = Chart(sampler)
 
-    omega_text = _single(sections["symplectic"], "omega")
-    beta_text = _single(sections["prequant"], "beta")
+    omega_text, omega_at = _entry(sections["symplectic"], "omega")
+    beta_text, beta_at = _entry(sections["prequant"], "beta")
     if not omega_text or not beta_text:
         raise SystemSpecError("both 'omega' ([symplectic]) and 'beta' ([prequant]) are required")
-    try:
-        omega = parse_form(omega_text, chart)
-        beta = parse_form(beta_text, chart)
-    except GqwError as exc:
-        raise SystemSpecError(f"bad form literal: {exc}") from exc
-    if not isinstance(omega, KForm) or omega.degree != 2:
-        raise SystemSpecError("omega must be a degree-2 form literal")
-    if not isinstance(beta, KForm) or beta.degree != 1:
-        raise SystemSpecError("beta must be a degree-1 form literal")
+    forms = []
+    for name, text, at, degree in (("omega", omega_text, omega_at, 2),
+                                   ("beta", beta_text, beta_at, 1)):
+        try:
+            form = parse_form(text, chart)
+        except GqwError as exc:
+            raise SystemSpecError(f"{at}{name}: bad form literal: {exc}") from exc
+        if not isinstance(form, KForm) or form.degree != degree:
+            raise SystemSpecError(f"{at}{name} must be a degree-{degree} form literal")
+        forms.append(form)
+    omega, beta = forms
 
     hams: Dict[str, Expr] = {}
     entries = sections.get("hamiltonians", [])
@@ -243,11 +262,13 @@ def load_spec_text(text: str, samples: Optional[int] = None, tol: Optional[float
                 f"the built-in Hamiltonians are written in p, q, but the coordinates "
                 f"are {', '.join(coords)}: declare a [hamiltonians] section")
         entries = _parse_sections(bundled_spec_text())["hamiltonians"]
-    for k, v, _ in entries:
+    for k, v, lineno in entries:
+        if k in hams:
+            raise SystemSpecError(f"line {lineno}: duplicate key '{k}'")
         try:
             hams[k] = parse_expr(v, coords)
         except GqwError as exc:
-            raise SystemSpecError(f"hamiltonian '{k}': {exc}") from exc
+            raise SystemSpecError(f"line {lineno}: hamiltonian '{k}': {exc}") from exc
 
     try:
         # the nondegeneracy check draws the domain's first points, so an

@@ -80,6 +80,41 @@ def test_general_division_is_rejected():
         parse_expr("p/q", VOCAB)
 
 
+@pytest.mark.parametrize("text, message, offset", [
+    ("p $ q", "unexpected character '$'", 2),
+    ("(p", "expected ')'", 2),
+    ("p^q", "exponent must be a rational literal", 1),
+    ("1/0", "zero denominator", 1),
+    ("sin p", "function 'sin' needs an argument list", 0),
+    # str.isdigit() accepted '²', and int('²') raised a bare ValueError
+    ("p^²", "unexpected character '²'", 2),
+])
+def test_parse_errors_name_the_problem_and_its_offset(text, message, offset):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr(text, VOCAB)
+    assert err.value.offset == offset
+    assert str(err.value) == f"{message} (at offset {offset})"
+
+
+# these parsed as p + q, 2^(1/2) and p^(-1/2): the rational literal after
+# '^' took the '/' that a reader takes for a quotient
+@pytest.mark.parametrize("text, offset", [
+    ("p^2/2 + q^2/2", 3), ("2^1/2", 3), ("p^-1/2", 4), ("p^+1/2", 4),
+])
+def test_a_rational_literal_exponent_needs_parentheses(text, offset):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr(text, VOCAB)
+    assert err.value.offset == offset
+    assert "write p^(3/2) for a fractional exponent, 1/2*p^3 for a quotient" in str(err.value)
+
+
+def test_parenthesized_exponents_and_rational_coefficients_still_parse():
+    assert parse_expr("p^(1/2)", VOCAB) == power(P, Fraction(1, 2))
+    assert parse_expr("p^(-1/2)", VOCAB) == power(P, Fraction(-1, 2))
+    assert parse_expr("1/2*p^2", VOCAB) == mul(rational(1, 2), power(P, 2))
+    assert parse_expr("p*1/2", VOCAB) == mul(rational(1, 2), P)
+
+
 def test_sqrt_normalizes_to_half_power():
     assert parse_expr("sqrt(p^2+q^2)", VOCAB) == power(add(power(P, 2), power(Q, 2)),
                                                        Fraction(1, 2))

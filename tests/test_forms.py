@@ -325,6 +325,22 @@ def test_form_scalar_mix_rejected(chart):
         parse_form("p ^ dq", chart)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("dp + dp^dq", "cannot add forms of different degree"),
+    ("dp*dq", "use ^ for the wedge of two forms"),
+    ("sin(dp)^dq", "function arguments must be scalars"),
+])
+def test_malformed_form_literals_name_the_rule(chart, text, message):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_form(text, chart)
+    assert message in str(err.value)
+
+
+def test_form_literals_negate_and_take_scalar_factors_on_either_side(chart):
+    assert parse_form("-dp^dq", chart) == parse_form("dp^dq", chart).scale(rational(-1))
+    assert parse_form("dp*2", chart) == parse_form("2*dp", chart)
+
+
 def test_plain_scalar_text_parses_to_expr(chart):
     e = parse_form("p^2 + q^2", chart)
     assert e == add(power(P, 2), power(Q, 2))

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import pathlib
 import random
 import re
 import subprocess
@@ -106,6 +107,19 @@ def test_overrides():
     # finite bounds whose width overflows: every draw was infinite, so the
     # load failed with "could not find 32 usable points in 32000 draws"
     ("box p = -2, 2", "box p = -1e308, 1e308"),
+    # an unknown section or key loaded, and ran with the defaults or with no
+    # domain
+    ("[tolerances]", "[tolerance]"),
+    ("samples = 32", "sample = 64"),
+    ("domain = p^2 + q^2 > 0", "domian = p^2 + q^2 > 0"),
+    ("domain = p^2 + q^2 > 0", "domain = p < 1"),
+    # the form and Hamiltonian errors named no line
+    ("omega = dp^dq", "omega = dp^dr"),
+    ("omega = dp^dq", "omega = dp"),
+    ("beta = 1/2*(p*dq - q*dp)", "beta = p"),
+    ("pq = p*q", "pq = p*z"),
+    # p^2/2 read as p^(2/2), so this loaded the Hamiltonian p + q
+    ("energy = 1/2*(p^2 + q^2)", "energy = p^2/2 + q^2/2"),
 ])
 def test_bad_values_name_their_key_and_line(old, new):
     text = GOOD.replace(old, new)
@@ -114,6 +128,58 @@ def test_bad_values_name_their_key_and_line(old, new):
         load_spec_text(text)
     assert f"line {line}: " in str(err.value)
     assert new.split(" = ")[0] in str(err.value)
+
+
+def test_content_before_any_section_names_its_line():
+    with pytest.raises(SystemSpecError) as err:
+        load_spec_text("coordinates = p, q\n" + GOOD)
+    assert "line 1: content before any [section]" in str(err.value)
+
+
+def test_unknown_sections_and_keys_list_the_known_names():
+    with pytest.raises(SystemSpecError) as err:
+        load_spec_text(GOOD.replace("[tolerances]", "[tolerance]"))
+    assert ("unknown section [tolerance]; the sections are [manifold], [symplectic], "
+            "[prequant], [hamiltonians], [tolerances]") in str(err.value)
+    for old, new, known in [
+            ("domain = p^2 + q^2 > 0", "domian = 1 > 0",
+             "'domian' in [manifold], which takes coordinates, domain, box <coordinate>"),
+            ("omega = dp^dq", "omega = dp^dq\nbeta = p*dq", "'beta' in [symplectic], which takes omega"),
+            ("beta = 1/2*(p*dq - q*dp)", "beta = 1/2*(p*dq - q*dp)\nhbar = 2",
+             "'hbar' in [prequant], which takes beta"),
+            ("seed = 42", "box p = -1, 1",
+             "'box p' in [tolerances], which takes epsilon, samples, seed, hbar")]:
+        with pytest.raises(SystemSpecError) as err:
+            load_spec_text(GOOD.replace(old, new))
+        assert f"unknown key {known}" in str(err.value)
+
+
+# a repeated Hamiltonian or box line replaced the earlier one, and a repeated
+# omega or seed was an error without a line
+@pytest.mark.parametrize("old, repeat", [
+    ("pq = p*q", "pq = q"),
+    ("box q = -2, 2", "box q = -1, 1"),
+    ("omega = dp^dq", "omega = dp^dq"),
+    ("seed = 42", "seed = 7"),
+])
+def test_repeated_keys_are_load_errors_naming_the_repeat(old, repeat):
+    text = GOOD.replace(old, f"{old}\n{repeat}")
+    line = text.splitlines().index(old) + 2
+    key = repeat.split(" = ")[0]
+    with pytest.raises(SystemSpecError) as err:
+        load_spec_text(text)
+    assert f"line {line}: duplicate key '{key}'" in str(err.value)
+
+
+def test_readme_system_file_and_library_example_run(capsys):
+    # the README's system file loads under the reader and its library
+    # example runs as printed
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    blocks = dict(re.findall(r"```(ini|python)\n(.*?)```", readme, re.S))
+    spec = load_spec_text(blocks["ini"])
+    assert spec.coords == ("p", "q") and len(spec.hamiltonians) == 5
+    exec(compile(blocks["python"], "README.md", "exec"), {})
+    assert "suite mpc-iso: PASS" in capsys.readouterr().out
 
 
 def test_box_bounds_read_rationals_decimals_and_exponents():
@@ -305,6 +371,24 @@ def test_cli_poisson_takes_negated_expressions_space_separated(capsys):
     assert main(["poisson", "-f", "-p^2", "-g", "-q"]) == 0
     out = capsys.readouterr().out
     assert "{f, g} = -2*p" in out.splitlines()
+
+
+@pytest.mark.parametrize("f, message", [
+    ("p/2", "error: unexpected '/' (at offset 1)"),
+    # int("²") raised a bare ValueError: a traceback and exit code 1
+    ("p^²", "error: unexpected character '²' (at offset 2)"),
+])
+def test_cli_poisson_malformed_expression_exit_two(f, message, capsys):
+    assert main(["poisson", "-f", f, "-g", "q"]) == 2
+    assert capsys.readouterr().err.startswith(message)
+
+
+def test_cli_non_ascii_digit_in_a_system_file_exit_two(tmp_path, capsys):
+    bad = tmp_path / "bad.spec"
+    bad.write_text(GOOD.replace("pq = p*q", "a = p^²"), encoding="utf-8")
+    assert main(["check", "--system", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: line 20: hamiltonian 'a': unexpected character '²'")
 
 
 def test_cli_poisson_option_is_not_taken_as_a_value(capsys):
