@@ -13,8 +13,9 @@ the first residual over the row's bound.  A non-finite residual raises
 ``fn`` yields ``(lhs, rhs)`` expression pairs, each measured by
 ``expr_equal`` (exactly 0.0 when it cancels structurally) against epsilon; a
 numeric row ``_within(bound, measure)`` names its bound in the row, and
-``measure`` only yields measurements.  ``prequant-vertical`` holds two
-bounds, epsilon and 1e-4.  The witness rows ``twist-no-frame-map``,
+``measure`` only yields measurements; the gamma rows measure exact
+pushforwards (``pushforward_residual``).  ``prequant-vertical`` holds two
+bounds, epsilon and 1e-12.  The witness rows ``twist-no-frame-map``,
 ``rotation-frame-mismatch`` and ``membership-regression`` decide
 themselves: their number is a separation that must be large.
 
@@ -552,7 +553,7 @@ def mpc_checks(spec: SystemSpec) -> List[Check]:
         rng = spec.chart.sampler.rng("invariance")
         for x in sample_fiber_points(bundle, 4, seed_tag="inv"):
             b = random_mpc(rng, 0.8, 3)
-            yield pushforward_residual(bundle, right_action_map(b), x, h=1e-6), 1
+            yield pushforward_residual(bundle, right_action_map(b), x), 1
 
     def vertical_pairing():
         rng = spec.chart.sampler.rng("vertical")
@@ -565,7 +566,7 @@ def mpc_checks(spec: SystemSpec) -> List[Check]:
             pairs.append((v.gamma(), imag_expr(tau)))
         ok, worst, n = _decide(_compared(spec, pairs), spec.epsilon)
         ad = eta_ad_residual(30, spec.chart.sampler.rng("eta-ad"))
-        ad_ok, ad, ad_n = _decide([(ad, 30)], 1e-4)
+        ad_ok, ad, ad_n = _decide([(ad, 30)], 1e-12)
         return ok and ad_ok, max(worst, ad), n + ad_n
 
     def curvature_structured():
@@ -722,8 +723,7 @@ def counterexample_checks(spec: SystemSpec) -> List[Check]:
         lambda: example_base_rotation(bundle, mul(rational(1, 2), PI)))
 
     def twist():
-        rep = twist_report()
-        yield worst_of((rep.gamma_residual, rep.gamma_residual_half_step)), 8
+        yield twist_report().gamma_residual, 8
 
     def twist_fiber():
         rep = twist_report()

@@ -126,6 +126,8 @@ def _parse_sections(text: str) -> Dict[str, List[Tuple[str, str, int]]]:
         if "=" not in line:
             raise SystemSpecError(f"line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
+        if not key:
+            raise SystemSpecError(f"line {lineno}: '{line}' has no key before '='")
         known = _KEYS[current]
         name = "box <coordinate>" if key.startswith("box ") else key
         if known is not None and name not in known:

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from gqw import mpc_bundle
+from gqw import mpc_bundle, suites
 from gqw.circle import (
     I_HBAR_INV, TWO_PI_HBAR_INV, TWO_PI_I, E_circle, F_circle, PrequantCircle, ks_operator,
 )
@@ -303,8 +303,7 @@ def test_gamma_right_invariance_sampled(bundle):
         d = rng.uniform(-0.8, 0.8)
         b = MpcElement(mat_exp((d, rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8), -d)),
                        cmath.exp(1j * rng.uniform(-3, 3)))
-        res = pushforward_residual(bundle, right_action_map(b), x, h=1e-6)
-        assert res < 1e-6
+        assert pushforward_residual(bundle, right_action_map(b), x) < 1e-12
 
 
 def test_gamma_on_vertical_generators_is_algebra_component(bundle):
@@ -318,7 +317,7 @@ def test_gamma_on_vertical_generators_is_algebra_component(bundle):
 
 
 def test_eta_blind_to_conjugation(bundle):
-    assert eta_ad_residual(50, bundle.chart.sampler.rng("eta-ad")) < 1e-4
+    assert eta_ad_residual(50, bundle.chart.sampler.rng("eta-ad")) < 1e-12
 
 
 def test_dgamma_equals_curvature_on_structured_pairs(bundle):
@@ -410,10 +409,42 @@ def test_twist_fiber_values_differ_by_half_turn(bundle):
 
 def test_twist_report(bundle):
     rep = example_fiberwise_twist(bundle)
-    assert rep.gamma_residual <= 1e-6
-    assert rep.gamma_residual_half_step <= 1e-6
+    assert rep.gamma_residual <= 1e-12
     assert rep.fiber_gap >= 0.5
     assert rep.eta_residual < 1e-12
+
+
+def theta_scaled(fmap):
+    """``fmap`` with the theta of its image scaled by 1 + 1e-4: the map moves
+    gamma by 1e-4 v_theta on a tangent v, still holomorphically."""
+    def mutant(x):
+        y = fmap(x)
+        return y[:6] + [y[6] * (1 + 1e-4)]
+    return mutant
+
+
+@pytest.mark.parametrize("hbar", [1.0, 1e-5, -1e-5, 1e-8])
+def test_gamma_rows_fail_a_map_that_moves_gamma(hbar, monkeypatch):
+    # here the clean maps read at most 3e-9 and the mutants 7.2e-5.  Below
+    # |hbar| about 1e-11 the two cannot be told apart: the measurement is
+    # relative to a gamma near 1/|hbar|, of which the mutants move 1e-4 |hbar|
+    # (at 1e-12 the mutants read 3e-8 and 4e-7)
+    spec = load_bundled(hbar=hbar)
+
+    def verdict(row_id):
+        rows = suites.mpc_checks(spec) + suites.counterexample_checks(spec)
+        return next(fn for i, _, fn in rows if i == row_id)()
+
+    assert verdict("prequant-invariance")[0] and verdict("twist-gamma-preserved")[0]
+    monkeypatch.setattr(mpc_bundle, "_twist_covering_map",
+                        theta_scaled(mpc_bundle._twist_covering_map))
+    ok, worst, _ = verdict("twist-gamma-preserved")
+    assert not ok and worst > 1e-5
+    assert verdict("prequant-invariance")[0]
+    monkeypatch.setattr(suites, "right_action_map",
+                        lambda b: theta_scaled(right_action_map(b)))
+    ok, worst, _ = verdict("prequant-invariance")
+    assert not ok and worst > 1e-5
 
 
 # ---------------------------------------------------------------------------
