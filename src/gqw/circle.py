@@ -16,8 +16,6 @@ acts on it as multiplication by -2 pi i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import NotQuantomorphismError
 from .expr import Expr, HBAR, IMAG, PI, ZERO, add, mul, power, rational
 from .flows import RHS, components_rhs
@@ -47,13 +45,23 @@ class PrequantCircle:
                 raise NotQuantomorphismError("d(beta) != omega for the supplied potential", res)
 
 
-@dataclass(frozen=True, slots=True)
 class CircleLiftedVF:
-    """base + c(m) * vertical, with gamma(zeta) = (1/(i hbar)) beta(base) + 2 pi i c."""
+    """base + c(m) * vertical, with gamma(zeta) = (1/(i hbar)) beta(base) + 2 pi i c.
+    Equality and hash leave ``bundle`` out."""
 
-    bundle: PrequantCircle = field(compare=False)
-    base: VectorField
-    fiber: Expr
+    __slots__ = ("bundle", "base", "fiber")
+
+    def __init__(self, bundle: PrequantCircle, base: VectorField, fiber: Expr):
+        self.bundle = bundle
+        self.base = base
+        self.fiber = fiber
+
+    def __eq__(self, other):
+        return (type(other) is CircleLiftedVF
+                and self.base == other.base and self.fiber == other.fiber)
+
+    def __hash__(self):
+        return hash((self.base, self.fiber))
 
     def __repr__(self):
         return f"{self.base!r} + ({self.fiber!r}) * vertical"

@@ -9,7 +9,6 @@ of scope: the exterior derivative of a degree-2 form is only available on
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from .errors import ChartMismatchError, DegreeError, ExprSyntaxError
@@ -35,15 +34,15 @@ def check_coordinate_names(coords: Sequence[str]) -> None:
             raise ValueError(f"coordinate '{c}' collides with the form token d{c[1:]}")
 
 
-@dataclass(frozen=True)
 class Chart:
     """A global chart, built from its evaluation context: its coordinates are
     the sampler's, and must pass ``check_coordinate_names``."""
 
-    sampler: DomainSampler
+    __slots__ = ("sampler",)
 
-    def __post_init__(self):
-        check_coordinate_names(self.coords)
+    def __init__(self, sampler: DomainSampler):
+        check_coordinate_names(sampler.coords)
+        self.sampler = sampler
 
     @property
     def coords(self) -> Tuple[str, ...]:

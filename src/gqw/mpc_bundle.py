@@ -35,9 +35,8 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 from .circle import (
     I_HBAR_INV, TWO_PI_HBAR_INV, TWO_PI_I, PrequantCircle, connection_lie_derivative,
@@ -109,26 +108,37 @@ class MpcPrequant:
         self.beta = circle.beta
 
 
-@dataclass(frozen=True, slots=True)
 class StructuredVF:
-    """base + right-invariant (A(m), tau(m)) + left-invariant constant (B, c)."""
+    """base + right-invariant (A(m), tau(m)) + left-invariant constant (B, c).
+    Equality and hash leave ``bundle`` out."""
 
-    bundle: MpcPrequant = field(compare=False, repr=False)
-    base: VectorField
-    a_r: EMat = E_ZERO
-    tau_r: Expr = ZERO
-    a_l: Mat = M_ZERO
-    tau_l: complex = 0j
+    __slots__ = ("bundle", "base", "a_r", "tau_r", "a_l", "tau_l")
 
-    def __post_init__(self):
-        tr = add(self.a_r[0], self.a_r[3])
+    def __init__(self, bundle: MpcPrequant, base: VectorField, a_r: EMat = E_ZERO,
+                 tau_r: Expr = ZERO, a_l: Mat = M_ZERO, tau_l: complex = 0j):
+        tr = add(a_r[0], a_r[3])
         if not tr.is_zero():
             raise UnsupportedFieldError(
                 f"right-invariant matrix coefficient has trace {tr}")
-        if abs(self.a_l[0] + self.a_l[3]) > 1e-12:
+        if abs(a_l[0] + a_l[3]) > 1e-12:
             raise UnsupportedFieldError("left-invariant matrix part must be traceless")
-        if abs(self.tau_l.real) > 1e-12:
+        if abs(tau_l.real) > 1e-12:
             raise UnsupportedFieldError("left-invariant u(1) part must be imaginary")
+        self.bundle = bundle
+        self.base = base
+        self.a_r = a_r
+        self.tau_r = tau_r
+        self.a_l = a_l
+        self.tau_l = tau_l
+
+    def _fields(self):
+        return (self.base, self.a_r, self.tau_r, self.a_l, self.tau_l)
+
+    def __eq__(self, other):
+        return type(other) is StructuredVF and self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
     def gamma(self) -> Expr:
         """gamma(zeta) as a function on the base; the adjoint twist on the
@@ -397,8 +407,7 @@ def _rotation_covering_map(c: float, s: float) -> Callable:
     return lambda x: [c * x[0] - s * x[1], s * x[0] + c * x[1], *x[2:7]]
 
 
-@dataclass
-class TwistReport:
+class TwistReport(NamedTuple):
     gamma_residual: float
     fiber_gap: float
     eta_residual: float
@@ -420,8 +429,7 @@ def example_fiberwise_twist(bundle: MpcPrequant) -> TwistReport:
     return TwistReport(gamma_residual=worst, fiber_gap=gap, eta_residual=eta_worst)
 
 
-@dataclass
-class RotationReport:
+class RotationReport(NamedTuple):
     gamma_preserved: bool                # the pullbacks of beta and omega are exact
     equivariance_residual: float
     fiber_difference: float

@@ -28,7 +28,6 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
 from typing import Tuple
 
 from .errors import NumericError
@@ -127,14 +126,19 @@ def kappa(g1: Mat, g2: Mat) -> int:
 # the double cover
 
 
-@dataclass(frozen=True)
 class MpElement:
-    g: Mat
-    sheet: int  # 0 or 1
+    __slots__ = ("g", "sheet")
 
-    def __post_init__(self):
-        object.__setattr__(self, "g", normalize_det(self.g))
-        object.__setattr__(self, "sheet", self.sheet & 1)
+    def __init__(self, g: Mat, sheet: int):
+        self.g = normalize_det(g)
+        self.sheet = sheet & 1
+
+    def __eq__(self, other):
+        return (type(other) is MpElement
+                and self.g == other.g and self.sheet == other.sheet)
+
+    def __hash__(self):
+        return hash((self.g, self.sheet))
 
 
 def mp_identity() -> MpElement:
@@ -154,17 +158,22 @@ def mp_inv(x: MpElement) -> MpElement:
 # the circle extension, in canonical form (sheet normalized to 0)
 
 
-@dataclass(frozen=True)
 class MpcElement:
-    g: Mat
-    phase: complex  # unit modulus
+    __slots__ = ("g", "phase")
 
-    def __post_init__(self):
-        object.__setattr__(self, "g", normalize_det(self.g))
-        r = abs(self.phase)
+    def __init__(self, g: Mat, phase: complex):
+        self.g = normalize_det(g)
+        r = abs(phase)
         if r == 0:
             raise NumericError("zero phase in a circle-extension element")
-        object.__setattr__(self, "phase", self.phase / r)
+        self.phase = phase / r
+
+    def __eq__(self, other):
+        return (type(other) is MpcElement
+                and self.g == other.g and self.phase == other.phase)
+
+    def __hash__(self):
+        return hash((self.g, self.phase))
 
 
 def mpc_identity() -> MpcElement:
@@ -204,20 +213,26 @@ def central(phase: complex) -> MpcElement:
 # Lie algebra and one-parameter subgroups
 
 
-@dataclass(frozen=True)
 class MpcAlgebra:
     """sp(R^2) + u(1) split: A is a traceless real 2x2 matrix, tau is the
     imaginary u(1) component (the value the connection form assigns to the
     generated vertical field)."""
 
-    A: Mat
-    tau: complex
+    __slots__ = ("A", "tau")
 
-    def __post_init__(self):
-        if abs(self.A[0] + self.A[3]) > 1e-12:
-            raise NumericError(f"algebra matrix has trace {self.A[0] + self.A[3]}")
-        if abs(self.tau.real) > 1e-12:
-            raise NumericError(f"u(1) component {self.tau} is not imaginary")
+    def __init__(self, A: Mat, tau: complex):
+        if abs(A[0] + A[3]) > 1e-12:
+            raise NumericError(f"algebra matrix has trace {A[0] + A[3]}")
+        if abs(tau.real) > 1e-12:
+            raise NumericError(f"u(1) component {tau} is not imaginary")
+        self.A = A
+        self.tau = tau
+
+    def __eq__(self, other):
+        return type(other) is MpcAlgebra and self.A == other.A and self.tau == other.tau
+
+    def __hash__(self):
+        return hash((self.A, self.tau))
 
 
 ROTATION_GENERATOR: Mat = (0.0, -1.0, 1.0, 0.0)

@@ -15,9 +15,8 @@ exponents, e.g. p*q^(-1).  Digits are decimal digits: '²' is not one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ExprSyntaxError, UnknownSymbolError
 from .expr import _CONSTANTS, _FUNCTIONS as _CALLS
@@ -32,8 +31,7 @@ _BP_NEG = 25
 _BP_POW = 30
 
 
-@dataclass
-class _Token:
+class _Token(NamedTuple):
     kind: str  # int, dec, ident, op, end
     text: str
     pos: int

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from .errors import EvaluationError, SamplingError, UnboundSymbolError
@@ -46,27 +45,40 @@ class _Stream:
         self.found: List[Tuple[int, Dict[str, float]]] = []
 
 
-@dataclass(frozen=True)
+# the context's defaults, which the system loader also reads
+DEFAULT_SEED = 42
+DEFAULT_SAMPLES = 32
+DEFAULT_TOLERANCE = 1e-9
+DEFAULT_HBAR = 1.0
+
+
 class DomainSampler:
     """Draws points from a coordinate box, rejecting those that violate the
     chart's strict inequalities (each entry of ``positive`` must evaluate
     > ``tolerance`` at every emitted point).  ``hbar`` is the value bound
-    to the reserved constant in every evaluation on the chart."""
+    to the reserved constant in every evaluation on the chart.  A sampler
+    needs ``n_samples >= 1``: with no points, every comparison would pass."""
 
-    coords: Tuple[str, ...]
-    box: Dict[str, Tuple[float, float]]
-    positive: Tuple[Expr, ...] = ()
-    seed: int = 42
-    n_samples: int = 32
-    tolerance: float = 1e-9
-    hbar: float = 1.0
-    _streams: Dict[str, _Stream] = field(default_factory=dict, init=False,
-                                         repr=False, compare=False)
+    __slots__ = ("coords", "box", "positive", "seed", "n_samples", "tolerance", "hbar",
+                 "_streams")
 
-    def __post_init__(self):
-        for c in self.coords:
-            if c not in self.box:
+    def __init__(self, coords: Tuple[str, ...], box: Dict[str, Tuple[float, float]],
+                 positive: Tuple[Expr, ...] = (), seed: int = DEFAULT_SEED,
+                 n_samples: int = DEFAULT_SAMPLES, tolerance: float = DEFAULT_TOLERANCE,
+                 hbar: float = DEFAULT_HBAR):
+        for c in coords:
+            if c not in box:
                 raise SamplingError(f"no bounding box for coordinate '{c}'")
+        if not n_samples >= 1:
+            raise SamplingError(f"n_samples = {n_samples}: at least 1 is needed")
+        self.coords = coords
+        self.box = box
+        self.positive = positive
+        self.seed = seed
+        self.n_samples = n_samples
+        self.tolerance = tolerance
+        self.hbar = hbar
+        self._streams: Dict[str, _Stream] = {}
 
     def rng(self, tag: str) -> random.Random:
         """A fresh rng for the ``{seed}:{tag}`` stream."""

@@ -32,8 +32,7 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .circle import (
     CircleLiftedVF, E_circle, F_circle, I_HBAR_INV, TWO_PI_HBAR_INV, TWO_PI_I,
@@ -65,8 +64,7 @@ from .symplectic import hamiltonian_vf, lie_derivative_omega, poisson, poisson_w
 from .system import SystemSpec
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     id: str
     anchor: str
     status: str
@@ -80,8 +78,7 @@ class CheckResult:
         return self.status == "pass"
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     suite: str
     checks: List[CheckResult]
     elapsed: float = 0.0

@@ -35,7 +35,6 @@ import functools
 import importlib.resources
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -44,19 +43,21 @@ from .expr import Expr, add, mul, rational
 from .forms import Chart, KForm, check_coordinate_names, parse_form
 from .mpc_bundle import MpcPrequant
 from .circle import PrequantCircle
-from .sample import DomainSampler
+from .sample import (
+    DEFAULT_HBAR, DEFAULT_SAMPLES, DEFAULT_SEED, DEFAULT_TOLERANCE, DomainSampler,
+)
 from .symplectic import SymplecticChart
 from .parse import parse_expr
 
-@dataclass
 class SystemSpec:
     """A loaded system.  The chart, its coordinates and the evaluation
     context (seed, sample count, tolerance, hbar) are read-only views of
     ``sympl.chart`` and its sampler; the bundles are built on first use."""
 
-    sympl: SymplecticChart
-    beta: KForm
-    hamiltonians: Dict[str, Expr]
+    def __init__(self, sympl: SymplecticChart, beta: KForm, hamiltonians: Dict[str, Expr]):
+        self.sympl = sympl
+        self.beta = beta
+        self.hamiltonians = hamiltonians
 
     @property
     def chart(self) -> Chart:
@@ -182,10 +183,10 @@ def load_spec_text(text: str, samples: Optional[int] = None, tol: Optional[float
             f"{coords_at}'coordinates = {coords_text}': {exc}") from None
 
     tols = sections.get("tolerances", [])
-    epsilon, epsilon_at = _number(tols, "epsilon", float, DomainSampler.tolerance, tol)
-    n_samples, samples_at = _number(tols, "samples", int, DomainSampler.n_samples, samples)
-    seed_v, _ = _number(tols, "seed", int, DomainSampler.seed, seed)
-    hbar_v, hbar_at = _number(tols, "hbar", float, DomainSampler.hbar, hbar)
+    epsilon, epsilon_at = _number(tols, "epsilon", float, DEFAULT_TOLERANCE, tol)
+    n_samples, samples_at = _number(tols, "samples", int, DEFAULT_SAMPLES, samples)
+    seed_v, _ = _number(tols, "seed", int, DEFAULT_SEED, seed)
+    hbar_v, hbar_at = _number(tols, "hbar", float, DEFAULT_HBAR, hbar)
     if not n_samples >= 1:
         raise SystemSpecError(f"{samples_at}samples = {n_samples}: at least 1 is needed")
     if not (math.isfinite(epsilon) and epsilon > 0):

@@ -55,6 +55,16 @@ def test_potential_validation():
     PrequantCircle(sympl, parse_form("p*dq", chart))      # alternative potential
 
 
+def test_lifted_fields_compare_and_hash_without_their_bundle(bundle):
+    other = PrequantCircle(bundle.sympl, parse_form("p*dq", bundle.chart))
+    xi = hamiltonian_vf(mul(P, Q), bundle.sympl)
+    z = CircleLiftedVF(bundle, xi, P)
+    same = CircleLiftedVF(other, VectorField(bundle.chart, xi.components), P)
+    assert z == same and hash(z) == hash(same)
+    assert z != CircleLiftedVF(bundle, xi, Q)
+    assert z != CircleLiftedVF(bundle, zero_vf(bundle.chart), P)
+
+
 # ---------------------------------------------------------------------------
 # horizontal lift
 

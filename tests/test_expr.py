@@ -590,6 +590,19 @@ def test_a_symbol_the_sampler_does_not_bind_raises_at_once():
     assert type(err.value) is UnboundSymbolError
 
 
+def test_a_sampler_needs_a_box_for_each_coordinate():
+    with pytest.raises(SamplingError, match="no bounding box for coordinate 'q'"):
+        sampler(box={"p": (-2.0, 2.0)})
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_a_sampler_with_no_points_is_refused(n):
+    # with no points, expr_equal(p, q, ...) read (True, 0.0): every identity
+    # that does not cancel structurally would pass
+    with pytest.raises(SamplingError, match=f"n_samples = {n}: at least 1"):
+        sampler(n_samples=n)
+
+
 def test_resample_cap_raises():
     # exp(exp(p^2*100 + 10)) overflows at every admissible point
     blow = call("exp", call("exp", add(mul(rational(100), power(P, 2)), rational(10))))

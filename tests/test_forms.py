@@ -25,6 +25,19 @@ def chart():
     return Chart(s)
 
 
+@pytest.mark.parametrize("coords, message", [
+    (("p", "p"), "must be distinct"),
+    (("p", "q", "r", "s", "t", "u", "v"), "between 1 and 6"),
+    (("p", "1q"), "not an identifier"),
+    (("p", "sin"), "reserved name"),
+    (("p", "dp"), "collides with the form token"),
+])
+def test_a_chart_refuses_coordinate_names_the_grammar_cannot_read(coords, message):
+    s = DomainSampler(coords=coords, box={c: (-1, 1) for c in coords})
+    with pytest.raises(ValueError, match=message):
+        Chart(s)
+
+
 @pytest.fixture
 def beta(chart):
     return parse_form("1/2*(p*dq - q*dp)", chart)

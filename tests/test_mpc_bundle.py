@@ -69,6 +69,18 @@ def test_structured_fields_must_be_traceless(bundle):
                      a_r=(rational(1), ZERO, ZERO, ZERO))
     with pytest.raises(UnsupportedFieldError):
         left_invariant(bundle, (1.0, 0.0, 0.0, 1.0), 0j)
+    with pytest.raises(UnsupportedFieldError, match="must be imaginary"):
+        left_invariant(bundle, (1.0, 0.0, 0.0, -1.0), 1.0 + 0j)
+
+
+def test_structured_fields_compare_and_hash_without_their_bundle(bundle):
+    other = load_bundled(seed=5).mpc_bundle()
+    z = left_invariant(bundle, (1.0, 0.0, 0.0, -1.0), 0.5j)
+    same = left_invariant(other, (1.0, 0.0, 0.0, -1.0), 0.5j)
+    assert z.bundle is not same.bundle
+    assert z == same and hash(z) == hash(same)
+    assert z != left_invariant(bundle, (1.0, 0.0, 0.0, -1.0), 0.25j)
+    assert z != StructuredVF(bundle, z.base, tau_r=P, a_l=z.a_l, tau_l=z.tau_l)
 
 
 # ---------------------------------------------------------------------------

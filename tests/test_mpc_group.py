@@ -418,6 +418,26 @@ def test_algebra_validation():
         MpcAlgebra((1.0, 0.0, 0.0, 1.0), 0j)  # nonzero trace
     with pytest.raises(NumericError):
         MpcAlgebra((0.0, 1.0, 1.0, 0.0), 1.0 + 0j)  # real u(1) part
+    with pytest.raises(NumericError, match="zero phase"):
+        MpcElement(IDENTITY, 0j)
+    with pytest.raises(NumericError, match="non-positive determinant"):
+        MpElement((1.0, 0.0, 0.0, -1.0), 0)
+
+
+def test_group_elements_compare_and_hash_by_normalized_value():
+    g = mat_exp((0.3, 0.5, -0.2, -0.3))
+    twice = tuple(2.0 * v for v in g)  # normalize_det divides by sqrt(det) = 2, exactly
+    assert MpElement(twice, 3) == MpElement(g, 1)  # the sheet is kept mod 2
+    assert hash(MpElement(twice, 3)) == hash(MpElement(g, 1))
+    assert MpElement(g, 0) != MpElement(g, 1)
+    assert MpcElement(twice, 3j) == MpcElement(g, 1j)  # the phase is kept on the circle
+    assert hash(MpcElement(twice, 3j)) == hash(MpcElement(g, 1j))
+    assert MpcElement(g, 1.0) != MpcElement(g, -1.0)
+    assert MpcElement(g, 1.0) != MpElement(g, 0)
+    alpha = MpcAlgebra(ROTATION_GENERATOR, 0.5j)
+    assert alpha == MpcAlgebra(ROTATION_GENERATOR, 0.5j) != MpcAlgebra(ROTATION_GENERATOR, 0j)
+    assert len({alpha, MpcAlgebra(ROTATION_GENERATOR, 0.5j), mpc_identity(),
+                mpc_mul(mpc_identity(), mpc_identity())}) == 2
 
 
 # ---------------------------------------------------------------------------
