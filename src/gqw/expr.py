@@ -29,10 +29,14 @@ process.
 
 mul keeps each product that distributed a sum in ``_EXPANDED``, a table
 from its argument tuple to the result, and answers a repeat from it, so a
-product over a sum is distributed once per process.  Products with no sum
-factor are cheap to rebuild and are not stored, which keeps the table small.
-The table lives for the process; racing threads fill it with
-dict.setdefault, like the intern tables, so they get the same node.
+product over a sum is distributed once per process.  A rational times one
+node (a sum included) is rescaled, not distributed: each term keeps its
+monomial and its place and has its coefficient scaled, which gives the node
+distribution would build, since no terms can merge and no sin^2 + cos^2
+pair can appear.  Rescaled products and products with no sum factor are
+cheap to rebuild and are not stored, which keeps the table small.  The
+table lives for the process; racing threads fill it with dict.setdefault,
+like the intern tables, so they get the same node.
 
 add collects terms by monomial.  A product with a coefficient keeps its
 monomial (its factors after the coefficient, as one node) in ``_mono``,
@@ -271,7 +275,7 @@ def _has_sin_power(monomials) -> bool:
     type test before any call."""
     for mono in monomials:
         for f in (mono.factors if type(mono) is Mul else (mono,)):
-            if type(f) is Pow and _is_sin_power(f):
+            if type(f) is Pow and type(f.base) is Call and _is_sin_power(f):
                 return True
     return False
 
@@ -332,17 +336,8 @@ def add(*args: Expr) -> Expr:
         if c == 0:
             continue
         node = single.get(mono)
-        if node is not None:
-            # a term met once is canonical: rebuilding it from (c, mono) gives it
-            out.append(node)
-        elif mono is ONE:
-            out.append(Rational(c))
-        elif c == 1:
-            out.append(mono)
-        elif type(mono) is Mul:
-            out.append(Mul((Rational(c),) + mono.factors))
-        else:
-            out.append(Mul((Rational(c), mono)))
+        # a term met once is canonical: rebuilding it from (c, mono) gives it
+        out.append(node if node is not None else _scaled(_exact(c), mono))
     if not out:
         return ZERO
     if len(out) == 1:
@@ -365,7 +360,45 @@ def _expand_product(coeff: Fraction, plain: list, sums: list) -> Expr:
     return add(*[mul(*combo) for combo in out_terms])
 
 
+def _scaled_term(c, t: Expr) -> Expr:
+    """c * t for a nonzero exact rational c, stored as nodes store it, and a
+    canonical t that is not a sum: the coefficient is scaled, and a term whose
+    coefficient becomes 1 is its bare monomial."""
+    tt = type(t)
+    if tt is Rational:
+        return Rational(c * t.value)
+    if tt is not Mul:
+        return Mul((Rational(c), t))
+    if type(t.factors[0]) is not Rational:
+        return Mul((Rational(c),) + t.factors)
+    v = _exact(c * t.factors[0].value)
+    if type(v) is int and v == 1:
+        return _split_coeff(t)[1]
+    return Mul((Rational(v),) + t.factors[1:])
+
+
+def _scaled(c, x: Expr) -> Expr:
+    """c * x for an exact rational c (an int when integral, so a Fraction is
+    never 0 or 1) and a canonical x.  Scaling keeps every monomial, so no
+    terms merge, the term order stands and no sin^2 + cos^2 pair appears:
+    the result is the node that distributing c over x builds."""
+    if type(c) is int:
+        if c == 0:
+            return ZERO
+        if c == 1:
+            return x
+    if type(x) is Add:
+        return Add(tuple([_scaled_term(c, t) for t in x.terms]))
+    return _scaled_term(c, x)
+
+
 def mul(*args: Expr) -> Expr:
+    if len(args) == 2:
+        a, b = args
+        if type(a) is Rational:
+            return _scaled(a.value, b)
+        if type(b) is Rational:
+            return _scaled(b.value, a)
     expanded = _EXPANDED.get(args)
     if expanded is not None:
         return expanded
@@ -413,6 +446,8 @@ def mul(*args: Expr) -> Expr:
         else:
             plain.append(p)
     if sums:
+        if not plain and len(sums) == 1:
+            return _scaled(_exact(coeff), sums[0])
         return _EXPANDED.setdefault(args, _expand_product(coeff, plain, sums))
     bases = [f.base if type(f) is Pow else f for f in plain]
     if len(set(bases)) != len(bases):

@@ -284,12 +284,20 @@ def load_spec_text(text: str, samples: Optional[int] = None, tol: Optional[float
 
 
 def load_spec(path: str, **overrides) -> SystemSpec:
+    """Load a system file.  It is read as UTF-8; a leading byte-order mark
+    is dropped, as the utf-8-sig codec does."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise SystemSpecError(f"cannot read '{path}': {exc}") from exc
-    return load_spec_text(text, **overrides)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise SystemSpecError(f"'{path}' is not UTF-8: {exc.reason} at byte offset "
+                              f"{exc.start} (line {line})") from exc
+    return load_spec_text(text.removeprefix("\ufeff"), **overrides)
 
 
 def bundled_spec_text() -> str:

@@ -11,7 +11,7 @@ from gqw.errors import (
     EvaluationError, ExprSyntaxError, SamplingError, UnboundSymbolError, UnknownSymbolError,
 )
 from gqw.expr import (
-    HBAR, IMAG, ONE, PI, Add, Call, Constant, Mul, Pow, Rational, Symbol, add, call,
+    HBAR, IMAG, ONE, PI, ZERO, Add, Call, Constant, Mul, Pow, Rational, Symbol, add, call,
     diff, evalf, mul, power, rational, subs, symbol, to_str,
 )
 from gqw.parse import parse_expr
@@ -404,6 +404,104 @@ def test_products_and_powers_match_a_fold_that_stores_nothing_by_identity():
         if type(kernel) in (Add, Mul, Pow, Call):
             composite.add(kernel)
     assert len(composite) >= 300
+
+
+# ---------------------------------------------------------------------------
+# products by a rational
+
+SCALES = [rational(-1), rational(2), rational(-1, 3), rational(7, 2)]
+# one node of each kind, then sums with a constant term
+SCALED = {
+    "rational": rational(5, 4),
+    "symbol": P,
+    "pi": PI,
+    "i": IMAG,
+    "hbar": HBAR,
+    "power": power(P, 3),
+    "rational-base-power": power(rational(2), Fraction(1, 2)),
+    "power-of-a-sum": power(add(P, Q), -1),
+    "call": call("sin", P),
+    "product": mul(P, Q),
+    "product-with-coefficient": mul(rational(-3, 2), IMAG, Q),
+    "sum": add(rational(3), mul(rational(2), P), mul(rational(-1, 2), IMAG, Q), power(P, 2)),
+    "sum-of-fractions": add(rational(1, 3), mul(rational(-2, 3), call("cos", Q)), P),
+}
+
+
+def _assert_scaled_as_distributed(c, x):
+    assert mul(c, x) is mul_rebuilt(c, x)
+    assert mul(x, c) is mul_rebuilt(x, c)
+
+
+@pytest.mark.parametrize("x", SCALED.values(), ids=SCALED.keys())
+def test_a_rational_times_one_node_is_the_distributed_product(x):
+    from gqw.expr import _split_coeff
+    for c in SCALES:
+        _assert_scaled_as_distributed(c, x)
+    # scales that bring a term's coefficient to 1, so the term loses it, or to -1
+    for t in (x.terms if type(x) is Add else (x,)):
+        v = _split_coeff(t)[0]
+        _assert_scaled_as_distributed(Rational(Fraction(1) / v), x)
+        _assert_scaled_as_distributed(Rational(Fraction(-1) / v), x)
+
+
+def test_a_rational_times_a_seeded_tree_is_the_distributed_product():
+    import random
+    for seed in range(120):
+        x = _random_expr(random.Random(seed), 3, mul, power)
+        for c in SCALES:
+            _assert_scaled_as_distributed(c, x)
+
+
+def test_a_coefficient_times_one_sum_is_the_distributed_product():
+    s = SCALED["sum"]
+    assert mul(ZERO, s) is ZERO and mul(s, ZERO) is ZERO
+    assert mul(ONE, s) is s and mul(s, ONE) is s
+    root = power(s, Fraction(1, 2))
+    for args in [(rational(1, 2), rational(2), s),      # the coefficients multiply to 1
+                 (rational(-1, 3), s, rational(6)),
+                 (root, rational(3), root),             # the sum comes from a merged power
+                 (rational(2), P, power(P, -1), s)]:    # the other factors cancel
+        assert mul(*args) is mul_rebuilt(*args)
+    assert mul(rational(1, 2), rational(2), s) is s
+
+
+def test_a_rational_times_a_sum_is_rescaled_not_distributed(monkeypatch):
+    from gqw import expr
+    x, y = symbol("scaled_x"), symbol("scaled_y")  # nodes new to this process
+    s = add(rational(1), mul(rational(2), x), mul(rational(3), y))
+    half, third = mul_rebuilt(rational(-1, 2), s), mul_rebuilt(rational(1, 3), s)
+    called = []
+    monkeypatch.setattr(expr, "_expand_product", lambda *a: called.append(a))
+    monkeypatch.setattr(expr, "add", lambda *a: called.append(a))
+    before = dict(expr._EXPANDED)
+    assert mul(rational(-1, 2), s) is half
+    assert mul(s, rational(-1, 2)) is half
+    assert mul(rational(2, 3), s, rational(1, 2)) is third
+    assert called == []
+    assert expr._EXPANDED == before
+    assert third.terms[2] is y  # 1/3 * 3 y: the coefficient 1 is dropped
+
+
+def test_the_sin_power_test_runs_only_on_powers_of_a_call(monkeypatch):
+    from gqw import expr
+    tested = []
+    is_sin_power = expr._is_sin_power
+
+    def counted(f):
+        tested.append(f)
+        return is_sin_power(f)
+
+    monkeypatch.setattr(expr, "_is_sin_power", counted)
+    add(mul(rational(3), power(P, 2), Q), power(Q, 3), power(add(P, Q), -1),
+        mul(rational(-1, 2), power(rational(2), Fraction(1, 2)), P))
+    assert tested == []
+    u = add(P, mul(rational(2), Q))
+    sin, cos = call("sin", u), call("cos", u)
+    assert add(power(sin, 2), power(cos, 2)) is ONE
+    assert add(mul(rational(3), power(sin, 3), Q),
+               mul(rational(3), sin, power(cos, 2), Q)) is mul(rational(3), sin, Q)
+    assert tested
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """System file loading, validation, suite reports, and the CLI contract."""
 
+import codecs
 import hashlib
 import json
 import math
@@ -18,7 +19,7 @@ from gqw.mpc_bundle import delta_operator
 from gqw.parse import parse_expr
 from gqw.sample import expr_equal
 from gqw.suites import run_suite
-from gqw.system import bundled_spec_text, load_bundled, load_spec_text
+from gqw.system import bundled_spec_text, load_bundled, load_spec, load_spec_text
 
 GOOD = bundled_spec_text()
 
@@ -202,6 +203,35 @@ def test_cli_bad_value_in_file_exit_two(tmp_path, capsys):
     bad.write_text(GOOD.replace("samples = 32", "samples = abc"))
     assert main(["check", "--system", str(bad)]) == 2
     assert "samples" in capsys.readouterr().err
+
+
+def test_a_file_that_is_not_utf8_is_a_load_error_naming_its_byte(tmp_path, capsys):
+    # a Latin-1 comment: the decoder used to escape as a traceback with exit 1
+    data = GOOD.replace("[symplectic]", "# caf\u00e9\n[symplectic]").encode("latin-1")
+    bad = tmp_path / "latin1.spec"
+    bad.write_bytes(data)
+    offset = data.index(b"\xe9")
+    line = data.count(b"\n", 0, offset) + 1
+    with pytest.raises(SystemSpecError) as err:
+        load_spec(str(bad))
+    assert str(bad) in str(err.value)
+    assert f"byte offset {offset} (line {line})" in str(err.value)
+    assert main(["check", "--system", str(bad)]) == 2
+    assert f"byte offset {offset}" in capsys.readouterr().err
+
+
+def test_a_utf8_file_with_a_byte_order_mark_loads(tmp_path):
+    marked = tmp_path / "bom.spec"
+    marked.write_bytes(codecs.BOM_UTF8 + GOOD.encode("utf-8"))
+    spec = load_spec(str(marked))
+    plain = load_spec_text(GOOD)
+    assert spec.coords == plain.coords
+    assert spec.hamiltonians.keys() == plain.hamiltonians.keys()
+    assert main(["check", "--system", str(marked), "--suite", "poisson"]) == 0
+    # past the mark, offsets still count from the first byte of the file
+    marked.write_bytes(codecs.BOM_UTF8 + b"[manifold]\n\xff\n")
+    with pytest.raises(SystemSpecError, match=r"byte offset 14 \(line 2\)"):
+        load_spec(str(marked))
 
 
 def on_coordinates(coords: str) -> str:
