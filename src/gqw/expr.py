@@ -25,7 +25,10 @@ for the process.
 evalf runs one closure per node, ``env -> complex``: it is built on the
 node's first evaluation from its children's closures and kept in the node,
 like the node's sort key, so each node is dispatched on its type once per
-process.
+process.  A sum or product folds its leading constants (rationals, i, pi)
+into one start value when its closure is built, and those constants get no
+closure of their own, so an evaluation makes one closure call per node that
+reads the point, with the float operations of a plain tree walk.
 
 mul keeps each product that distributed a sum in ``_EXPANDED``, a table
 from its argument tuple to the result, and answers a repeat from it, so a
@@ -595,23 +598,36 @@ def evalf(e: Expr, env: Mapping[str, complex]) -> complex:
         raise EvaluationError("division by zero during evaluation") from exc
     except (OverflowError, ValueError) as exc:
         raise EvaluationError(f"numeric failure: {exc}") from exc
-    if not (math.isfinite(val.real) and math.isfinite(val.imag)):
+    if not cmath.isfinite(val):
         raise EvaluationError("non-finite value during evaluation")
     return val
+
+
+def _constant(e: Expr):
+    """The value of a node that reads no environment (a rational, pi or i),
+    else None."""
+    if type(e) is Rational:
+        return complex(e.value.numerator / e.value.denominator)
+    if e is PI:
+        return complex(math.pi)
+    if e is IMAG:
+        return 1j
+    return None
 
 
 def _compiled(e: Expr):
     """The node's evaluator ``env -> complex``, built once from its
     children's evaluators and kept in the node (filling it twice stores an
-    equivalent closure)."""
+    equivalent closure).  A sum or product folds its leading constants into
+    its start value, so a call adds or multiplies in order, as a tree walk
+    does, with one closure call per child that reads the environment."""
     try:
         return e._fn
     except AttributeError:
         pass
     t = type(e)
-    if t is Rational or e is PI or e is IMAG:
-        value = (1j if e is IMAG else complex(math.pi) if e is PI
-                 else complex(e.value.numerator / e.value.denominator))
+    value = _constant(e)
+    if value is not None:
 
         def fn(env):
             return value
@@ -624,19 +640,31 @@ def _compiled(e: Expr):
                 return complex(env[name])
             except KeyError:
                 raise UnboundSymbolError(unbound) from None
-    elif t is Add:
-        terms = tuple(_compiled(term) for term in e.terms)
+    elif t is Add or t is Mul:
+        children = e.terms if t is Add else e.factors
+        start = 0 if t is Add else complex(1)  # sum() starts from the int 0
+        k = 0
+        while k < len(children):
+            c = _constant(children[k])
+            if c is None:
+                break
+            start = start + c if t is Add else start * c
+            k += 1
+        rest = tuple([_compiled(x) for x in children[k:]])
+        if t is Add:
 
-        def fn(env):
-            return sum([term(env) for term in terms])
-    elif t is Mul:
-        factors = tuple(_compiled(f) for f in e.factors)
+            def fn(env):
+                out = start
+                for term in rest:
+                    out = out + term(env)
+                return out
+        else:
 
-        def fn(env):
-            out = complex(1)
-            for f in factors:
-                out *= f(env)
-            return out
+            def fn(env):
+                out = start
+                for f in rest:
+                    out *= f(env)
+                return out
     elif t is Pow and e.exponent.denominator == 1:
         base, n = _compiled(e.base), e.exponent.numerator
 

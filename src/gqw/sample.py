@@ -147,8 +147,11 @@ def expr_equal(a: Expr, b: Expr, sampler: DomainSampler) -> Tuple[bool, float]:
     structural zero report residual exactly 0.0.  Otherwise it is evaluated
     at ``n_samples`` admissible points of the ``{seed}:equal`` stream, at
     the sampler's hbar; points where the difference fails to evaluate are
-    skipped, within the sampler's draw cap.  A symbol the sampler does not
-    bind fails at every point and raises UnboundSymbolError at once.
+    skipped, within the sampler's draw cap.  If the cap is reached after
+    skipping some, the SamplingError names how many admissible points failed
+    to evaluate and the last failure, since the expression is at fault and
+    not the domain.  A symbol the sampler does not bind fails at every point
+    and raises UnboundSymbolError at once.
     """
     delta = add(a, mul(rational(-1), b))
     if delta.is_zero():
@@ -157,16 +160,27 @@ def expr_equal(a: Expr, b: Expr, sampler: DomainSampler) -> Tuple[bool, float]:
     draws = sampler._draws(n, "equal")
     worst = 0.0
     count = 0
-    while count < n:
-        pt = next(draws)
-        try:
-            r = abs(evalf(delta, pt))
-        except UnboundSymbolError:
+    skipped = 0
+    try:
+        while count < n:
+            pt = next(draws)
+            try:
+                r = abs(evalf(delta, pt))
+            except UnboundSymbolError:
+                raise
+            except EvaluationError as exc:
+                skipped += 1
+                failure = exc
+                continue
+            worst = max(worst, r)
+            count += 1
+    except SamplingError as exc:
+        if not skipped:
             raise
-        except EvaluationError:
-            continue
-        worst = max(worst, r)
-        count += 1
+        # the domain had points; the difference failed to evaluate at them
+        raise SamplingError(
+            f"the difference failed to evaluate at {skipped} of {skipped + count} "
+            f"admissible points (last: {failure}), so {exc}") from failure
     return worst <= sampler.tolerance, worst
 
 

@@ -711,6 +711,20 @@ def test_resample_cap_raises():
         expr_equal(blow, rational(0), s)
 
 
+def test_a_difference_failing_at_admissible_points_is_named_as_the_cause():
+    # exp(10^6 (p^2 + q^2)) overflows at nearly every point of the domain;
+    # the error said "could not find 32 usable points in 32000 draws", which
+    # blamed the domain
+    blow = call("exp", mul(rational(1000000), add(power(P, 2), power(Q, 2))))
+    with pytest.raises(SamplingError, match=(
+            r"^the difference failed to evaluate at \d+ of \d+ admissible points "
+            r"\(last: numeric failure: .*\), so could not find 32 usable points")):
+        expr_equal(blow, Q, sampler())
+    # a domain with no admissible point is still the domain's fault
+    with pytest.raises(SamplingError, match="^could not find 32 usable points in 32000"):
+        expr_equal(P, Q, sampler(positive=(rational(-1),)))
+
+
 # ---------------------------------------------------------------------------
 # memoized point streams
 
@@ -811,13 +825,22 @@ def _reference_evalf(e, env):
 
 EVAL_POINTS = ({"p": 0.7, "q": -1.3, "hbar": 1.5},
                {"p": -2.0, "q": 0.25, "hbar": 1.0},
-               {"p": 0.0, "q": 1.0, "hbar": -0.5})
+               {"p": 0.0, "q": 1.0, "hbar": -0.5},
+               {"p": 1.25, "q": 0.5, "hbar": 2.0},  # -2*p*q < 0: on the half power's cut
+               {"p": -0.0, "q": -0.75, "hbar": 0.5})
 
 
 @settings(max_examples=120, deadline=None)
 @given(exprs)
 @example(parse_expr("p^2*q + sin(p)*hbar + cos(q)^2 + 1/3", VOCAB))  # order-sensitive sum
 @example(parse_expr("(q + i)*sin(p)*p^(1/2)*hbar*(p - i)^(-1/3)", VOCAB))
+# evalf folds a sum's or product's leading rationals, i and pi into one start
+# value; the sign of a zero imaginary part picks the side of a branch cut
+@example(parse_expr("(-2*p*q)^(1/2)", VOCAB))
+@example(parse_expr("1/3 + i + pi + p*q - q^(1/2)", VOCAB))  # constant leading terms
+@example(parse_expr("i*hbar*p", VOCAB))  # the run stops at hbar, which comes first
+@example(parse_expr("1/2*i*pi*q", VOCAB))  # the run is 1/2, i and pi
+@example(parse_expr("1/3*hbar*i*pi*(p*q)^(1/2)", VOCAB))  # i and pi follow hbar: not folded
 def test_evalf_matches_a_tree_walk_bit_for_bit(e):
     for env in EVAL_POINTS:
         try:
@@ -830,6 +853,15 @@ def test_evalf_matches_a_tree_walk_bit_for_bit(e):
         else:
             got = evalf(e, env)
             assert (got.real.hex(), got.imag.hex()) == (ref.real.hex(), ref.imag.hex())
+
+
+def test_constant_children_are_folded_into_their_parent():
+    # a rational factor or term is read when its parent's evaluator is built,
+    # so it never gets an evaluator of its own
+    c = rational(12347, 9973)
+    for e in (mul(c, P, Q), add(c, P)):
+        assert evalf(e, EVAL_POINTS[0]) == _reference_evalf(e, EVAL_POINTS[0])
+        assert not hasattr(c, "_fn")
 
 
 @pytest.mark.parametrize("make, env", [

@@ -2,6 +2,7 @@
 
 import codecs
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -628,6 +629,34 @@ def test_reports_match_their_pinned_digests(suite, seed, capsys):
     assert main(command + ["--format", "json", "--seed", str(seed)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS[suite, seed]
+
+
+# SHA-256 of repr([(verdict, residual.hex()), ...]) for expr_equal over the
+# benchmark's identity_corpus(1, 600); 558 of its pairs reach the sampled path
+IDENTITY_CORPUS_DIGEST = "ad5606d50a7e6308d21401784c70fc495db64358e0a2f7f6d5b7178e7dfe4de9"
+
+
+def test_sampled_identities_match_their_pinned_digest(tmp_path):
+    """The sampled path of expr_equal, run as the benchmark's identities
+    workload runs it: seeded identities on the plane and on a thin annulus,
+    whose differences do not cancel structurally, decided bit for bit as
+    pinned."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", root / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    annulus = tmp_path / "annulus.spec"
+    annulus.write_text(inputs.annulus_spec(), encoding="utf-8")
+    samplers = {"plane": load_bundled(seed=1).chart.sampler,
+                "annulus": load_spec(str(annulus)).chart.sampler}
+    decided = []
+    for chart, lhs, rhs, truth in inputs.identity_corpus(1, 600):
+        a, b = parse_expr(lhs, inputs.COORDS), parse_expr(rhs, inputs.COORDS)
+        ok, residual = expr_equal(a, b, samplers[chart])
+        assert ok is truth
+        decided.append((ok, residual.hex()))
+    assert hashlib.sha256(repr(decided).encode()).hexdigest() == IDENTITY_CORPUS_DIGEST
 
 
 def test_only_the_witness_rows_decide_themselves(monkeypatch):
