@@ -11,16 +11,27 @@ literals, where it forms a rational constant; as an exponent that constant
 is parenthesized, p^(1/2), since p^1/2 is refused rather than read as
 either p^(1/2) or 1/2*p.  General quotients are written with negative
 exponents, e.g. p*q^(-1).  Digits are decimal digits: '²' is not one.
+
+The text is split into tokens by one regular-expression pass, in full
+before parsing, so a character no token can start with is reported before
+any syntax error.  A token is a (kind, text, offset) tuple: the kind is
+int, dec, ident, end, or an operator's own character.
+
+Nesting is limited to 200 levels, CPython's own limit on parentheses.  A
+group, a call, a unary sign, an exponent and the right operand of + - *
+each open a level; deeper text is an ExprSyntaxError, "expression nested
+too deeply", at the offset of the token that opens the 201st level.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import ExprSyntaxError, UnknownSymbolError
 from .expr import _CONSTANTS, _FUNCTIONS as _CALLS
-from .expr import Constant, Expr, Rational, call, add, mul, power, rational, symbol
+from .expr import MINUS_ONE, Constant, Expr, Rational, call, add, mul, power, symbol
 
 _RESERVED = set(_CONSTANTS)
 _FUNCTIONS = {*_CALLS, "sqrt"}  # call() reads sqrt(x) as x^(1/2)
@@ -29,47 +40,31 @@ _BP_ADD = 10
 _BP_MUL = 20
 _BP_NEG = 25
 _BP_POW = 30
+_INFIX = {"+": _BP_ADD, "-": _BP_ADD, "*": _BP_MUL, "^": _BP_POW}
 
+# each level of nesting costs the parser at most two frames (expr and prefix),
+# so it and the kernel's recursion over the tree it returns stay well inside
+# Python's recursion limit
+_MAX_DEPTH = 200
 
-class _Token(NamedTuple):
-    kind: str  # int, dec, ident, op, end
-    text: str
-    pos: int
+# a run of decimal digits with an optional fraction, a word, an operator, or
+# any other non-space character; the characters no group takes are spaces
+_TOKEN = re.compile(r"(?P<int>\d+)(?P<dec>\.\d+)?|(?P<ident>\w+)|(?P<op>[-+*^()/])|(?P<bad>\S)")
 
 
 def _tokenize(text: str) -> list:
+    """(kind, text, offset) tuples, ending with ("end", "", len(text)).  The
+    kind of an operator is its own character; the others are int, dec and
+    ident.  A word must start with a letter: '²' and '_p' are refused."""
     toks = []
-    n = len(text)
-    k = 0
-    while k < n:
-        c = text[k]
-        if c.isspace():
-            k += 1
-            continue
-        if c.isdecimal():
-            start = k
-            while k < n and text[k].isdecimal():
-                k += 1
-            if k < n and text[k] == "." and k + 1 < n and text[k + 1].isdecimal():
-                k += 1
-                while k < n and text[k].isdecimal():
-                    k += 1
-                toks.append(_Token("dec", text[start:k], start))
-            else:
-                toks.append(_Token("int", text[start:k], start))
-            continue
-        if c.isalpha():
-            start = k
-            while k < n and (text[k].isalnum() or text[k] == "_"):
-                k += 1
-            toks.append(_Token("ident", text[start:k], start))
-            continue
-        if c in "+-*^()/":
-            toks.append(_Token("op", c, k))
-            k += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {c!r}", k)
-    toks.append(_Token("end", "", n))
+    for m in _TOKEN.finditer(text):
+        kind, tok, at = m.lastgroup, m.group(), m.start()
+        if kind == "op":
+            kind = tok
+        elif kind == "bad" or kind == "ident" and not tok[0].isalpha():
+            raise ExprSyntaxError(f"unexpected character {tok[0]!r}", at)
+        toks.append((kind, tok, at))
+    toks.append(("end", "", len(text)))
     return toks
 
 
@@ -77,23 +72,16 @@ class _Parser:
     """Precedence-climbing parser shared by the scalar and form grammars."""
 
     def __init__(self, text: str, vocabulary: Sequence[str]):
-        self.text = text
         self.vocab = set(vocabulary)
         self.toks = _tokenize(text)
         self.k = 0
-
-    def peek(self) -> _Token:
-        return self.toks[self.k]
-
-    def advance(self) -> _Token:
-        t = self.toks[self.k]
-        self.k += 1
-        return t
+        self.depth = -1  # the outermost expression is not nested
 
     def expect_op(self, ch: str):
-        t = self.advance()
-        if t.kind != "op" or t.text != ch:
-            raise ExprSyntaxError(f"expected '{ch}'", t.pos)
+        kind, _, pos = self.toks[self.k]
+        self.k += 1
+        if kind != ch:
+            raise ExprSyntaxError(f"expected '{ch}'", pos)
 
     # -- hooks the form grammar overrides -----------------------------------
     def atom_for_ident(self, name: str, pos: int):
@@ -109,11 +97,11 @@ class _Parser:
 
     def combine_add(self, a, b, sign: int, pos: int):
         if sign < 0:
-            b = mul(rational(-1), b)
+            b = mul(MINUS_ONE, b)
         return add(a, b)
 
     def negate(self, a, pos: int):
-        return mul(rational(-1), a)
+        return mul(MINUS_ONE, a)
 
     def _scalar_power(self, base, exp, pos: int):
         if not isinstance(exp, Rational):
@@ -123,82 +111,83 @@ class _Parser:
     # -- grammar -------------------------------------------------------------
     def parse(self):
         out = self.expr(0)
-        t = self.peek()
-        if t.kind != "end":
-            raise ExprSyntaxError(f"unexpected {t.text!r}", t.pos)
+        kind, text, pos = self.toks[self.k]
+        if kind != "end":
+            raise ExprSyntaxError(f"unexpected {text!r}", pos)
         return out
 
     def expr(self, min_bp: int):
+        """The expression at the cursor, its operators binding at least
+        ``min_bp``.  Every call but the outermost is one level of nesting,
+        opened by the token just read: '(', a unary sign, or the operator
+        whose right operand it is."""
+        if self.depth == _MAX_DEPTH:
+            raise ExprSyntaxError("expression nested too deeply", self.toks[self.k - 1][2])
+        self.depth += 1
         left = self.prefix()
         while True:
-            t = self.peek()
-            if t.kind != "op":
+            op, _, pos = self.toks[self.k]
+            bp = _INFIX.get(op)
+            if bp is None or bp < min_bp:
                 break
-            if t.text in "+-" and _BP_ADD >= min_bp:
-                self.advance()
-                right = self.expr(_BP_ADD + 1)
-                left = self.combine_add(left, right, -1 if t.text == "-" else 1, t.pos)
-            elif t.text == "*" and _BP_MUL >= min_bp:
-                self.advance()
-                right = self.expr(_BP_MUL + 1)
-                left = self.combine_mul(left, right, t.pos)
-            elif t.text == "^" and _BP_POW >= min_bp:
-                self.advance()
+            self.k += 1
+            if op == "^":
                 self._reject_bare_fraction()
-                right = self.expr(_BP_POW)  # right associative
-                left = self.combine_caret(left, right, t.pos)
+                left = self.combine_caret(left, self.expr(_BP_POW), pos)  # right associative
+            elif op == "*":
+                left = self.combine_mul(left, self.expr(_BP_MUL + 1), pos)
             else:
-                break
+                left = self.combine_add(left, self.expr(_BP_ADD + 1), -1 if op == "-" else 1, pos)
+        self.depth -= 1
         return left
 
     def _reject_bare_fraction(self):
         """p^2/2 would read as p^(2/2) and p^-1/2 as p^(-1/2): a rational
         literal right after '^', signed or not, must be parenthesized."""
-        k = self.k + (self.peek().text in ("+", "-"))
-        if (self.toks[k].kind == "int" and self.toks[k + 1].text == "/"
-                and self.toks[k + 2].kind == "int"):
+        toks = self.toks
+        k = self.k + (toks[self.k][0] in ("+", "-"))
+        if toks[k][0] == "int" and toks[k + 1][0] == "/" and toks[k + 2][0] == "int":
             raise ExprSyntaxError("ambiguous '/' in an exponent: write p^(3/2) for a "
                                   "fractional exponent, 1/2*p^3 for a quotient",
-                                  self.toks[k + 1].pos)
+                                  toks[k + 1][2])
 
     def prefix(self):
-        t = self.advance()
-        if t.kind == "int":
-            value = Fraction(int(t.text))
-            nxt = self.peek()
-            if (nxt.kind == "op" and nxt.text == "/"
-                    and self.toks[self.k + 1].kind == "int"):
-                self.advance()
-                den = int(self.advance().text)
+        toks = self.toks
+        kind, text, pos = toks[self.k]
+        self.k += 1
+        if kind == "int":
+            value = Fraction(int(text))
+            if toks[self.k][0] == "/" and toks[self.k + 1][0] == "int":
+                den = int(toks[self.k + 1][1])
                 if den == 0:
-                    raise ExprSyntaxError("zero denominator", nxt.pos)
+                    raise ExprSyntaxError("zero denominator", toks[self.k][2])
+                self.k += 2
                 value = Fraction(value.numerator, den)
             return Rational(value)
-        if t.kind == "dec":
-            return Rational(Fraction(t.text))
-        if t.kind == "ident":
-            if t.text in _FUNCTIONS:
-                nxt = self.peek()
-                if nxt.kind == "op" and nxt.text == "(":
-                    self.advance()
+        if kind == "dec":
+            return Rational(Fraction(text))
+        if kind == "ident":
+            if text in _FUNCTIONS:
+                if toks[self.k][0] == "(":
+                    self.k += 1
                     arg = self.expr(0)
                     self.expect_op(")")
                     if not isinstance(arg, Expr):
-                        raise ExprSyntaxError("function arguments must be scalars", t.pos)
-                    return call(t.text, arg)
-                raise ExprSyntaxError(f"function '{t.text}' needs an argument list", t.pos)
-            if t.text in _RESERVED:
-                return Constant(t.text)  # interned: the one PI, IMAG or HBAR
-            return self.atom_for_ident(t.text, t.pos)
-        if t.kind == "op" and t.text == "(":
+                        raise ExprSyntaxError("function arguments must be scalars", pos)
+                    return call(text, arg)
+                raise ExprSyntaxError(f"function '{text}' needs an argument list", pos)
+            if text in _RESERVED:
+                return Constant(text)  # interned: the one PI, IMAG or HBAR
+            return self.atom_for_ident(text, pos)
+        if kind == "(":
             inner = self.expr(0)
             self.expect_op(")")
             return inner
-        if t.kind == "op" and t.text == "-":
-            return self.negate(self.expr(_BP_NEG), t.pos)
-        if t.kind == "op" and t.text == "+":
+        if kind == "-":
+            return self.negate(self.expr(_BP_NEG), pos)
+        if kind == "+":
             return self.expr(_BP_NEG)
-        raise ExprSyntaxError(f"unexpected {t.text!r}" if t.text else "unexpected end of input", t.pos)
+        raise ExprSyntaxError(f"unexpected {text!r}" if text else "unexpected end of input", pos)
 
 
 def parse_expr(text: str, vocabulary: Sequence[str]) -> Expr:

@@ -141,13 +141,18 @@ class DomainSampler:
 
 
 def expr_equal(a: Expr, b: Expr, sampler: DomainSampler) -> Tuple[bool, float]:
-    """Decide a == b on the sampler's domain; returns (verdict, worst residual).
+    """Decide a == b on the sampler's domain; returns (verdict, residual).
 
     The difference is canonicalized first, so identities that normalize to a
     structural zero report residual exactly 0.0.  Otherwise it is evaluated
-    at ``n_samples`` admissible points of the ``{seed}:equal`` stream, at
-    the sampler's hbar; points where the difference fails to evaluate are
-    skipped, within the sampler's draw cap.  If the cap is reached after
+    at admissible points of the ``{seed}:equal`` stream, at the sampler's
+    hbar, and stops at its first witness: the first residual over the
+    tolerance decides False and is the residual returned, as a check row
+    stops at its first residual over its bound.  A true comparison evaluates
+    ``n_samples`` points and returns the largest of their residuals.  Points
+    where the difference fails to evaluate are skipped, within the sampler's
+    draw cap; one admissible point over the tolerance still decides False,
+    however many failed before it.  If the cap is reached after
     skipping some, the SamplingError names how many admissible points failed
     to evaluate and the last failure, since the expression is at fault and
     not the domain.  A symbol the sampler does not bind fails at every point
@@ -172,6 +177,8 @@ def expr_equal(a: Expr, b: Expr, sampler: DomainSampler) -> Tuple[bool, float]:
                 skipped += 1
                 failure = exc
                 continue
+            if r > sampler.tolerance:
+                return False, r
             worst = max(worst, r)
             count += 1
     except SamplingError as exc:
@@ -181,7 +188,7 @@ def expr_equal(a: Expr, b: Expr, sampler: DomainSampler) -> Tuple[bool, float]:
         raise SamplingError(
             f"the difference failed to evaluate at {skipped} of {skipped + count} "
             f"admissible points (last: {failure}), so {exc}") from failure
-    return worst <= sampler.tolerance, worst
+    return True, worst
 
 
 def worst_of(residuals: Iterable[float]) -> float:

@@ -9,13 +9,15 @@ step that ``gqw.mpc_group.lift_path`` multiplies; the cocycle takes each
 angle, the Mobius image and the whole product g1 g2 by its own call; the
 product never reads the kernel's table of expanded products and rebuilds
 every factor through its power; the sum splits and rebuilds every term and
-always runs the sin^2 + cos^2 pass."""
+always runs the sin^2 + cos^2 pass; the tokenizer walks the text one
+character at a time, by the str predicates, with no regular expression."""
 
 import cmath
 import math
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence
 
+from gqw.errors import ExprSyntaxError
 from gqw.expr import (
     IMAG, MINUS_ONE, ONE, ZERO, Add, Expr, Mul, Pow, Rational, _key, _pythagoras,
     add, evalf, rational,
@@ -217,3 +219,42 @@ def add_rebuilt(*args: Expr) -> Expr:
     if not out:
         return ZERO
     return out[0] if len(out) == 1 else Add(tuple(out))
+
+
+def reference_tokenize(text: str) -> list:
+    """(kind, text, offset) tuples of the expression grammar, kind one of
+    int, dec, ident, op and end, or ExprSyntaxError at the first character
+    no token can start with."""
+    toks = []
+    n = len(text)
+    k = 0
+    while k < n:
+        c = text[k]
+        if c.isspace():
+            k += 1
+            continue
+        if c.isdecimal():
+            start = k
+            while k < n and text[k].isdecimal():
+                k += 1
+            if k < n and text[k] == "." and k + 1 < n and text[k + 1].isdecimal():
+                k += 1
+                while k < n and text[k].isdecimal():
+                    k += 1
+                toks.append(("dec", text[start:k], start))
+            else:
+                toks.append(("int", text[start:k], start))
+            continue
+        if c.isalpha():
+            start = k
+            while k < n and (text[k].isalnum() or text[k] == "_"):
+                k += 1
+            toks.append(("ident", text[start:k], start))
+            continue
+        if c in "+-*^()/":
+            toks.append(("op", c, k))
+            k += 1
+            continue
+        raise ExprSyntaxError(f"unexpected character {c!r}", k)
+    toks.append(("end", "", n))
+    return toks

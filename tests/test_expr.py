@@ -14,9 +14,9 @@ from gqw.expr import (
     HBAR, IMAG, ONE, PI, ZERO, Add, Call, Constant, Mul, Pow, Rational, Symbol, add, call,
     diff, evalf, mul, power, rational, subs, symbol, to_str,
 )
-from gqw.parse import parse_expr
+from gqw.parse import _tokenize, parse_expr
 from gqw.sample import DomainSampler, expr_equal
-from oracles import add_rebuilt, mul_rebuilt, power_rebuilt
+from oracles import add_rebuilt, mul_rebuilt, power_rebuilt, reference_tokenize
 
 P = symbol("p")
 Q = symbol("q")
@@ -80,6 +80,10 @@ def test_general_division_is_rejected():
         parse_expr("p/q", VOCAB)
 
 
+DEEP = 10000
+TOO_DEEP = "expression nested too deeply"
+
+
 @pytest.mark.parametrize("text, message, offset", [
     ("p $ q", "unexpected character '$'", 2),
     ("(p", "expected ')'", 2),
@@ -88,12 +92,44 @@ def test_general_division_is_rejected():
     ("sin p", "function 'sin' needs an argument list", 0),
     # str.isdigit() accepted '²', and int('²') raised a bare ValueError
     ("p^²", "unexpected character '²'", 2),
+    # each nesting raised RecursionError; the right operands of + and *
+    # nest too, three levels to each parenthesis of the last
+    pytest.param("(" * DEEP + "p" + ")" * DEEP, TOO_DEEP, 200, id="deep-parentheses"),
+    pytest.param("-" * DEEP + "p", TOO_DEEP, 200, id="deep-unary-minus"),
+    pytest.param("sin(" * DEEP + "p" + ")" * DEEP, TOO_DEEP, 803, id="deep-sin"),
+    pytest.param("p" + "^2" * DEEP, TOO_DEEP, 401, id="deep-caret"),
+    pytest.param("(p+q*" * DEEP + "p" + ")" * DEEP, TOO_DEEP, 334, id="deep-sum-and-product"),
 ])
 def test_parse_errors_name_the_problem_and_its_offset(text, message, offset):
     with pytest.raises(ExprSyntaxError) as err:
         parse_expr(text, VOCAB)
     assert err.value.offset == offset
     assert str(err.value) == f"{message} (at offset {offset})"
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ExprSyntaxError as err:
+        return str(err), err.offset
+
+
+@given(st.text())
+@example("²")
+@example("p²")
+@example("½")
+@example("Ⅻ")
+@example("٣.٥")
+@example("_p")
+@example("1.")
+@example("1.5.2")
+@example("\u3000p")  # an ideographic space
+@example("\x1cq")  # str.isspace() holds for the file separator
+def test_tokenize_matches_the_character_loop(text):
+    expected = _tokens_or_error(reference_tokenize, text)
+    if isinstance(expected, list):  # an operator's kind is its own character
+        expected = [(tok if kind == "op" else kind, tok, at) for kind, tok, at in expected]
+    assert _tokens_or_error(_tokenize, text) == expected
 
 
 # these parsed as p + q, 2^(1/2) and p^(-1/2): the rational literal after
@@ -113,6 +149,17 @@ def test_parenthesized_exponents_and_rational_coefficients_still_parse():
     assert parse_expr("p^(-1/2)", VOCAB) == power(P, Fraction(-1, 2))
     assert parse_expr("1/2*p^2", VOCAB) == mul(rational(1, 2), power(P, 2))
     assert parse_expr("p*1/2", VOCAB) == mul(rational(1, 2), P)
+
+
+def test_nesting_up_to_the_limit_parses():
+    # a chain of + or * nests no deeper than its first operand
+    assert parse_expr(" + ".join(["p"] * 1000), VOCAB) is mul(rational(1000), P)
+    assert parse_expr("*".join(["(-p)"] * 1000), VOCAB) is power(P, 1000)
+    assert parse_expr("(" * 200 + "p" + ")" * 200, VOCAB) is P
+    assert parse_expr("-" * 200 + "p", VOCAB) is P
+    assert parse_expr("p" + "^1" * 200, VOCAB) is P
+    deep = parse_expr("sin(" * 200 + "p" + ")" * 200, VOCAB)
+    assert parse_expr(to_str(deep), VOCAB) is deep
 
 
 def test_sqrt_normalizes_to_half_power():
@@ -712,17 +759,48 @@ def test_resample_cap_raises():
 
 
 def test_a_difference_failing_at_admissible_points_is_named_as_the_cause():
-    # exp(10^6 (p^2 + q^2)) overflows at nearly every point of the domain;
-    # the error said "could not find 32 usable points in 32000 draws", which
-    # blamed the domain
-    blow = call("exp", mul(rational(1000000), add(power(P, 2), power(Q, 2))))
+    # exp(A) and exp(-A), A = 10^6 (p^2 + q^2), overflow and underflow at
+    # nearly every point of the domain, and where both evaluate their
+    # product is 1; the error said "could not find 32 usable points in 32000
+    # draws", which blamed the domain
+    big = mul(rational(1000000), add(power(P, 2), power(Q, 2)))
+    product = mul(call("exp", big), call("exp", mul(rational(-1), big)))
     with pytest.raises(SamplingError, match=(
-            r"^the difference failed to evaluate at \d+ of \d+ admissible points "
+            r"^the difference failed to evaluate at 31998 of 32000 admissible points "
             r"\(last: numeric failure: .*\), so could not find 32 usable points")):
-        expr_equal(blow, Q, sampler())
+        expr_equal(product, ONE, sampler())
     # a domain with no admissible point is still the domain's fault
     with pytest.raises(SamplingError, match="^could not find 32 usable points in 32000"):
         expr_equal(P, Q, sampler(positive=(rational(-1),)))
+
+
+def test_one_admissible_point_over_tolerance_decides_false():
+    # exp(10^6 (p^2 + q^2)) fails to evaluate at 31998 of 32000 admissible
+    # points, and the two where it evaluates are witnesses against q: this
+    # raised SamplingError at the draw cap
+    blow = call("exp", mul(rational(1000000), add(power(P, 2), power(Q, 2))))
+    ok, residual = expr_equal(blow, Q, sampler())
+    assert ok is False and residual > 1e-9
+
+
+def test_a_false_comparison_stops_at_its_first_witness(monkeypatch):
+    # |p - q| exceeds 2 at some points of the box and not at others: the
+    # comparison evaluates up to the first point over the tolerance, not 32,
+    # and returns that point's residual
+    s = sampler(positive=(), tolerance=2.0)
+    residuals = [abs(pt["p"] - pt["q"]) for pt in s.points(seed_tag="equal")]
+    first = next(k for k, r in enumerate(residuals) if r > 2.0)
+    assert 0 < first < 31
+    calls = []
+
+    def counting_evalf(e, env):
+        calls.append(env)
+        return evalf(e, env)
+
+    monkeypatch.setattr("gqw.sample.evalf", counting_evalf)
+    ok, residual = expr_equal(P, Q, s)
+    assert (ok, len(calls)) == (False, first + 1)
+    assert residual == pytest.approx(residuals[first], abs=1e-15)
 
 
 # ---------------------------------------------------------------------------

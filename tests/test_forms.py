@@ -349,6 +349,17 @@ def test_malformed_form_literals_name_the_rule(chart, text, message):
     assert message in str(err.value)
 
 
+@pytest.mark.parametrize("text", [
+    "(" * 10000 + "dp" + ")" * 10000 + "^dq",
+    "-" * 10000 + "dp^dq",
+    "dp^(" * 10000 + "dq" + ")" * 10000,
+], ids=["parentheses", "unary-minus", "wedge"])
+def test_deeply_nested_form_literals_are_syntax_errors(chart, text):
+    # these raised RecursionError
+    with pytest.raises(ExprSyntaxError, match="^expression nested too deeply"):
+        parse_form(text, chart)
+
+
 def test_form_literals_negate_and_take_scalar_factors_on_either_side(chart):
     assert parse_form("-dp^dq", chart) == parse_form("dp^dq", chart).scale(rational(-1))
     assert parse_form("dp*2", chart) == parse_form("2*dp", chart)

@@ -410,6 +410,9 @@ def test_cli_poisson_takes_negated_expressions_space_separated(capsys):
     ("p/2", "error: unexpected '/' (at offset 1)"),
     # int("²") raised a bare ValueError: a traceback and exit code 1
     ("p^²", "error: unexpected character '²' (at offset 2)"),
+    # a RecursionError traceback and exit code 1
+    pytest.param("(" * 10000 + "p" + ")" * 10000,
+                 "error: expression nested too deeply (at offset 200)", id="deep"),
 ])
 def test_cli_poisson_malformed_expression_exit_two(f, message, capsys):
     assert main(["poisson", "-f", f, "-g", "q"]) == 2
@@ -422,6 +425,17 @@ def test_cli_non_ascii_digit_in_a_system_file_exit_two(tmp_path, capsys):
     assert main(["check", "--system", str(bad)]) == 2
     assert capsys.readouterr().err.startswith(
         "error: line 20: hamiltonian 'a': unexpected character '²'")
+
+
+def test_deeply_nested_hamiltonian_in_a_system_file_exit_two(tmp_path, capsys):
+    # a RecursionError traceback and exit code 1, where a load error exits 2
+    bad = tmp_path / "bad.spec"
+    bad.write_text(GOOD.replace("pq = p*q", "a = p" + "^2" * 10000), encoding="utf-8")
+    with pytest.raises(SystemSpecError, match="hamiltonian 'a': expression nested too deeply"):
+        load_spec(str(bad))
+    assert main(["check", "--system", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: line 20: hamiltonian 'a': expression nested too deeply (at offset 401)")
 
 
 def test_cli_poisson_option_is_not_taken_as_a_value(capsys):
@@ -632,15 +646,20 @@ def test_reports_match_their_pinned_digests(suite, seed, capsys):
 
 
 # SHA-256 of repr([(verdict, residual.hex()), ...]) for expr_equal over the
-# benchmark's identity_corpus(1, 600); 558 of its pairs reach the sampled path
-IDENTITY_CORPUS_DIGEST = "ad5606d50a7e6308d21401784c70fc495db64358e0a2f7f6d5b7178e7dfe4de9"
+# benchmark's identity_corpus(1, 600); 558 of its pairs reach the sampled path.
+# A false pair's residual is its first witness, the first point over the
+# tolerance; a true pair's is the largest of its 32
+IDENTITY_CORPUS_DIGEST = "781d748c2e4f37ec4c4655a7f90a513757fe348e5517d4860454b0a80b82b98b"
+# the same over the true pairs alone: a true pair evaluates all its points,
+# so its residual does not depend on where a false pair stops
+TRUE_IDENTITIES_DIGEST = "f0f3483ba3ab953d1fd5d61af94b0fd6c5b87378addfa962cd8a1c45e7d01582"
 
 
-def test_sampled_identities_match_their_pinned_digest(tmp_path):
-    """The sampled path of expr_equal, run as the benchmark's identities
-    workload runs it: seeded identities on the plane and on a thin annulus,
-    whose differences do not cancel structurally, decided bit for bit as
-    pinned."""
+def _decide_identity_corpus(tmp_path, seed: int) -> list:
+    """(verdict, residual, truth) for each pair of the benchmark's
+    identity_corpus(seed, 600), decided as its identities workload decides
+    it: seeded identities on the plane and on a thin annulus, whose
+    differences do not cancel structurally."""
     root = pathlib.Path(__file__).resolve().parent.parent
     spec = importlib.util.spec_from_file_location(
         "perfbench_inputs", root / "perfbench" / "inputs.py")
@@ -651,12 +670,27 @@ def test_sampled_identities_match_their_pinned_digest(tmp_path):
     samplers = {"plane": load_bundled(seed=1).chart.sampler,
                 "annulus": load_spec(str(annulus)).chart.sampler}
     decided = []
-    for chart, lhs, rhs, truth in inputs.identity_corpus(1, 600):
+    for chart, lhs, rhs, truth in inputs.identity_corpus(seed, 600):
         a, b = parse_expr(lhs, inputs.COORDS), parse_expr(rhs, inputs.COORDS)
-        ok, residual = expr_equal(a, b, samplers[chart])
-        assert ok is truth
-        decided.append((ok, residual.hex()))
-    assert hashlib.sha256(repr(decided).encode()).hexdigest() == IDENTITY_CORPUS_DIGEST
+        decided.append((*expr_equal(a, b, samplers[chart]), truth))
+    return decided
+
+
+def _digest(decided) -> str:
+    return hashlib.sha256(repr([(ok, r.hex()) for ok, r, _ in decided]).encode()).hexdigest()
+
+
+def test_sampled_identities_match_their_pinned_digest(tmp_path):
+    """The sampled path of expr_equal, decided bit for bit as pinned."""
+    decided = _decide_identity_corpus(tmp_path, 1)
+    assert all(ok is truth for ok, _, truth in decided)
+    assert _digest(decided) == IDENTITY_CORPUS_DIGEST
+    assert _digest([d for d in decided if d[2]]) == TRUE_IDENTITIES_DIGEST
+
+
+def test_sampled_identities_of_another_seed_are_decided_right(tmp_path):
+    decided = _decide_identity_corpus(tmp_path, 7919)
+    assert [ok for ok, _, _ in decided] == [truth for _, _, truth in decided]
 
 
 def test_only_the_witness_rows_decide_themselves(monkeypatch):
