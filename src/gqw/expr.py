@@ -10,7 +10,13 @@ canonical form:
     int when integral and a fractions.Fraction otherwise,
   * like terms are collected and equal bases have their exponents merged,
   * products distribute over sums and positive integer powers of sums are
-    expanded, so polynomial identities collapse to a structural zero,
+    expanded, so polynomial identities collapse to a structural zero; a
+    power is expanded one factor at a time, each distinct partial product
+    kept once with its multiplicity, so (p+q+1)^n costs a polynomial in n,
+  * a rational raised to an integer is computed exactly, and refused with
+    an EvaluationError when its numerator or denominator would pass
+    _MAX_POWER_BITS bits (a symbol's exponent is never computed, so p^65536
+    stays a power),
   * integer powers of the imaginary unit fold through the 4-cycle,
   * matched sin(u)^2 + cos(u)^2 pairs collapse to 1.
 
@@ -20,7 +26,10 @@ sqrt(x) is accepted by the parser and normalized to x^(1/2).
 Nodes are interned (hash-consed): each node class keeps a table from its
 fields to the one node built with them, so structurally equal expressions
 are the same object, and == and hash are object identity.  The tables live
-for the process.
+for the process.  A key holds ints and nodes, never a Fraction, whose hash
+is a Python-level modular inverse: a rational is keyed by its int or by
+(numerator, denominator), and a power by (base, int) or (base, numerator,
+denominator).  A probe that finds the node hashes only ints and nodes.
 
 evalf runs one closure per node, ``env -> complex``: it is built on the
 node's first evaluation from its children's closures and kept in the node,
@@ -124,11 +133,15 @@ class Rational(Expr):
     """Exact rational literal."""
 
     __slots__ = ("value",)
-    _table: dict = {}
+    _table: dict = {}  # keyed by the int, or by (numerator, denominator)
 
     def __new__(cls, value):
-        value = _exact(value)
-        return _interned(cls, value, value)
+        if type(value) is int:
+            return _interned(cls, value, value)
+        n, d = value.numerator, value.denominator
+        if d == 1:
+            return _interned(cls, n, n)
+        return _interned(cls, (n, d), value)
 
 
 class Symbol(Expr):
@@ -180,11 +193,15 @@ class Pow(Expr):
     """base raised to an exact rational exponent (never 0 or 1)."""
 
     __slots__ = ("base", "exponent")
-    _table: dict = {}
+    _table: dict = {}  # keyed by (base, int) or (base, numerator, denominator)
 
     def __new__(cls, base: Expr, exponent):
-        exponent = _exact(exponent)
-        return _interned(cls, (base, exponent), base, exponent)
+        if type(exponent) is int:
+            return _interned(cls, (base, exponent), base, exponent)
+        n, d = exponent.numerator, exponent.denominator
+        if d == 1:
+            return _interned(cls, (base, n), base, n)
+        return _interned(cls, (base, n, d), base, exponent)
 
 
 class Call(Expr):
@@ -320,7 +337,12 @@ def add(*args: Expr) -> Expr:
     terms: dict = {}  # monomial -> summed coefficient
     single: dict = {}  # monomial -> its term node, while the monomial is met once
     for a in args:
-        parts = a.terms if type(a) is Add else (a,)
+        if type(a) is Add:
+            parts = a.terms
+        elif a is ZERO:  # the one term with a zero coefficient
+            continue
+        else:
+            parts = (a,)
         for t in parts:
             c, mono = _split_coeff(t)
             prev = terms.get(mono)
@@ -335,12 +357,15 @@ def add(*args: Expr) -> Expr:
         single = {}  # the pass may have rewritten any coefficient
     out = []
     for mono in sorted(terms, key=_key):
-        c = terms[mono]
-        if c == 0:
-            continue
+        # a term met once is canonical, so nonzero, and rebuilding it from
+        # (c, mono) gives it; only a merged coefficient can be 0
         node = single.get(mono)
-        # a term met once is canonical: rebuilding it from (c, mono) gives it
-        out.append(node if node is not None else _scaled(_exact(c), mono))
+        if node is None:
+            c = terms[mono]
+            if c == 0:
+                continue
+            node = _scaled(_exact(c), mono)
+        out.append(node)
     if not out:
         return ZERO
     if len(out) == 1:
@@ -428,11 +453,15 @@ def mul(*args: Expr) -> Expr:
                 single.pop(base, None)
 
     plain, sums = [], []
+    reopened = False  # whether power() built a factor, which can bring back a base
     for base, exp in powers.items():
-        if exp == 0:
-            continue
         # a factor met once is a canonical node: power(base, exp) is it
-        p = single.get(base) or power(base, exp)
+        p = single.get(base)
+        if p is None:
+            if exp == 0:
+                continue
+            p = power(base, exp)
+            reopened = True
         t = type(p)
         if t is Rational:
             coeff *= p.value
@@ -452,17 +481,23 @@ def mul(*args: Expr) -> Expr:
         if not plain and len(sums) == 1:
             return _scaled(_exact(coeff), sums[0])
         return _EXPANDED.setdefault(args, _expand_product(coeff, plain, sums))
-    bases = [f.base if type(f) is Pow else f for f in plain]
-    if len(set(bases)) != len(bases):
-        # a distributed power reintroduced an existing base; one more merge
-        # pass strictly shrinks the factor list, so this terminates
-        return mul(Rational(coeff), *plain)
+    if reopened:
+        bases = [f.base if type(f) is Pow else f for f in plain]
+        if len(set(bases)) != len(bases):
+            # a distributed power reintroduced an existing base; one more
+            # merge pass strictly shrinks the factor list, so this terminates
+            return mul(Rational(coeff), *plain)
     plain.sort(key=_key)
     if not plain:
         return Rational(coeff)
     if coeff == 1:
         return plain[0] if len(plain) == 1 else Mul(tuple(plain))
     return Mul((Rational(coeff),) + tuple(plain))
+
+
+# power() refuses a rational raised to an integer whose exact value would
+# pass this many bits in its numerator or denominator
+_MAX_POWER_BITS = 100_000
 
 
 def power(base: Expr, exponent) -> Expr:
@@ -477,9 +512,17 @@ def power(base: Expr, exponent) -> Expr:
     t = type(base)
     if t is Rational:
         if exponent.denominator == 1:
-            if base.value == 0 and exponent < 0:
+            v = base.value
+            if v == 0 and exponent < 0:
                 raise EvaluationError("division by zero in a constant power")
-            return Rational(Fraction(base.value) ** exponent.numerator)
+            # the larger of |numerator| and denominator is at least 2^(b-1)
+            # for b its bit length, so that part of v^n has over |n|*(b-1)
+            # bits: a lower bound, and 0, 1 and -1 are never refused
+            bits = max(abs(v.numerator), v.denominator).bit_length() - 1
+            if abs(exponent) * bits > _MAX_POWER_BITS:
+                raise EvaluationError(f"constant power too large: over "
+                                      f"{_MAX_POWER_BITS} bits")
+            return Rational(Fraction(v) ** exponent.numerator)
         if base is ZERO or base is ONE:
             return base
         return Pow(base, exponent)
@@ -491,12 +534,19 @@ def power(base: Expr, exponent) -> Expr:
     if t is Mul and exponent.denominator == 1:
         return mul(*[power(f, exponent) for f in base.factors])
     if t is Add and exponent.denominator == 1 and exponent >= 2:
-        # expand by distributing term lists; the terms are monomials, so the
-        # inner products cannot re-enter this branch with the same base
-        terms = [ONE]
-        for _ in range(int(exponent)):
-            terms = [mul(t, s) for t in terms for s in base.terms]
-        return add(*terms)
+        # expand one term at a time, carrying each distinct partial product
+        # once with the number of ordered products that give it; the terms
+        # are monomials, so the inner products cannot re-enter this branch
+        # with the same base
+        counts = {ONE: 1}
+        for _ in range(exponent):
+            step: dict = {}
+            for node, count in counts.items():
+                for s in base.terms:
+                    m = mul(node, s)
+                    step[m] = step.get(m, 0) + count
+            counts = step
+        return add(*[_scaled(count, node) for node, count in counts.items()])
     return Pow(base, exponent)
 
 

@@ -12,6 +12,12 @@ is parenthesized, p^(1/2), since p^1/2 is refused rather than read as
 either p^(1/2) or 1/2*p.  General quotients are written with negative
 exponents, e.g. p*q^(-1).  Digits are decimal digits: '²' is not one.
 
+A rational raised to an integer is computed exactly, up to the kernel's
+size limit (expr._MAX_POWER_BITS, 100,000 bits in the numerator or
+denominator); a larger one, such as the 2^(2^65536) inside p^2^2^2^2^2^2,
+is an ExprSyntaxError at its '^', and so is 0 to a negative power.  A
+symbol's exponent is never computed: p^2^2^2^2 is p^65536.
+
 The text is split into tokens by one regular-expression pass, in full
 before parsing, so a character no token can start with is reported before
 any syntax error.  A token is a (kind, text, offset) tuple: the kind is
@@ -29,7 +35,7 @@ import re
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import ExprSyntaxError, UnknownSymbolError
+from .errors import EvaluationError, ExprSyntaxError, UnknownSymbolError
 from .expr import _CONSTANTS, _FUNCTIONS as _CALLS
 from .expr import MINUS_ONE, Constant, Expr, Rational, call, add, mul, power, symbol
 
@@ -47,9 +53,12 @@ _INFIX = {"+": _BP_ADD, "-": _BP_ADD, "*": _BP_MUL, "^": _BP_POW}
 # Python's recursion limit
 _MAX_DEPTH = 200
 
-# a run of decimal digits with an optional fraction, a word, an operator, or
-# any other non-space character; the characters no group takes are spaces
-_TOKEN = re.compile(r"(?P<int>\d+)(?P<dec>\.\d+)?|(?P<ident>\w+)|(?P<op>[-+*^()/])|(?P<bad>\S)")
+# an operator, a run of spaces, a run of decimal digits with an optional
+# fraction, a word, or any other character: every character is in one match,
+# so the matches tile the text and a token's offset is the length before it.
+# No character matches two alternatives but a digit, which is also a word
+# character, so the commonest come first and digits before words.
+_TOKEN = re.compile(r"([-+*^()/])|(\s+)|(\d+(?:\.\d+)?)|(\w+)|(.)", re.DOTALL)
 
 
 def _tokenize(text: str) -> list:
@@ -57,13 +66,23 @@ def _tokenize(text: str) -> list:
     kind of an operator is its own character; the others are int, dec and
     ident.  A word must start with a letter: '²' and '_p' are refused."""
     toks = []
-    for m in _TOKEN.finditer(text):
-        kind, tok, at = m.lastgroup, m.group(), m.start()
-        if kind == "op":
-            kind = tok
-        elif kind == "bad" or kind == "ident" and not tok[0].isalpha():
-            raise ExprSyntaxError(f"unexpected character {tok[0]!r}", at)
-        toks.append((kind, tok, at))
+    at = 0
+    for op, space, number, word, bad in _TOKEN.findall(text):
+        if op:
+            toks.append((op, op, at))
+            at += 1
+        elif space:
+            at += len(space)
+        elif word:
+            if not word[0].isalpha():
+                raise ExprSyntaxError(f"unexpected character {word[0]!r}", at)
+            toks.append(("ident", word, at))
+            at += len(word)
+        elif number:
+            toks.append(("dec" if "." in number else "int", number, at))
+            at += len(number)
+        else:
+            raise ExprSyntaxError(f"unexpected character {bad!r}", at)
     toks.append(("end", "", len(text)))
     return toks
 
@@ -106,7 +125,10 @@ class _Parser:
     def _scalar_power(self, base, exp, pos: int):
         if not isinstance(exp, Rational):
             raise ExprSyntaxError("exponent must be a rational literal", pos)
-        return power(base, exp.value)
+        try:
+            return power(base, exp.value)
+        except EvaluationError as err:  # a constant power: 0^(-1), or one too large
+            raise ExprSyntaxError(str(err), pos) from None
 
     # -- grammar -------------------------------------------------------------
     def parse(self):
@@ -156,13 +178,13 @@ class _Parser:
         kind, text, pos = toks[self.k]
         self.k += 1
         if kind == "int":
-            value = Fraction(int(text))
+            value = int(text)
             if toks[self.k][0] == "/" and toks[self.k + 1][0] == "int":
                 den = int(toks[self.k + 1][1])
                 if den == 0:
                     raise ExprSyntaxError("zero denominator", toks[self.k][2])
                 self.k += 2
-                value = Fraction(value.numerator, den)
+                value = Fraction(value, den)
             return Rational(value)
         if kind == "dec":
             return Rational(Fraction(text))

@@ -16,6 +16,7 @@ from gqw.expr import (
 )
 from gqw.parse import _tokenize, parse_expr
 from gqw.sample import DomainSampler, expr_equal
+from bounded import run_bounded
 from oracles import add_rebuilt, mul_rebuilt, power_rebuilt, reference_tokenize
 
 P = symbol("p")
@@ -99,6 +100,10 @@ TOO_DEEP = "expression nested too deeply"
     pytest.param("sin(" * DEEP + "p" + ")" * DEEP, TOO_DEEP, 803, id="deep-sin"),
     pytest.param("p" + "^2" * DEEP, TOO_DEEP, 401, id="deep-caret"),
     pytest.param("(p+q*" * DEEP + "p" + ")" * DEEP, TOO_DEEP, 334, id="deep-sum-and-product"),
+    # the kernel's errors in a constant power are reported at its '^'
+    ("p + 0^(-1)", "division by zero in a constant power", 5),
+    ("2^100001", "constant power too large: over 100000 bits", 1),
+    ("p*(1/3)^(-100001)", "constant power too large: over 100000 bits", 7),
 ])
 def test_parse_errors_name_the_problem_and_its_offset(text, message, offset):
     with pytest.raises(ExprSyntaxError) as err:
@@ -125,6 +130,11 @@ def _tokens_or_error(tokenize, text):
 @example("1.5.2")
 @example("\u3000p")  # an ideographic space
 @example("\x1cq")  # str.isspace() holds for the file separator
+@example("p\nq")
+@example("p\tq")
+@example("٣")  # an Arabic-Indic digit three
+@example("p + q$")
+@example("p2.5")
 def test_tokenize_matches_the_character_loop(text):
     expected = _tokens_or_error(reference_tokenize, text)
     if isinstance(expected, list):  # an operator's kind is its own character
@@ -160,6 +170,39 @@ def test_nesting_up_to_the_limit_parses():
     assert parse_expr("p" + "^1" * 200, VOCAB) is P
     deep = parse_expr("sin(" * 200 + "p" + ")" * 200, VOCAB)
     assert parse_expr(to_str(deep), VOCAB) is deep
+
+
+def test_constant_powers_are_exact_up_to_the_size_limit():
+    assert parse_expr("2^100000", VOCAB).value == 2 ** 100000
+    assert parse_expr("(1/2)^100000", VOCAB).value == Fraction(1, 2 ** 100000)
+    # 0, 1 and -1 have no bits to grow, and a symbol's exponent is not computed
+    assert parse_expr("1^1000000000 + (-1)^1000000001 + 0^1000000000", VOCAB) is ZERO
+    assert parse_expr("p^2^2^2^2", VOCAB) is power(P, 65536)
+    with pytest.raises(EvaluationError, match="constant power too large"):
+        power(rational(3), 10 ** 6)
+    # exponents that merge in a product are bounded as well
+    half = power(rational(2), Fraction(200001, 2))
+    with pytest.raises(EvaluationError, match="constant power too large"):
+        mul(half, half)
+
+
+def _parse_in_a_child(text: str) -> str:
+    code = f"from gqw.parse import parse_expr\nprint(parse_expr({text!r}, ('p', 'q')))"
+    run = run_bounded(["-c", code])
+    return run.stdout.strip() or run.stderr.strip().splitlines()[-1]
+
+
+def test_an_exponent_tower_over_literals_fails_fast():
+    # the innermost 2^(2^65536) was computed exactly and did not return
+    assert _parse_in_a_child("p^2^2^2^2^2^2") == (
+        "gqw.errors.ExprSyntaxError: constant power too large: over 100000 bits (at offset 3)")
+
+
+def test_a_power_of_a_sum_expands_in_polynomial_time():
+    # every ordered product of terms was built: 3^14 of them for 120 terms
+    expanded = _parse_in_a_child("(p+q+1)^14")
+    assert expanded.startswith("1 + 14*p + 14*q + 91*p^2 + 364*p^3")
+    assert expanded.count(" + ") == 119
 
 
 def test_sqrt_normalizes_to_half_power():
@@ -439,6 +482,22 @@ def _random_expr(rng, depth, mul_, power_):
     if kind == 4:
         return power_(parts(1)[0], rng.choice([2, -2, Fraction(3, 2)]))
     return call(rng.choice(["sin", "cos"]), *parts(1))
+
+
+SUMS = {
+    "two-terms": add(P, Q),
+    "with-a-constant": add(P, Q, ONE),
+    "with-i": add(mul(IMAG, P), rational(-1, 2), Q),
+    "sin-and-cos": add(call("sin", P), call("cos", P)),
+    "sin-cos-and-i": add(call("sin", Q), mul(IMAG, call("cos", Q)), P, rational(2)),
+    "half-powers": add(power(P, Fraction(1, 2)), power(Q, Fraction(-1, 2)), HBAR),
+}
+
+
+@pytest.mark.parametrize("s", SUMS.values(), ids=SUMS.keys())
+def test_powers_of_sums_match_the_expansion_by_every_ordered_product(s):
+    for n in range(2, 7):
+        assert power(s, n) is power_rebuilt(s, n)
 
 
 def test_products_and_powers_match_a_fold_that_stores_nothing_by_identity():
@@ -981,12 +1040,32 @@ def test_merged_bases_fold_through_power(args, expected):
     assert mul(*args) is mul_rebuilt(*args) is expected
 
 
+# add and mul test a coefficient for 0 or 1, and build a power, only where
+# they merged something: a term or factor met once is kept as it is
+@pytest.mark.parametrize("fold, rebuilt, args", [
+    (add, add_rebuilt, (ZERO, mul(rational(2), P))),
+    (add, add_rebuilt, (P, ZERO, ZERO)),
+    (add, add_rebuilt, (ZERO, ZERO)),
+    (add, add_rebuilt, (mul(rational(1, 2), P), mul(rational(1, 2), P))),
+    (add, add_rebuilt, (rational(1, 2), P, rational(1, 2))),
+    (mul, mul_rebuilt, (power(P, Fraction(1, 2)), power(P, Fraction(-1, 2)))),
+    (mul, mul_rebuilt, (IMAG, IMAG)),
+    (mul, mul_rebuilt, (rational(1, 2), P, rational(2), Q)),
+    (mul, mul_rebuilt, (rational(2, 3), power(P, Fraction(1, 2)), rational(3, 2), Q)),
+], ids=["0+2p", "p+0+0", "0+0", "p/2+p/2", "1/2+p+1/2", "p^(1/2)*p^(-1/2)", "i*i",
+        "1/2*p*2*q", "2/3*p^(1/2)*3/2*q"])
+def test_merged_coefficients_and_exponents_match_the_rebuilt_folds(fold, rebuilt, args):
+    assert fold(*args) is rebuilt(*args)
+
+
 # ---------------------------------------------------------------------------
 # interning and machine-integer coefficients
 
 
 def test_rationals_are_interned_and_integral_values_are_ints():
     assert rational(4, 2) is rational(2)
+    assert Rational(Fraction(6, 4)) is rational(3, 2)
+    assert Rational(Fraction(4, 2)) is rational(2)
     assert type(rational(2).value) is int
     assert rational(1, 2).value == Fraction(1, 2)
     assert type(rational(1, 2).value) is Fraction
@@ -998,6 +1077,7 @@ def test_integral_pow_exponents_are_ints():
     assert type(power(add(P, Q), Fraction(-4, 2)).exponent) is int
     half = power(P, Fraction(1, 2))
     assert half.exponent == Fraction(1, 2)
+    assert power(P, Fraction(6, 4)) is power(P, Fraction(3, 2))
     merged = mul(half, power(P, Fraction(3, 2)))  # exponents sum to Fraction(2)
     assert merged is power(P, 2) and type(merged.exponent) is int
 

@@ -11,9 +11,11 @@ import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+from bounded import run_bounded
 from gqw.cli import main
 from gqw.errors import SystemSpecError, UnsupportedFieldError
 from gqw.mpc_bundle import delta_operator
@@ -491,6 +493,23 @@ def test_cli_missing_file_exit_two(capsys):
     assert main(["check", "--system", "/nonexistent/x.spec"]) == 2
 
 
+# p^2^2^2^2^2^2 computed 2^(2^65536) exactly and did not return
+TOWER_ERROR = "constant power too large: over 100000 bits (at offset 3)"
+
+
+def test_an_exponent_tower_in_a_system_file_exits_two_at_once(tmp_path):
+    tower = tmp_path / "tower.spec"
+    tower.write_text(GOOD.replace("pq = p*q", "pq = p^2^2^2^2^2^2"), encoding="utf-8")
+    run = run_bounded(["-m", "gqw.cli", "check", "--system", str(tower)])
+    assert run.returncode == 2
+    assert run.stderr.strip() == f"error: line 20: hamiltonian 'pq': {TOWER_ERROR}"
+
+
+def test_an_exponent_tower_in_a_poisson_bracket_exits_two_at_once():
+    run = run_bounded(["-m", "gqw.cli", "poisson", "-f", "p^2^2^2^2^2^2", "-g", "q"])
+    assert (run.returncode, run.stderr.strip()) == (2, f"error: {TOWER_ERROR}")
+
+
 def test_runner_records_crashes_as_failures():
     from gqw.suites import _run_checks
 
@@ -686,6 +705,23 @@ def test_sampled_identities_match_their_pinned_digest(tmp_path):
     assert all(ok is truth for ok, _, truth in decided)
     assert _digest(decided) == IDENTITY_CORPUS_DIGEST
     assert _digest([d for d in decided if d[2]]) == TRUE_IDENTITIES_DIGEST
+
+
+def test_parsing_and_the_kernel_never_hash_a_fraction(tmp_path, monkeypatch):
+    """Intern keys hold ints and nodes: a Fraction's hash is a Python-level
+    modular inverse, and the identities and symbolic workloads take none."""
+    hashed = []
+
+    def refused(self):
+        hashed.append(self)
+        raise TypeError("a Fraction was hashed")
+
+    monkeypatch.setattr(Fraction, "__hash__", refused)
+    decided = _decide_identity_corpus(tmp_path, 1)
+    assert all(ok is truth for ok, _, truth in decided)
+    spec = load_bundled()
+    assert all(run_suite(spec, suite).passed for suite in ("poisson", "dirac"))
+    assert hashed == []
 
 
 def test_sampled_identities_of_another_seed_are_decided_right(tmp_path):
