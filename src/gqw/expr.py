@@ -16,7 +16,7 @@ canonical form:
   * a rational raised to an integer is computed exactly, and refused with
     an EvaluationError when its numerator or denominator would pass
     _MAX_POWER_BITS bits (a symbol's exponent is never computed, so p^65536
-    stays a power),
+    stays a power), and so is a power of a sum past _MAX_POWER_PRODUCTS,
   * integer powers of the imaginary unit fold through the 4-cycle,
   * matched sin(u)^2 + cos(u)^2 pairs collapse to 1.
 
@@ -76,6 +76,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from fractions import Fraction
 from typing import Mapping
 
@@ -498,6 +499,9 @@ def mul(*args: Expr) -> Expr:
 # power() refuses a rational raised to an integer whose exact value would
 # pass this many bits in its numerator or denominator
 _MAX_POWER_BITS = 100_000
+# and a power of a sum whose expansion takes more products than this; the
+# largest accepted, such as (p+q)^706 or (p+q+1)^99, take about 1 s
+_MAX_POWER_PRODUCTS = 500_000
 
 
 def power(base: Expr, exponent) -> Expr:
@@ -537,7 +541,10 @@ def power(base: Expr, exponent) -> Expr:
         # expand one term at a time, carrying each distinct partial product
         # once with the number of ordered products that give it; the terms
         # are monomials, so the inner products cannot re-enter this branch
-        # with the same base
+        # with the same base; n steps over k terms take n C(n+k-1, k-1) > n
+        k, cap = len(base.terms), _MAX_POWER_PRODUCTS
+        if exponent > cap or exponent * math.comb(exponent + k - 1, k - 1) > cap:
+            raise EvaluationError(f"power of a sum too large: over {cap} products to expand")
         counts = {ONE: 1}
         for _ in range(exponent):
             step: dict = {}
@@ -764,9 +771,11 @@ def subs(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
 
 
 def _frac_str(f: Fraction) -> str:
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    try:
+        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    except ValueError:  # past sys.get_int_max_str_digits(), 4300 by default
+        raise EvaluationError(f"a constant of over {sys.get_int_max_str_digits()} "
+                              "digits cannot be printed") from None
 
 
 def _paren_for_pow_base(b: Expr) -> bool:
@@ -794,7 +803,7 @@ def to_str(e: Expr) -> str:
             b = f"({b})"
         exp = e.exponent
         if exp.denominator == 1 and exp >= 0:
-            return f"{b}^{exp.numerator}"
+            return f"{b}^{_frac_str(exp)}"
         return f"{b}^({_frac_str(exp)})"
     if t is Mul:
         factors = e.factors

@@ -21,9 +21,9 @@ a structured field as a function of the base alone:
 
     gamma(zeta)(m) = (1/(i hbar)) beta(base)(m) + tau(m) + c.
 
-The class is closed under brackets; the bracket signs are fixed by the
-numeric flow-commutator oracle (see structured_rhs), which the test suites
-re-run on every build.
+The class is closed under brackets; the suites check the bracket against
+the flow commutator of ``gqw.flows``, whose sign a loop of RK4 flows in the
+tests pins.
 
 The membership test and the counterexample constructions return numbers;
 the bounds that make verdicts of them live in suites.py.  A field carries
@@ -45,7 +45,7 @@ from .errors import (
     DegenerateParameterError, NotQuantomorphismError, UnsupportedFieldError,
 )
 from .expr import Expr, HBAR, IMAG, ZERO, add, call, diff, evalf, mul, rational, symbol
-from .flows import commutator_residual
+from .flows import complex_step
 from .forms import ChartMap, VectorField, lie_bracket, pullback, zero_vf
 from .mpc_group import (
     IDENTITY, Mat, MpcElement, MpElement, eta, exp_mpc, mat_exp, mat_mul, mat_sub_norm,
@@ -234,35 +234,27 @@ def F_mpc(z: StructuredVF, *, check: bool = True) -> Expr:
 
 
 def structured_rhs(z: StructuredVF) -> Callable:
-    """Velocity field in covering coordinates: the base moves by the base
-    field, the matrix part by A(m) g + g B, the fiber angle by the imaginary
-    parts of the u(1) coefficients.  Sheet bookkeeping is locally constant
-    and does not enter the flow."""
+    """Holomorphic velocity field in covering coordinates: the base moves by
+    the base field, the matrix part by A(m) g + g B, the fiber angle by -i
+    times the (imaginary) u(1) coefficients.  Sheet bookkeeping is locally
+    constant and does not enter the flow."""
     env_at = z.bundle.chart.sampler.env
 
-    def fn(x: Sequence[float]) -> List[float]:
+    def fn(x: Sequence[complex]) -> List[complex]:
         env = env_at(x)
-        vp = evalf(z.base.components[0], env).real
-        vq = evalf(z.base.components[1], env).real
-        a = [evalf(c, env) for c in z.a_r]
+        vp = evalf(z.base.components[0], env)
+        vq = evalf(z.base.components[1], env)
+        a = tuple(evalf(c, env) for c in z.a_r)
         if max(abs(v.imag) for v in a) > 1e-9:
             raise UnsupportedFieldError("right-invariant matrix part must be real")
         g = x[2:6]
-        ag = mat_mul(tuple(v.real for v in a), g)
+        ag = mat_mul(a, g)
         gb = mat_mul(g, z.a_l)
         tau = evalf(z.tau_r, env) + z.tau_l
         return [vp, vq, ag[0] + gb[0], ag[1] + gb[1], ag[2] + gb[2], ag[3] + gb[3],
-                tau.imag]
+                -1j * tau]
 
     return fn
-
-
-def bracket_flow_residual(z1: StructuredVF, z2: StructuredVF,
-                          points: Sequence[Sequence[float]]) -> float:
-    """Worst deviation between the symbolic structured bracket and the
-    numeric flow commutator at the given covering-coordinate points."""
-    return commutator_residual(structured_rhs(z1), structured_rhs(z2),
-                               structured_rhs(structured_bracket(z1, z2)), points)
 
 
 def sample_fiber_points(bundle: MpcPrequant, n: int, seed_tag: str = "fiber"):
@@ -299,18 +291,16 @@ def gamma_numeric(bundle: MpcPrequant, x: Sequence[float],
 def pushforward_residual(bundle: MpcPrequant, fmap: Callable, x: Sequence[float]) -> float:
     """max over 4 random unit tangents v of |gamma(K_* v) - gamma(v)| / max(1, 1e-7 |gamma(v)|):
     against 1e-6, absolute while |gamma(v)| <= 1e7 and relative at 1e-13 above, where gamma's
-    own rounding is about 1e-15 relative.  K_* v is the complex step Im K(x + i h v) / h with
-    h = 1e-30, exact to rounding as nothing is subtracted (Squire & Trapp, SIAM Review 40,
-    1998), so ``fmap`` must be holomorphic; Re K(x + i h v) is the base image."""
+    own rounding is about 1e-15 relative.  K(x) and K_* v come from one complex step
+    (``flows.complex_step``), so ``fmap`` must be holomorphic."""
     rng = bundle.chart.sampler.rng("push")
 
     def gap() -> float:
         v = [rng.uniform(-1, 1) for _ in range(7)]
         norm = math.sqrt(sum(c * c for c in v))
         v = [c / norm for c in v]
-        y = fmap([a + 1e-30j * b for a, b in zip(x, v)])
         want = gamma_numeric(bundle, x, v)
-        got = gamma_numeric(bundle, [c.real for c in y], [c.imag / 1e-30 for c in y])
+        got = gamma_numeric(bundle, *complex_step(fmap, x, v))
         return abs(got - want) / max(1.0, 1e-7 * abs(want))
 
     return worst_of(gap() for _ in range(4))

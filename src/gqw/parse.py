@@ -15,8 +15,9 @@ exponents, e.g. p*q^(-1).  Digits are decimal digits: '²' is not one.
 A rational raised to an integer is computed exactly, up to the kernel's
 size limit (expr._MAX_POWER_BITS, 100,000 bits in the numerator or
 denominator); a larger one, such as the 2^(2^65536) inside p^2^2^2^2^2^2,
-is an ExprSyntaxError at its '^', and so is 0 to a negative power.  A
-symbol's exponent is never computed: p^2^2^2^2 is p^65536.
+is an ExprSyntaxError at its '^', and so are 0 to a negative power and a
+power of a sum past 500,000 products (expr._MAX_POWER_PRODUCTS), such as
+(p+1)^65536.  A symbol's exponent is never computed: p^2^2^2^2 is p^65536.
 
 The text is split into tokens by one regular-expression pass, in full
 before parsing, so a character no token can start with is reported before
@@ -127,7 +128,7 @@ class _Parser:
             raise ExprSyntaxError("exponent must be a rational literal", pos)
         try:
             return power(base, exp.value)
-        except EvaluationError as err:  # a constant power: 0^(-1), or one too large
+        except EvaluationError as err:  # 0^(-1), or a power too large to build
             raise ExprSyntaxError(str(err), pos) from None
 
     # -- grammar -------------------------------------------------------------

@@ -14,8 +14,9 @@ the first residual over the row's bound.  A non-finite residual raises
 ``expr_equal`` (exactly 0.0 when it cancels structurally) against epsilon; a
 numeric row ``_within(bound, measure)`` names its bound in the row, and
 ``measure`` only yields measurements; the gamma rows measure exact
-pushforwards (``pushforward_residual``).  ``prequant-vertical`` holds two
-bounds, epsilon and 1e-12.  The witness rows ``twist-no-frame-map``,
+pushforwards (``pushforward_residual``), the bracket-flow-oracle rows the
+exact flow commutator (``commutator_residual``).  ``prequant-vertical``
+holds two bounds, epsilon and 1e-12.  The witness rows ``twist-no-frame-map``,
 ``rotation-frame-mismatch`` and ``membership-regression`` decide
 themselves: their number is a separation that must be large.
 
@@ -46,11 +47,11 @@ from .forms import (
     VectorField, exterior_derivative, interior_product, lie_bracket, scalar_form, zero_vf,
 )
 from .mpc_bundle import (
-    E_mpc, F_mpc, StructuredVF, bracket_flow_residual, delta_operator,
+    E_mpc, F_mpc, StructuredVF, delta_operator,
     eta_ad_residual, example_base_rotation, example_fiberwise_twist, hat_lift,
     frame_lift, imag_expr, jacobian, left_invariant, pushforward_residual,
     quantomorphism_membership, right_action_map, sample_fiber_points,
-    section_vocabulary, structured_bracket,
+    section_vocabulary, structured_bracket, structured_rhs,
 )
 from .mpc_group import (
     IDENTITY, MpcAlgebra, ROTATION_GENERATOR, central, eta, exp_mpc, kappa,
@@ -199,8 +200,8 @@ def _ham_pairs(spec: SystemSpec):
 
 
 def _oracle_pair(spec: SystemSpec) -> Tuple[Expr, Expr]:
-    """The fifth and fourth Hamiltonians, which the flow oracles, the
-    structured curvature check and the membership regression use."""
+    """The fifth and fourth Hamiltonians: the flow oracles (with the second
+    and fifth), the curvature check and the membership regression use them."""
     hs = list(spec.hamiltonians.values())
     if len(hs) < 5:
         raise SystemSpecError("this check needs at least 5 Hamiltonians; "
@@ -330,12 +331,13 @@ def circle_checks(spec: SystemSpec) -> List[Check]:
 
     def bracket_flow_oracle():
         f, g = _oracle_pair(spec)
-        z1, z2 = E_circle(f, y), E_circle(g, y)
         rng = spec.chart.sampler.rng("circle-flow:fiber")
         pts = [[pt[c] for c in spec.coords] + [rng.uniform(0, 1)]
                for pt in spec.chart.sampler.points(8, seed_tag="circle-flow")]
-        yield commutator_residual(lifted_rhs(z1), lifted_rhs(z2),
-                                  lifted_rhs(bracket_lifted(z1, z2)), pts), len(pts)
+        pairs = [(E_circle(f, y), E_circle(g, y)), (E_circle(hs[1], y), E_circle(f, y))]
+        yield worst_of(commutator_residual(lifted_rhs(z1), lifted_rhs(z2),
+                                           lifted_rhs(bracket_lifted(z1, z2)), pts)
+                       for z1, z2 in pairs), len(pts)
 
     return [
         ("lifted-bracket-formula",
@@ -620,10 +622,12 @@ def mpc_checks(spec: SystemSpec) -> List[Check]:
     def bracket_oracle():
         f, g = _oracle_pair(spec)
         pts = sample_fiber_points(bundle, 8)
-        yield worst_of(bracket_flow_residual(z1, z2, pts) for z1, z2 in [
-            (E_mpc(f, bundle), E_mpc(g, bundle)),
-            (hat_lift(f, bundle), left_invariant(bundle, (0.0, 1.0, 1.0, 0.0), 0.7j)),
-        ]), len(pts)
+        pairs = [(E_mpc(f, bundle), E_mpc(g, bundle)),
+                 (hat_lift(f, bundle), left_invariant(bundle, (0.0, 1.0, 1.0, 0.0), 0.7j)),
+                 (E_mpc(hs[1], bundle), E_mpc(f, bundle))]
+        yield worst_of(commutator_residual(structured_rhs(z1), structured_rhs(z2),
+                                           structured_rhs(structured_bracket(z1, z2)), pts)
+                       for z1, z2 in pairs), len(pts)
 
     def membership_regression():
         _, f = _oracle_pair(spec)

@@ -1,16 +1,19 @@
 """Oracles of the tests: a field's numeric right-hand side and RK4 flow, the
-Lie derivative of a form as a centered finite difference of its pullbacks
-under that flow, the lift of a matrix path evaluated afresh at every point,
-the cocycle kappa as three separate automorphy angles, and a product and
-power that store nothing.  The first two use nothing of the symbolic bracket
-or Lie-derivative code they check, only ``gqw.flows``' RK4 step and the
-chart's evaluation context; the lift uses neither kappa nor the powers of one
-step that ``gqw.mpc_group.lift_path`` multiplies; the cocycle takes each
-angle, the Mobius image and the whole product g1 g2 by its own call; the
-product never reads the kernel's table of expanded products and rebuilds
-every factor through its power; the sum splits and rebuilds every term and
-always runs the sin^2 + cos^2 pass; the tokenizer walks the text one
-character at a time, by the str predicates, with no regular expression."""
+bracket of two fields from their loop of RK4 flows, the Lie derivative of a
+form as a centered finite difference of its pullbacks under that flow, the
+lift of a matrix path evaluated afresh at every point, the cocycle kappa as
+three separate automorphy angles, and a product and power that store
+nothing.  The first three use nothing of the symbolic bracket or
+Lie-derivative code they check, only ``gqw.flows``' RK4 step and the chart's
+evaluation context; the loop of flows takes no derivative, so it pins the
+sign convention of ``gqw.flows.flow_commutator``.  The lift uses neither
+kappa nor the powers of one step that ``gqw.mpc_group.lift_path``
+multiplies; the cocycle takes each angle, the Mobius image and the whole
+product g1 g2 by its own call; the product never reads the kernel's table of
+expanded products and rebuilds every factor through its power; the sum
+splits and rebuilds every term and always runs the sin^2 + cos^2 pass; the
+tokenizer walks the text one character at a time, by the str predicates,
+with no regular expression."""
 
 import cmath
 import math
@@ -40,6 +43,25 @@ def flow_point(v: VectorField, x: Sequence[float], t: float,
     for _ in range(steps):
         y = rk4_step(f, y, h)
     return y
+
+
+def _loop_estimate(f1: RHS, f2: RHS, x: Sequence[float], t: float) -> List[float]:
+    y = rk4_step(f1, x, t)
+    y = rk4_step(f2, y, t)
+    y = rk4_step(f1, y, -t)
+    y = rk4_step(f2, y, -t)
+    return [(yi - xi) / (t * t) for yi, xi in zip(y, x)]
+
+
+def loop_commutator(f1: RHS, f2: RHS, x: Sequence[float], t: float = 1e-3) -> List[float]:
+    """[f1, f2](x) from the loop of flows phi2_{-t} phi1_{-t} phi2_t phi1_t (x),
+    one RK4 step per leg: (loop - x) / t^2 has error c3 t + c4 t^2 + O(t^3),
+    and three-point Richardson extrapolation over t, t/2, t/4 removes both
+    leading terms."""
+    e1 = _loop_estimate(f1, f2, x, t)
+    e2 = _loop_estimate(f1, f2, x, t / 2)
+    e3 = _loop_estimate(f1, f2, x, t / 4)
+    return [a / 3.0 - 2.0 * b + 8.0 * c / 3.0 for a, b, c in zip(e1, e2, e3)]
 
 
 def _pullback_at(v: VectorField, a: KForm, x: Sequence[float],

@@ -19,6 +19,8 @@ from gqw.parse import parse_expr
 from gqw.sample import DomainSampler
 from gqw.symplectic import SymplecticChart, hamiltonian_vf, poisson
 
+from oracles import loop_commutator
+
 P, Q = symbol("p"), symbol("q")
 CORPUS = ["1", "p", "q", "p*q", "p^2+q^2", "1/2*(p^2+q^2)", "p^2-q^2"]
 
@@ -144,7 +146,8 @@ def test_bracket_of_field_with_itself(bundle):
 
 
 def test_bracket_matches_flow_commutator_on_circle_bundle(bundle):
-    # flow on (p, q, t): base field plus dt/ds = c(p, q)
+    # flow on (p, q, t): base field plus dt/ds = c(p, q), holomorphic, as
+    # the complex step needs; the loop of RK4 flows pins the sign
     f = add(power(P, 2), power(Q, 2))
     g = mul(P, Q)
     z1, z2 = E_circle(f, bundle), E_circle(g, bundle)
@@ -153,16 +156,16 @@ def test_bracket_matches_flow_commutator_on_circle_bundle(bundle):
     def rhs(z):
         def fn(x):
             env = {"p": x[0], "q": x[1], "hbar": 1.0}
-            return [evalf(c, env).real for c in z.base.components] + \
-                [evalf(z.fiber, env).real]
+            return [evalf(c, env) for c in z.base.components + (z.fiber,)]
         return fn
 
     rng = random.Random("circle-flow")
     for _ in range(8):
         x = (rng.uniform(0.3, 1.5), rng.uniform(0.3, 1.5), rng.uniform(0, 1))
-        oracle = flow_commutator(rhs(z1), rhs(z2), x)
         exact = rhs(z12)(x)
-        for a, b in zip(oracle, exact):
+        for a, b in zip(flow_commutator(rhs(z1), rhs(z2), x), exact):
+            assert abs(a - b) < 1e-13
+        for a, b in zip(loop_commutator(rhs(z1), rhs(z2), x), exact):
             assert abs(a - b) < 1e-5
 
 
@@ -290,13 +293,14 @@ def test_flow_oracle_fiber_coordinates_are_not_drawn_from_the_base_stream(monkey
     from gqw import suites
     from gqw.system import load_bundled
     spec = load_bundled()
-    points = []
+    calls = []
     monkeypatch.setattr(suites, "commutator_residual",
-                        lambda f, g, h, pts: points.extend(pts) or 0.0)
+                        lambda f, g, h, pts: calls.append(pts) or 0.0)
     checks = {cid: fn for cid, _, fn in suites._SUITE_BUILDERS["circle-iso"](spec)}
     checks["bracket-flow-oracle"]()
     base = random.Random(f"{spec.seed}:circle-flow")
     uniforms = [base.random() for _ in range(2000)]
-    assert len(points) == 8
-    for pt in points:
+    # one call per oracle pair, both at the same 8 points
+    assert len(calls) == 2 and calls[0] == calls[1] and len(calls[0]) == 8
+    for pt in calls[0]:
         assert all(abs(pt[-1] - v) > 1e-12 for v in uniforms)

@@ -205,6 +205,19 @@ def test_a_power_of_a_sum_expands_in_polynomial_time():
     assert expanded.count(" + ") == 119
 
 
+def test_a_power_of_a_sum_past_the_product_limit_fails_fast():
+    # n steps of k terms take n C(n + k - 1, k - 1) products: 13 C(19, 6) =
+    # 352,716 for seven terms to the 13th, 14 C(20, 6) = 542,640 to the 14th
+    seven = "(p + q + p*q + p^2 + q^2 + p^2*q + 1)"
+    assert parse_expr(f"{seven}^13", VOCAB).terms[0] is ONE
+    with pytest.raises(ExprSyntaxError, match=r"over 500000 products to expand \(at offset 37\)"):
+        parse_expr(f"{seven}^14", VOCAB)
+    # (p+1)^65536 built about 2e9 products and did not return
+    assert _parse_in_a_child("(p+1)^65536") == (
+        "gqw.errors.ExprSyntaxError: power of a sum too large: over 500000 products "
+        "to expand (at offset 5)")
+
+
 def test_sqrt_normalizes_to_half_power():
     assert parse_expr("sqrt(p^2+q^2)", VOCAB) == power(add(power(P, 2), power(Q, 2)),
                                                        Fraction(1, 2))

@@ -13,7 +13,7 @@ from gqw.forms import (
 )
 from gqw.sample import DomainSampler, expr_equal
 
-from oracles import pullback_under_flow, vf_rhs
+from oracles import loop_commutator, pullback_under_flow, vf_rhs
 
 P, Q = symbol("p"), symbol("q")
 
@@ -186,15 +186,18 @@ def test_bracket_antisymmetry(chart):
 
 
 def test_bracket_matches_flow_commutator(chart):
-    u = VectorField(chart, [ZERO, P])
-    v = VectorField(chart, [Q, ZERO])
-    br = lie_bracket(u, v)
-    rhs = vf_rhs(br)
-    for x in [(0.7, 0.4), (-1.1, 0.9), (0.3, -1.2)]:
-        oracle = flow_commutator(vf_rhs(u), vf_rhs(v), x)
-        exact = rhs(x)
-        for a, b in zip(oracle, exact):
-            assert abs(a - b) < 1e-5
+    # the complex-step commutator is exact to rounding; the loop of RK4
+    # flows pins its sign, [u, v] = Dv u - Du v
+    for u, v in [([ZERO, P], [Q, ZERO]),
+                 ([mul(P, Q), add(P, power(Q, 2))], [call("sin", Q), mul(P, call("exp", P))])]:
+        u, v = VectorField(chart, u), VectorField(chart, v)
+        rhs = vf_rhs(lie_bracket(u, v))
+        for x in [(0.7, 0.4), (-1.1, 0.9), (0.3, -1.2)]:
+            exact = rhs(x)
+            for a, b in zip(flow_commutator(vf_rhs(u), vf_rhs(v), x), exact):
+                assert abs(a - b) < 1e-14
+            for a, b in zip(loop_commutator(vf_rhs(u), vf_rhs(v), x), exact):
+                assert abs(a - b) < 1e-5
 
 
 def test_commutator_residual_keeps_a_nan_at_a_later_point():

@@ -16,14 +16,15 @@ from gqw.errors import (
     DegenerateParameterError, NotQuantomorphismError, UnsupportedFieldError,
 )
 from gqw.expr import HBAR, IMAG, PI, ZERO, add, mul, power, rational, symbol
+from gqw.flows import commutator_residual
 from gqw.forms import Chart, VectorField, parse_form, zero_vf
 from gqw.mpc_bundle import (
-    E_mpc, F_mpc, MpcPrequant, StructuredVF, bracket_flow_residual,
+    E_mpc, F_mpc, MpcPrequant, StructuredVF,
     delta_operator, eta_ad_residual, example_base_rotation,
     example_fiberwise_twist, fiber_twist, frame_lift, hat_lift, jacobian,
     left_invariant, pushforward_residual, quantomorphism_membership,
     right_action_map, sample_fiber_points, section_vocabulary,
-    structured_bracket,
+    structured_bracket, structured_rhs,
 )
 from gqw.mpc_group import (
     IDENTITY, MpcElement, eta, mat_mul, mat_sub_norm, random_mpc, rotation,
@@ -33,6 +34,8 @@ from gqw.sample import DomainSampler, expr_equal
 from gqw.suites import run_suite
 from gqw.symplectic import SymplecticChart, hamiltonian_vf, poisson
 from gqw.system import load_bundled
+
+from oracles import loop_commutator
 
 P, Q = symbol("p"), symbol("q")
 CORPUS = ["1", "p", "q", "p*q", "p^2+q^2", "1/2*(p^2+q^2)", "p^2-q^2"]
@@ -229,7 +232,12 @@ def test_structured_bracket_matches_flow_commutator(bundle):
     ]
     pts = sample_fiber_points(bundle, 8)
     for z1, z2 in pairs:
-        assert bracket_flow_residual(z1, z2, pts) < 1e-5
+        f1, f2 = structured_rhs(z1), structured_rhs(z2)
+        exact = structured_rhs(structured_bracket(z1, z2))
+        assert commutator_residual(f1, f2, exact, pts) < 1e-13
+        # the loop of RK4 flows pins the sign of the complex-step commutator
+        for x in pts:
+            assert max(abs(a - b) for a, b in zip(loop_commutator(f1, f2, x), exact(x))) < 1e-5
 
 
 # ---------------------------------------------------------------------------

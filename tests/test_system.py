@@ -16,9 +16,13 @@ from fractions import Fraction
 import pytest
 
 from bounded import run_bounded
+from gqw import suites
+from gqw.circle import CircleLiftedVF
 from gqw.cli import main
 from gqw.errors import SystemSpecError, UnsupportedFieldError
-from gqw.mpc_bundle import delta_operator
+from gqw.expr import ZERO, mul, rational
+from gqw.forms import VectorField
+from gqw.mpc_bundle import StructuredVF, delta_operator
 from gqw.parse import parse_expr
 from gqw.sample import expr_equal
 from gqw.suites import run_suite
@@ -510,6 +514,34 @@ def test_an_exponent_tower_in_a_poisson_bracket_exits_two_at_once():
     assert (run.returncode, run.stderr.strip()) == (2, f"error: {TOWER_ERROR}")
 
 
+# (p+1)^65536 built about 2e9 products and did not return
+SUM_POWER_ERROR = "power of a sum too large: over 500000 products to expand (at offset 5)"
+
+
+def test_a_large_power_of_a_sum_in_a_system_file_exits_two_at_once(tmp_path):
+    spec = tmp_path / "sum.spec"
+    spec.write_text(GOOD.replace("pq = p*q", "pq = (p+1)^65536"), encoding="utf-8")
+    run = run_bounded(["-m", "gqw.cli", "check", "--system", str(spec)])
+    assert run.returncode == 2
+    assert run.stderr.strip() == f"error: line 20: hamiltonian 'pq': {SUM_POWER_ERROR}"
+
+
+def test_a_large_power_of_a_sum_in_a_poisson_bracket_exits_two_at_once():
+    run = run_bounded(["-m", "gqw.cli", "poisson", "-f", "(p+1)^65536", "-g", "q"])
+    assert (run.returncode, run.stderr.strip()) == (2, f"error: {SUM_POWER_ERROR}")
+
+
+@pytest.mark.parametrize("f", ["2^20000*p", "p^2^2^2^2^2"])
+def test_a_constant_too_long_to_print_is_a_one_line_error(f, capsys):
+    # str() of an int past sys.get_int_max_str_digits() raised ValueError,
+    # and gqw poisson exited 1 with a traceback
+    assert main(["poisson", "-f", f, "-g", "q"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: a constant of over {sys.get_int_max_str_digits()} "
+                   f"digits cannot be printed\n")
+
+
 def test_runner_records_crashes_as_failures():
     from gqw.suites import _run_checks
 
@@ -625,27 +657,104 @@ def test_a_non_finite_residual_fails_only_its_own_row(monkeypatch):
     assert rows["twist-gamma-preserved"].error == "NumericError: non-finite residual nan"
 
 
-@pytest.mark.parametrize("hbar", ["1e-4", "1e-5", "-1e-5", "1e-8", "1e-12"])
+@pytest.mark.parametrize("hbar", ["1e-4", "1e-5", "-1e-5", "1e-8", "1e-12", "1e-15"])
 def test_check_passes_at_small_hbar(hbar, capsys):
     # the gamma rows took pushforwards by central differences with step 1e-6,
     # whose rounding gamma's 1/hbar multiplied: twist-gamma-preserved read
     # 1.6e-6 at 1e-4, prequant-invariance 1.5e-6 at 1e-5, both up to 161 at
-    # 1e-12.  The Mp^c bracket-flow-oracle still fails from about 1e-6 down:
-    # its flow commutator takes a fixed time step (ROADMAP item 1b)
+    # 1e-12.  The Mp^c bracket-flow-oracle integrated its flows for a fixed
+    # time 1e-3 and read 2.4e-3 at 1e-8, 14 at 1e-12 and 6.6e3 at 1e-15.
+    # Both now take complex steps, and no row fails at any hbar
     code = main(["check", "--hbar", hbar, "--format", "json"])
     rows = json.loads(capsys.readouterr().out)["checks"]
-    circle_flow, mpc_flow = (i for i, r in enumerate(rows) if r["id"] == "bracket-flow-oracle")
-    expected = [mpc_flow] if abs(float(hbar)) < 1e-6 else []
-    assert [i for i, r in enumerate(rows) if r["status"] != "pass"] == expected
-    assert code == (1 if expected else 0)
+    assert [r["id"] for r in rows if r["status"] != "pass"] == []
+    assert code == 0
+
+
+def _bench_inputs():
+    """perfbench/inputs.py, loaded read-only by its path."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", root / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs
+
+
+def _oracle_system(system: str):
+    kind, value = system.split("=")
+    if kind == "corpus":
+        return load_spec_text(_bench_inputs().corpus_spec(int(value)))
+    return load_bundled(**{kind: float(value) if kind == "hbar" else int(value)})
+
+
+def _flow_oracle_verdicts(spec) -> list:
+    """Whether the circle and Mp^c bracket-flow-oracle rows pass."""
+    out = []
+    for suite in ("circle-iso", "mpc-iso"):
+        checks = {cid: fn for cid, _, fn in suites._SUITE_BUILDERS[suite](spec)}
+        out.append(checks["bracket-flow-oracle"]()[0])
+    return out
+
+
+_SCALE = Fraction(10001, 10000)
+
+
+def _scaled_base(b) -> VectorField:
+    return VectorField(b.base.chart, [mul(rational(_SCALE), c) for c in b.base.components])
+
+
+def _scaled_circle(bracket):
+    def fn(z1, z2):
+        b = bracket(z1, z2)
+        return CircleLiftedVF(b.bundle, _scaled_base(b), mul(rational(_SCALE), b.fiber))
+    return fn
+
+
+def _unlifted_circle(bracket):
+    return lambda z1, z2: CircleLiftedVF(z1.bundle, bracket(z1, z2).base, ZERO)
+
+
+def _scaled_mpc(bracket):
+    def fn(z1, z2):
+        b = bracket(z1, z2)
+        s, f = rational(_SCALE), float(_SCALE)
+        return StructuredVF(b.bundle, _scaled_base(b), tuple(mul(s, c) for c in b.a_r),
+                            mul(s, b.tau_r), tuple(f * v for v in b.a_l), f * b.tau_l)
+    return fn
+
+
+def _unlifted_mpc(bracket):
+    def fn(z1, z2):
+        b = bracket(z1, z2)
+        return StructuredVF(b.bundle, b.base, a_r=b.a_r, a_l=b.a_l)
+    return fn
+
+
+@pytest.mark.parametrize("system", ["seed=42", "seed=7", *(f"corpus={k}" for k in range(1, 11)),
+                                    "hbar=1e-5", "hbar=1e-12"])
+def test_flow_oracles_pass_and_catch_a_scaled_or_unlifted_bracket(system, monkeypatch):
+    # the brackets scaled by 1 + 1e-4 read 1e-4 against the bound 1e-5; with
+    # the vertical (central u(1)) term dropped the oracle pair (lin_p, r2)
+    # reads 0.21 and 1.9 on the bundled system, and more at small hbar.  The
+    # corpus has degree-4 Hamiltonians, on which a flow over a fixed time 1e-3
+    # read 2.4e-3 to 1.4 in these rows
+    spec = _oracle_system(system)
+    assert _flow_oracle_verdicts(spec) == [True, True]
+    circle_bracket, mpc_bracket = suites.bracket_lifted, suites.structured_bracket
+    for circle_mutant, mpc_mutant in [(_scaled_circle, _scaled_mpc),
+                                      (_unlifted_circle, _unlifted_mpc)]:
+        monkeypatch.setattr(suites, "bracket_lifted", circle_mutant(circle_bracket))
+        monkeypatch.setattr(suites, "structured_bracket", mpc_mutant(mpc_bracket))
+        assert _flow_oracle_verdicts(spec) == [False, False], circle_mutant.__name__
 
 
 # SHA-256 of the CLI's JSON output, `gqw check --format json --seed S` for
 # `all` and `gqw group selftest --format json --seed S` for `group`
 REPORT_DIGESTS = {
-    ("all", 42): "f7df167ddf1508411b7a7c9cc84c131b0b69711de042ba01fe5bbcb6a8640c61",
-    ("all", 7): "43045b3443913ad0f3eb0d4dd465dfa447ef3d60d71d45d114db3c7e804e029b",
-    ("all", 7919): "3ca732aa20b0709879a6a7bd5240a892833999f39b660495fa435955a3058ed5",
+    ("all", 42): "94e33df83fa5a9dce522a53c05419db8ad17ff2354b69aa32a75e95d0841028f",
+    ("all", 7): "58f0fd756ab2cf7f1fd0e506781b578d7db2df84fe4b30705f57d85c9a41256f",
+    ("all", 7919): "aab56ed773fe915a796ae527107ae30f6ab445ca3123e3068c7d13708f1823ab",
     ("group", 42): "9665167c201f02a36494ee351e8f7dfbb1ad3b017f15a0024a4488e01e20fadb",
     ("group", 7): "c9aa26003e980e63b4fa1aa0d5a946b738298315b60d9b8ba483cd7cb09433cd",
     ("group", 7919): "c738b935231bdad13cafbc3a458d223468cd0f914a4b6bce7ee4e3055a9af82e",
@@ -679,11 +788,7 @@ def _decide_identity_corpus(tmp_path, seed: int) -> list:
     identity_corpus(seed, 600), decided as its identities workload decides
     it: seeded identities on the plane and on a thin annulus, whose
     differences do not cancel structurally."""
-    root = pathlib.Path(__file__).resolve().parent.parent
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_inputs", root / "perfbench" / "inputs.py")
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
+    inputs = _bench_inputs()
     annulus = tmp_path / "annulus.spec"
     annulus.write_text(inputs.annulus_spec(), encoding="utf-8")
     samplers = {"plane": load_bundled(seed=1).chart.sampler,
