@@ -11,8 +11,9 @@ trivialized prequantization bundles over a single chart:
   operator representation with its two defining axioms,
 * concrete arithmetic for SL(2,R), its double cover, and the circle
   extension, built on an explicit factor-of-automorphy cocycle,
-* the metaplectic-c picture over the punctured plane: structured vector
-  fields, the frame/horizontal lifts, membership conditions, the E/F
+* the metaplectic-c picture over any 2-dimensional chart, trivialized by
+  the symplectic frame (d/dx, w^-1 d/dy) of omega = w dx^dy: structured
+  vector fields, the frame/horizontal lifts, membership conditions, the E/F
   isomorphism, the section operator, and the two counterexample maps,
 * a system-file loader, property suites, and a CLI (`gqw`).
 """

@@ -16,7 +16,9 @@ canonical form:
   * a rational raised to an integer is computed exactly, and refused with
     an EvaluationError when its numerator or denominator would pass
     _MAX_POWER_BITS bits (a symbol's exponent is never computed, so p^65536
-    stays a power), and so is a power of a sum past _MAX_POWER_PRODUCTS,
+    stays a power), and so is a power of a sum whose expansion, with each
+    product charged for the size of its coefficients, passes
+    _MAX_POWER_PRODUCTS,
   * integer powers of the imaginary unit fold through the 4-cycle,
   * matched sin(u)^2 + cos(u)^2 pairs collapse to 1.
 
@@ -499,8 +501,9 @@ def mul(*args: Expr) -> Expr:
 # power() refuses a rational raised to an integer whose exact value would
 # pass this many bits in its numerator or denominator
 _MAX_POWER_BITS = 100_000
-# and a power of a sum whose expansion takes more products than this; the
-# largest accepted, such as (p+q)^706 or (p+q+1)^99, take about 1 s
+# and a power of a sum whose expansion costs more than this many products of
+# terms with coefficients +-1; the largest accepted, such as (p+q)^706,
+# (p+q+1)^99 or (2*p+3*q)^571, take about 1 s
 _MAX_POWER_PRODUCTS = 500_000
 
 
@@ -542,8 +545,19 @@ def power(base: Expr, exponent) -> Expr:
         # once with the number of ordered products that give it; the terms
         # are monomials, so the inner products cannot re-enter this branch
         # with the same base; n steps over k terms take n C(n+k-1, k-1) > n
+        # products.  A product is charged for its coefficients, in units of
+        # 1/20,000 of a product of +-1s: 20,000, plus 10,000 when a term's
+        # coefficient is another integer, 20,000 more when one is a fraction
+        # (reduced by a gcd at each product), and n b as they grow by up to
+        # b bits a step, for b the largest bit length of a term's numerator
+        # and denominator less 2
         k, cap = len(base.terms), _MAX_POWER_PRODUCTS
-        if exponent > cap or exponent * math.comb(exponent + k - 1, k - 1) > cap:
+        cs = [_split_coeff(s)[0] for s in base.terms]
+        b = max(abs(c.numerator).bit_length() + c.denominator.bit_length() for c in cs) - 2
+        charge = (20_000 + 10_000 * (b > 0) + 20_000 * any(c.denominator != 1 for c in cs)
+                  + exponent * b)
+        if exponent > cap or (exponent * math.comb(exponent + k - 1, k - 1) * charge
+                              > cap * 20_000):
             raise EvaluationError(f"power of a sum too large: over {cap} products to expand")
         counts = {ONE: 1}
         for _ in range(exponent):

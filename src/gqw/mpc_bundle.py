@@ -1,10 +1,10 @@
 """Prequantization on the trivialized bundle P = M x Mp^c over a 2-dimensional
-chart carrying the standard area form.
+chart with omega = w dx^dy.
 
-The frame bundle is identified with M x SL(2,R) through the coordinate frame
-(d/dp, d/dq), which is a symplectic frame everywhere precisely because omega
-is the constant standard form; the construction therefore requires
-omega = dp^dq in the global chart.
+The frame bundle is identified with M x SL(2,R) through the global
+symplectic frame F = (d/dx, w^-1 d/dy); a field lifts to it with the matrix
+of its linearized flow in F (``MpcPrequant.linearization``), which for
+w = 1 is the coordinate Jacobian.
 
 The prequantization form is gamma = (1/(i hbar)) beta + (half the determinant
 character's derivative applied to the trivial connection).  Vector fields on
@@ -44,7 +44,7 @@ from .circle import (
 from .errors import (
     DegenerateParameterError, NotQuantomorphismError, UnsupportedFieldError,
 )
-from .expr import Expr, HBAR, IMAG, ZERO, add, call, diff, evalf, mul, rational, symbol
+from .expr import Expr, HBAR, IMAG, ZERO, add, call, diff, evalf, mul, power, rational, symbol
 from .flows import complex_step
 from .forms import ChartMap, VectorField, lie_bracket, pullback, zero_vf
 from .mpc_group import (
@@ -52,7 +52,7 @@ from .mpc_group import (
     mp_mul, mpc_inv, mpc_mul, mu_loop, random_algebra, random_mpc, random_traceless,
     rotation,
 )
-from .sample import worst_of, worst_residual
+from .sample import DomainSampler, worst_of, worst_residual
 from .symplectic import hamiltonian_vf
 
 EMat = Tuple[Expr, Expr, Expr, Expr]  # 2x2 matrix of expressions, row-major
@@ -82,30 +82,29 @@ def imag_expr(c: complex) -> Expr:
     return mul(rational(Fraction(c.imag)), IMAG)
 
 
-def jacobian(v: VectorField) -> EMat:
-    p, q = (symbol(x) for x in v.chart.coords)
-    v1, v2 = v.components
-    return (diff(v1, p), diff(v1, q), diff(v2, p), diff(v2, q))
-
-
 class MpcPrequant:
-    """Bundle data for P = M x Mp^c over (M, dx^dy), where (x, y) are the
-    chart's coordinates, with the potential beta of the circle bundle (which
-    validated d(beta) = omega)."""
+    """Bundle data for P = M x Mp^c over (M, w dx^dy), where (x, y) are the
+    chart's coordinates, trivialized by the frame F = (d/dx, w^-1 d/dy), with
+    the potential beta of the circle bundle (which validated d(beta) = omega)."""
 
     def __init__(self, circle: PrequantCircle):
         if circle.chart.dim != 2:
             raise UnsupportedFieldError("the trivialized construction needs a 2-dimensional chart")
-        omega = circle.sympl.omega
-        if not omega.coeffs[0].is_one():
-            x, y = circle.chart.coords
-            raise UnsupportedFieldError(
-                f"the coordinate frame must be symplectic: omega must equal d{x}^d{y}, "
-                f"got omega = {omega!r}")
         self.circle = circle
         self.sympl = circle.sympl
         self.chart = circle.chart
         self.beta = circle.beta
+        self.w = circle.sympl.omega.coeffs[0]
+
+    def linearization(self, v: VectorField) -> EMat:
+        """The matrix of v's linearized flow in the frame, F^-1 (Dv F - v(F))
+        = [[v1_x, v1_y / w], [w v2_x, v2_y + v(w) / w]]; its trace
+        div(w v) / w is 0 for a Hamiltonian field."""
+        x, y = (symbol(c) for c in self.chart.coords)
+        v1, v2 = v.components
+        w, w_inv = self.w, power(self.w, -1)
+        return (diff(v1, x), mul(diff(v1, y), w_inv), mul(w, diff(v2, x)),
+                add(diff(v2, y), mul(v.apply(w), w_inv)))
 
 
 class StructuredVF:
@@ -160,10 +159,10 @@ def left_invariant(bundle: MpcPrequant, a_l: Mat, tau_l: complex) -> StructuredV
 
 def frame_lift(f: Expr, bundle: MpcPrequant) -> StructuredVF:
     """Lift of the Hamiltonian flow to the frame bundle: the fiber part is
-    right-invariant with matrix the Jacobian of the Hamiltonian field (the
-    linearization of a symplectic flow, hence traceless)."""
+    right-invariant with matrix the linearization of the Hamiltonian field
+    in the bundle's frame (a symplectic flow, hence traceless)."""
     xi = hamiltonian_vf(f, bundle.sympl)
-    return StructuredVF(bundle, xi, a_r=jacobian(xi))
+    return StructuredVF(bundle, xi, a_r=bundle.linearization(xi))
 
 
 def hat_lift(f: Expr, bundle: MpcPrequant) -> StructuredVF:
@@ -206,15 +205,15 @@ def quantomorphism_membership(z: StructuredVF) -> Tuple[float, float, float]:
 
     (1) the flow preserves gamma: (1/(i hbar)) L_base beta + d(tau_r) = 0;
     (2) the flow covers the lifted base flow: the left-invariant sp-part
-        vanishes and the right-invariant matrix equals the Jacobian of the
-        base field.
+        vanishes and the right-invariant matrix equals the linearization of
+        the base field in the bundle's frame.
     """
     sampler = z.bundle.chart.sampler
     # the constant left-invariant u(1) part drops out of L_zeta gamma
     la = connection_lie_derivative(z.bundle.circle, z.base, z.tau_r)
     return (worst_residual(((c, ZERO) for c in la.coeffs), sampler),
             math.sqrt(sum(v * v for v in z.a_l)),
-            worst_residual(zip(z.a_r, jacobian(z.base)), sampler))
+            worst_residual(zip(z.a_r, z.bundle.linearization(z.base)), sampler))
 
 
 def F_mpc(z: StructuredVF, *, check: bool = True) -> Expr:
@@ -340,15 +339,16 @@ def eta_ad_residual(n: int, rng: random.Random) -> float:
 # the operator representation on centrally-equivariant sections
 
 
-def section_vocabulary(bundle: MpcPrequant):
-    """The names a section encoding is written in: the chart's coordinates,
-    then the fiber entries, which no coordinate may share."""
+def section_sampler(bundle: MpcPrequant) -> DomainSampler:
+    """The context a section encoding is written and decided in: the chart's
+    sampler over its coordinates and then the fiber entries, which no
+    coordinate may share, each drawn from [-1, 1]."""
     for c in bundle.chart.coords:
         if c in FIBER_SYMBOLS:
             raise UnsupportedFieldError(
                 f"coordinate '{c}' clashes with the fiber entries {', '.join(FIBER_SYMBOLS)} "
                 f"of the section encoding: rename it")
-    return tuple(bundle.chart.coords) + FIBER_SYMBOLS
+    return bundle.chart.sampler.extended(dict.fromkeys(FIBER_SYMBOLS, (-1.0, 1.0)))
 
 
 def delta_operator(f: Expr, u: Expr, bundle: MpcPrequant) -> Expr:
@@ -363,7 +363,7 @@ def delta_operator(f: Expr, u: Expr, bundle: MpcPrequant) -> Expr:
     """
     z = hat_lift(f, bundle)
     out = z.base.apply(u)
-    gmat = tuple(symbol(s) for s in section_vocabulary(bundle)[2:])
+    gmat = tuple(symbol(s) for s in section_sampler(bundle).coords[2:])
     for coeff, gsym in zip(emat_mul(z.a_r, gmat), gmat):
         out = add(out, mul(coeff, diff(u, gsym)))
     out = add(out, mul(rational(-1), z.tau_r, u))

@@ -84,6 +84,12 @@ class DomainSampler:
         """A fresh rng for the ``{seed}:{tag}`` stream."""
         return random.Random(f"{self.seed}:{tag}")
 
+    def extended(self, box: Dict[str, Tuple[float, float]]) -> "DomainSampler":
+        """The same seed, sample count, tolerance, hbar and domain over the
+        coordinates followed by those of ``box``, which gives their intervals."""
+        return DomainSampler(self.coords + tuple(box), {**self.box, **box}, self.positive,
+                             self.seed, self.n_samples, self.tolerance, self.hbar)
+
     def env(self, values) -> Dict[str, float]:
         """Evaluation environment: coordinate values (in chart order) and hbar."""
         out = dict(zip(self.coords, values))

@@ -49,9 +49,9 @@ from .forms import (
 from .mpc_bundle import (
     E_mpc, F_mpc, StructuredVF, delta_operator,
     eta_ad_residual, example_base_rotation, example_fiberwise_twist, hat_lift,
-    frame_lift, imag_expr, jacobian, left_invariant, pushforward_residual,
+    frame_lift, imag_expr, left_invariant, pushforward_residual,
     quantomorphism_membership, right_action_map, sample_fiber_points,
-    section_vocabulary, structured_bracket, structured_rhs,
+    section_sampler, structured_bracket, structured_rhs,
 )
 from .mpc_group import (
     IDENTITY, MpcAlgebra, ROTATION_GENERATOR, central, eta, exp_mpc, kappa,
@@ -60,7 +60,7 @@ from .mpc_group import (
     random_mpc, random_traceless, sigma,
 )
 from .parse import parse_expr
-from .sample import expr_equal, worst_of
+from .sample import DomainSampler, expr_equal, worst_of
 from .symplectic import hamiltonian_vf, lie_derivative_omega, poisson, poisson_ways
 from .system import SystemSpec
 
@@ -174,17 +174,18 @@ def _within(bound: float, measure: Callable[[], Iterable[Measurement]]):
     return lambda: _decide(measure(), bound)
 
 
-def _compared(spec: SystemSpec, pairs) -> Iterator[Measurement]:
+def _compared(sampler: DomainSampler, pairs) -> Iterator[Measurement]:
     """The measurement of each (lhs, rhs) expression pair by expr_equal."""
     for lhs, rhs in pairs:
-        yield expr_equal(lhs, rhs, spec.chart.sampler)[1], spec.samples
+        yield expr_equal(lhs, rhs, sampler)[1], sampler.n_samples
 
 
 def _verdict(spec: SystemSpec, fn: Callable[[], object]) -> Verdict:
     """Runs one check.  A tuple is the check's own verdict; anything else is
     its (lhs, rhs) pairs, all built before any is decided against epsilon."""
     out = fn()
-    return out if isinstance(out, tuple) else _decide(_compared(spec, list(out)), spec.epsilon)
+    return out if isinstance(out, tuple) else _decide(
+        _compared(spec.chart.sampler, list(out)), spec.epsilon)
 
 
 def _deciding(build: Callable[[SystemSpec], List[Check]]):
@@ -544,7 +545,7 @@ def mpc_checks(spec: SystemSpec) -> List[Check]:
                 pairs.extend(zip(z1.a_r, z2.a_r))
                 pairs.append((z1.tau_r, z2.tau_r))
                 consts.extend(zip((z1.tau_l, *z1.a_l), (z2.tau_l, *z2.a_l)))
-            yield from _compared(spec, pairs)
+            yield from _compared(spec.chart.sampler, pairs)
             yield from ((abs(a - b), 0) for a, b in consts)
         return _within(spec.epsilon, measure)
 
@@ -563,7 +564,7 @@ def mpc_checks(spec: SystemSpec) -> List[Check]:
             v = left_invariant(bundle, (a, rng.uniform(-1, 1), rng.uniform(-1, 1), -a),
                                tau)
             pairs.append((v.gamma(), imag_expr(tau)))
-        ok, worst, n = _decide(_compared(spec, pairs), spec.epsilon)
+        ok, worst, n = _decide(_compared(spec.chart.sampler, pairs), spec.epsilon)
         ad = eta_ad_residual(30, spec.chart.sampler.rng("eta-ad"))
         ad_ok, ad, ad_n = _decide([(ad, 30)], 1e-12)
         return ok and ad_ok, max(worst, ad), n + ad_n
@@ -591,7 +592,7 @@ def mpc_checks(spec: SystemSpec) -> List[Check]:
         for f in hs:
             z = hat_lift(f, bundle)
             yield z.gamma(), ZERO
-            yield from zip(z.a_r, jacobian(z.base))
+            yield from zip(z.a_r, bundle.linearization(z.base))
             yield from zip(z.base.components, hamiltonian_vf(f, s).components)
 
     def e_homomorphism_mpc():
@@ -679,9 +680,12 @@ def delta_checks(spec: SystemSpec) -> List[Check]:
     bundle = spec.mpc_bundle()
     s = spec.sympl
     hs = list(spec.hamiltonians.values())
-    vocab = section_vocabulary(bundle)
+    sampler = section_sampler(bundle)
     x1, x2 = spec.coords  # the bundle exists, so the chart is 2-d
-    sections = [parse_expr(t, vocab) for t in ["1", f"g11*{x1}", f"{x1}*{x2} + g21"]]
+    sections = [parse_expr(t, sampler.coords) for t in ["1", f"g11*{x1}", f"{x1}*{x2} + g21"]]
+
+    def on_sections(pairs):
+        return lambda: _decide(_compared(sampler, list(pairs())), spec.epsilon)
 
     def identity_rule():
         for u in sections:
@@ -704,11 +708,11 @@ def delta_checks(spec: SystemSpec) -> List[Check]:
                 yield lhs, ks_operator(f, u, y)
 
     return [
-        ("delta-identity", "delta_1 = (1/(i hbar)) id", identity_rule),
-        ("delta-homomorphism", "[delta_f, delta_g] = delta_{f,g}", homomorphism),
+        ("delta-identity", "delta_1 = (1/(i hbar)) id", on_sections(identity_rule)),
+        ("delta-homomorphism", "[delta_f, delta_g] = delta_{f,g}", on_sections(homomorphism)),
         ("delta-scaled-operator",
          "i hbar delta_f matches the line-bundle operator on base-only sections",
-         scaled_operator),
+         on_sections(scaled_operator)),
     ]
 
 

@@ -53,6 +53,10 @@ class SymplecticChart:
     def __init__(self, chart: Chart, omega: KForm):
         if omega.degree != 2 or omega.chart.coords != chart.coords:
             raise ValueError("omega must be a 2-form on the given chart")
+        if chart.dim % 2:
+            raise DegeneracyError(
+                f"a symplectic chart needs an even dimension; the coordinates "
+                f"{', '.join(chart.coords)} give {chart.dim}")
         self.chart = chart
         self.omega = omega
         self._check_closed()

@@ -218,6 +218,30 @@ def test_a_power_of_a_sum_past_the_product_limit_fails_fast():
         "to expand (at offset 5)")
 
 
+def test_a_power_of_a_sum_is_charged_for_its_coefficients(monkeypatch):
+    # at about the count of (p+q)^706, big or fractional coefficients cost
+    # more: these took 2.2 s, 3.3 s, 5.6 s and 1.9 s to expand
+    texts = ["(2*p+3*q)^706", "(123456789*p+987654321*q)^706",
+             "(123456789/1000*p+987654321/7*q)^706", "(12345*p+54321*q+6789*r+1)^40"]
+    code = ("from gqw.parse import parse_expr\n"
+            f"for text in {texts!r}:\n"
+            "    try:\n"
+            "        parse_expr(text, ('p', 'q', 'r'))\n"
+            "    except Exception as exc:\n"
+            "        print(exc)\n")
+    assert run_bounded(["-c", code], timeout=10).stdout.splitlines() == [
+        f"power of a sum too large: over 500000 products to expand (at offset {text.index('^')})"
+        for text in texts]
+    # under a cap of 1,000: n (n+1) products for two terms, each charged 1
+    # for unit coefficients and 1.5 + n/20,000 for 2 and 3
+    from gqw import expr
+    monkeypatch.setattr(expr, "_MAX_POWER_PRODUCTS", 1000)
+    for text, largest in [("(p+q)^", 31), ("(2*p+3*q)^", 25)]:
+        parse_expr(f"{text}{largest}", VOCAB)
+        with pytest.raises(ExprSyntaxError, match="over 1000 products to expand"):
+            parse_expr(f"{text}{largest + 1}", VOCAB)
+
+
 def test_sqrt_normalizes_to_half_power():
     assert parse_expr("sqrt(p^2+q^2)", VOCAB) == power(add(power(P, 2), power(Q, 2)),
                                                        Fraction(1, 2))

@@ -1,6 +1,7 @@
-"""Metaplectic-c prequantization over the punctured plane: lifts, the E/F
-pair on structured fields, the membership conditions, the section operator,
-and the two counterexample constructions."""
+"""Metaplectic-c prequantization over the punctured plane and over charts
+with other area forms: lifts, the E/F pair on structured fields, the
+membership conditions, the section operator, and the two counterexample
+constructions."""
 
 import cmath
 import math
@@ -15,15 +16,15 @@ from gqw.circle import (
 from gqw.errors import (
     DegenerateParameterError, NotQuantomorphismError, UnsupportedFieldError,
 )
-from gqw.expr import HBAR, IMAG, PI, ZERO, add, mul, power, rational, symbol
+from gqw.expr import HBAR, IMAG, PI, ZERO, add, diff, mul, power, rational, symbol
 from gqw.flows import commutator_residual
 from gqw.forms import Chart, VectorField, parse_form, zero_vf
 from gqw.mpc_bundle import (
     E_mpc, F_mpc, MpcPrequant, StructuredVF,
     delta_operator, eta_ad_residual, example_base_rotation,
-    example_fiberwise_twist, fiber_twist, frame_lift, hat_lift, jacobian,
+    example_fiberwise_twist, fiber_twist, frame_lift, hat_lift,
     left_invariant, pushforward_residual, quantomorphism_membership,
-    right_action_map, sample_fiber_points, section_vocabulary,
+    right_action_map, sample_fiber_points, section_sampler,
     structured_bracket, structured_rhs,
 )
 from gqw.mpc_group import (
@@ -58,12 +59,35 @@ def hams(bundle):
 # construction constraints
 
 
-def test_requires_standard_area_form():
-    s = DomainSampler(coords=("p", "q"), box={"p": (-2, 2), "q": (-2, 2)}, seed=3)
+@pytest.mark.parametrize("omega, beta, positive", [
+    ("2*dp^dq", "p*dq - q*dp", None),
+    ("p*dp^dq", "1/2*p^2*dq", "p"),
+    ("(2+2*p^2)*dp^dq", "(2*p + 2/3*p^3)*dq", None),
+    ("(2+sin(p*q))*dp^dq", "(2*p - cos(p*q)*q^(-1))*dq", "q"),
+], ids=["constant", "linear", "polynomial", "sine"])
+def test_lifts_linearize_in_the_symplectic_frame(omega, beta, positive):
+    # omega = w dp^dq has the symplectic frame F = (d/dp, w^-1 d/dq); a lift's
+    # matrix A is the linearized flow in it: F A = Dv F - v(F), traceless
+    box = {"p": (-2, 2), "q": (-2, 2)}
+    if positive:
+        box[positive] = (0.5, 2)
+    s = DomainSampler(coords=("p", "q"), box=box, seed=3,
+                      positive=(parse_expr(positive, ("p", "q")),) if positive else ())
     chart = Chart(s)
-    sympl = SymplecticChart(chart, parse_form("2*dp^dq", chart))
-    with pytest.raises(UnsupportedFieldError):
-        MpcPrequant(PrequantCircle(sympl, parse_form("p*dq - q*dp", chart)))
+    sympl = SymplecticChart(chart, parse_form(omega, chart))
+    b = MpcPrequant(PrequantCircle(sympl, parse_form(beta, chart)))
+    w = sympl.omega.coeffs[0]
+    frame = (rational(1), ZERO, ZERO, power(w, -1))
+    for f in hams(b):
+        z = frame_lift(f, b)
+        v1, v2 = z.base.components
+        dv = (diff(v1, P), diff(v1, Q), diff(v2, P), diff(v2, Q))
+        moved = tuple(add(x, mul(rational(-1), z.base.apply(y)))
+                      for x, y in zip(mpc_bundle.emat_mul(dv, frame), frame))
+        for lhs, rhs in zip(mpc_bundle.emat_mul(frame, z.a_r), moved):
+            assert expr_equal(lhs, rhs, s)[0]
+        assert add(z.a_r[0], z.a_r[3]).is_zero()
+        assert F_mpc(E_mpc(f, b)) == f
 
 
 def test_structured_fields_must_be_traceless(bundle):
@@ -142,9 +166,13 @@ def test_hat_lift_annihilates_gamma_on_corpus(bundle):
 
 
 def test_hat_lift_matrix_is_base_jacobian(bundle):
+    # omega = dp^dq: the frame is the coordinate frame, and the linearization
+    # in it is the coordinate Jacobian, node for node
     for f in hams(bundle):
         z = hat_lift(f, bundle)
-        assert z.a_r == jacobian(z.base)
+        v1, v2 = z.base.components
+        assert z.a_r == bundle.linearization(z.base) == (
+            diff(v1, P), diff(v1, Q), diff(v2, P), diff(v2, Q))
 
 
 def test_E_of_one_is_central_vertical(bundle):
@@ -362,7 +390,7 @@ def test_dgamma_equals_curvature_on_structured_pairs(bundle):
 
 
 def sections(bundle):
-    vocab = section_vocabulary(bundle)
+    vocab = section_sampler(bundle).coords
     return [parse_expr(t, vocab) for t in ["1", "g11*p", "p*q + g21"]]
 
 
@@ -379,7 +407,7 @@ def test_delta_of_zero_section(bundle):
 def test_delta_homomorphism_worked_example(bundle):
     f = mul(rational(1, 2), add(power(P, 2), power(Q, 2)))
     g = mul(P, Q)
-    u = parse_expr("g11*p", section_vocabulary(bundle))
+    u = parse_expr("g11*p", section_sampler(bundle).coords)
     lhs = add(delta_operator(f, delta_operator(g, u, bundle), bundle),
               mul(rational(-1),
                   delta_operator(g, delta_operator(f, u, bundle), bundle)))

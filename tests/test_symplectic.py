@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from gqw.errors import DegeneracyError
+from gqw.errors import DegeneracyError, SystemSpecError
 from gqw.expr import ONE, ZERO, add, evalf, mul, power, rational, symbol, to_str
 from gqw.forms import (
     Chart, KForm, VectorField, exterior_derivative, interior_product,
@@ -155,6 +155,22 @@ def test_degenerate_omega_rejected():
     chart = Chart(s)
     with pytest.raises(DegeneracyError):
         SymplecticChart(chart, parse_form("0*dp^dq", chart))
+
+
+@pytest.mark.parametrize("coords, omega", [(("p",), "dp^dp"), (("p", "q", "s"), "dp^dq")])
+def test_odd_dimensional_chart_rejected_for_its_dimension(coords, omega):
+    # the Pfaffian of an odd matrix is 0, and the error named a sample point:
+    # "omega degenerate at sample point {'p': 1.815..., ...}"
+    s = DomainSampler(coords=coords, box={c: (-2, 2) for c in coords}, seed=42)
+    chart = Chart(s)
+    message = (f"a symplectic chart needs an even dimension; the coordinates "
+               f"{', '.join(coords)} give {len(coords)}")
+    with pytest.raises(DegeneracyError, match=message):
+        SymplecticChart(chart, parse_form(omega, chart))
+    text = (f"[manifold]\ncoordinates = {', '.join(coords)}\n[symplectic]\nomega = {omega}\n"
+            f"[prequant]\nbeta = p*dp\n[hamiltonians]\nh = p\n")
+    with pytest.raises(SystemSpecError, match=message):
+        load_spec_text(text)
 
 
 def test_nonclosed_omega_rejected_in_four_dimensions():

@@ -20,9 +20,9 @@ from gqw import suites
 from gqw.circle import CircleLiftedVF
 from gqw.cli import main
 from gqw.errors import SystemSpecError, UnsupportedFieldError
-from gqw.expr import ZERO, mul, rational
+from gqw.expr import ZERO, diff, mul, rational, symbol
 from gqw.forms import VectorField
-from gqw.mpc_bundle import StructuredVF, delta_operator
+from gqw.mpc_bundle import MpcPrequant, StructuredVF, delta_operator
 from gqw.parse import parse_expr
 from gqw.sample import expr_equal
 from gqw.suites import run_suite
@@ -982,13 +982,95 @@ def test_coordinates_named_like_the_fiber_entries_fail_only_the_delta_setup():
         delta_operator(spec.hamiltonians["energy"], parse_expr("1", ()), spec.mpc_bundle())
 
 
-def test_setup_failures_name_the_charts_own_area_form():
-    spec = load_spec_text(NON_STANDARD_AREA)
-    rows = [c for c in run_suite(spec, "all").checks if c.id.endswith("-setup")]
-    assert [c.id for c in rows] == ["mpc-iso-setup", "delta-setup", "counterexamples-setup"]
-    for row in rows:
-        assert row.error == ("UnsupportedFieldError: the coordinate frame must be symplectic: "
-                             "omega must equal dx^dy, got omega = (x)*dx^dy")
+# the bundled system's Hamiltonians on a polar chart (r, t): omega = r dr^dt
+POLAR = """
+[manifold]
+coordinates = r, t
+domain = r > 0
+box r = 1/2, 2
+box t = -3, 3
+
+[symplectic]
+omega = r*dr^dt
+
+[prequant]
+beta = 1/2*r^2*dt
+
+[hamiltonians]
+one = 1
+lin_p = r
+lin_q = t
+pq = r*t
+r2 = r^2 + t^2
+energy = 1/2*(r^2 + t^2)
+hyperbolic = r^2 - t^2
+"""
+# the README's example of an omega with non-constant coefficients, with the
+# built-in Hamiltonians
+NON_CONSTANT_AREA = GOOD.replace("omega = dp^dq", "omega = (2+2*p^2)*dp^dq").replace(
+    "beta = 1/2*(p*dq - q*dp)", "beta = (2*p + 2/3*p^3)*dq")
+CONSTANT_AREA = GOOD.replace("omega = dp^dq", "omega = 2*dp^dq").replace(
+    "beta = 1/2*(p*dq - q*dp)", "beta = p*dq - q*dp")
+
+# SHA-256 of `gqw check --format json --seed S --system <POLAR>`
+POLAR_DIGESTS = {
+    42: "58b16c4242071e909306ef652f42492d62842e3be19149746caf877630386bde",
+    7: "20aab992dc9a52fb669560ce35cb55174fbdfd87361c928f85e12330c019c79f",
+}
+
+
+@pytest.mark.parametrize("text", [POLAR, NON_CONSTANT_AREA], ids=["polar", "non-constant"])
+def test_every_mpc_row_runs_on_a_non_constant_area_form(text):
+    # the bundle refused every omega but dx^dy: its mpc-iso, delta and
+    # counterexamples suites were three failed setup rows.  The chart's
+    # rotation preserves neither omega nor beta here, so the counterexample's
+    # hypothesis fails and its row with it
+    report = run_suite(load_spec_text(text), "all")
+    assert len(report.checks) == 47
+    assert [c.id for c in report.checks if not c.passed] == ["rotation-gamma-equivariance"]
+
+
+def test_every_row_passes_on_a_constant_area_form(tmp_path, capsys):
+    path = tmp_path / "two.spec"
+    path.write_text(CONSTANT_AREA)
+    assert main(["check", "--system", str(path)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seed", sorted(POLAR_DIGESTS))
+def test_polar_reports_match_their_pinned_digests(seed, tmp_path, capsys):
+    path = tmp_path / "polar.spec"
+    path.write_text(POLAR)
+    assert main(["check", "--format", "json", "--seed", str(seed), "--system", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == POLAR_DIGESTS[seed]
+
+
+def test_the_coordinate_jacobian_fails_on_a_polar_chart(monkeypatch):
+    # a bundle that kept the coordinate frame on r dr^dt: its lifts are not
+    # traceless, and the rows that build them fail
+    def coordinate_frame(self, v):
+        x, y = (symbol(c) for c in self.chart.coords)
+        return tuple(diff(c, s) for c in v.components for s in (x, y))
+
+    monkeypatch.setattr(MpcPrequant, "linearization", coordinate_frame)
+    failed = [c for c in run_suite(load_spec_text(POLAR), "all").checks if not c.passed]
+    assert any(c.error and "right-invariant matrix coefficient has trace" in c.error
+               for c in failed)
+
+
+@pytest.mark.parametrize("omega, beta", [
+    ("(2+2*p^2)*dp^dq", "(2*p + 2/3*p^3)*dq"),
+    ("(1+p^2+q^2)*dp^dq", "(p + 1/3*p^3 + p*q^2)*dq"),
+], ids=["readme", "radial"])
+def test_delta_rows_sample_the_fiber_entries(omega, beta):
+    # three pairs of delta-homomorphism do not cancel structurally here, and
+    # were sampled on the chart's context, which binds no fiber entry:
+    # "UnboundSymbolError: unbound symbol 'g11'"
+    spec = load_spec_text(GOOD.replace("omega = dp^dq", f"omega = {omega}").replace(
+        "beta = 1/2*(p*dq - q*dp)", f"beta = {beta}"))
+    rows = {c.id: c for c in run_suite(spec, "delta").checks}
+    assert rows["delta-homomorphism"].passed and 0 < rows["delta-homomorphism"].residual < 1e-14
 
 
 def test_cli_demo_on_a_system_it_cannot_use_is_a_load_error(tmp_path, capsys):

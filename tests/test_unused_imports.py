@@ -13,6 +13,11 @@ sees it.
 It also keeps the evaluation context the one owner of its two decisions:
 no module but ``sample.py`` builds a ``random.Random`` or writes an
 ``"hbar"`` key.
+
+Public code has a reader too: every public module-level function and class
+of gqw is named outside its own body somewhere in ``src/gqw``, ``tests/``
+or ``perfbench/`` (a re-export in ``__init__.py`` counts), so a function
+whose last caller is gone does not stay behind.
 """
 
 import ast
@@ -20,8 +25,8 @@ import os
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src", "gqw")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "gqw")
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py") and f != "__init__.py")
 
@@ -122,6 +127,65 @@ def test_no_unused_top_level_imports(module):
 def test_no_unused_private_names(module):
     with open(os.path.join(SRC, module), encoding="utf-8") as fh:
         assert unused_private_names(fh.read()) == [], module
+
+
+def public_definitions(source: str):
+    """(name, first line, last line) of each public module-level function
+    and class."""
+    return [(node.name, node.lineno, node.end_lineno) for node in ast.parse(source).body
+            if isinstance(node, DEFS) and not node.name.startswith("_")]
+
+
+def names_read(source: str):
+    """(name, line) of each name the source reads, imports or takes as an
+    attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            found.add((node.attr, node.end_lineno))
+        elif isinstance(node, ast.ImportFrom):
+            found.update((alias.name, node.lineno) for alias in node.names)
+    return found
+
+
+def unread_public_definitions(sources):
+    """``(module, name)`` of each public definition in a ``src/gqw`` module
+    that no source names outside its own body; ``sources`` maps a path to
+    its text."""
+    reads = {path: names_read(text) for path, text in sources.items()}
+    unread = []
+    for path, text in sources.items():
+        if os.path.dirname(path) != SRC:
+            continue
+        for name, first, last in public_definitions(text):
+            if not any(n == name and not (where == path and first <= line <= last)
+                       for where, found in reads.items() for n, line in found):
+                unread.append((os.path.basename(path), name))
+    return sorted(unread)
+
+
+def _tree_sources():
+    sources = {}
+    for folder in (SRC, os.path.join(ROOT, "tests"), os.path.join(ROOT, "perfbench")):
+        for name in sorted(os.listdir(folder)):
+            if name.endswith(".py"):
+                with open(os.path.join(folder, name), encoding="utf-8") as fh:
+                    sources[os.path.join(folder, name)] = fh.read()
+    return sources
+
+
+def test_the_check_sees_an_unread_public_definition():
+    mod, test = os.path.join(SRC, "m.py"), os.path.join(ROOT, "tests", "t.py")
+    src = ("def f(): return f()\ndef g(): return 1\nclass K: pass\n"
+           "def h():\n    return 2\nx = h\n")
+    assert unread_public_definitions({mod: src, test: "from m import g\nimport m\nm.K\n"}) == [
+        ("m.py", "f")]
+
+
+def test_every_public_definition_is_read():
+    assert unread_public_definitions(_tree_sources()) == []
 
 
 def context_leaks(source: str):
