@@ -10,15 +10,17 @@ canonical form:
     int when integral and a fractions.Fraction otherwise,
   * like terms are collected and equal bases have their exponents merged,
   * products distribute over sums and positive integer powers of sums are
-    expanded, so polynomial identities collapse to a structural zero; a
-    power is expanded one factor at a time, each distinct partial product
-    kept once with its multiplicity, so (p+q+1)^n costs a polynomial in n,
+    expanded, so polynomial identities collapse to a structural zero.  Both
+    go through one routine, which distributes one sum at a time and keeps
+    each distinct partial product once with its multiplicity, so (p+q+1)^n
+    costs a polynomial in n.  It raises an EvaluationError once the
+    products it has formed, each charged for the size of the coefficients
+    it multiplies, pass _MAX_PRODUCTS, or once a coefficient passes
+    _MAX_POWER_BITS bits,
   * a rational raised to an integer is computed exactly, and refused with
     an EvaluationError when its numerator or denominator would pass
     _MAX_POWER_BITS bits (a symbol's exponent is never computed, so p^65536
-    stays a power), and so is a power of a sum whose expansion, with each
-    product charged for the size of its coefficients, passes
-    _MAX_POWER_PRODUCTS,
+    stays a power),
   * integer powers of the imaginary unit fold through the 4-cycle,
   * matched sin(u)^2 + cos(u)^2 pairs collapse to 1.
 
@@ -379,16 +381,55 @@ def add(*args: Expr) -> Expr:
 # mul's argument tuple -> its result, for the products that distributed a sum
 _EXPANDED: dict = {}
 
+# power() refuses a rational raised to an integer whose exact value would
+# pass this many bits in its numerator or denominator, and _expand_product
+# a coefficient whose numerator and denominator together pass it
+_MAX_POWER_BITS = 100_000
+# _expand_product refuses once the products it has formed, each charged for
+# its coefficients, pass this many; the largest accepted, such as (p+q)^706,
+# (p+q+1)^99 or (2*p+3*q)^700, take 1 to 2 s
+_MAX_PRODUCTS = 500_000
 
-def _expand_product(coeff: Fraction, plain: list, sums: list) -> Expr:
-    # Distribute the Add factors; their terms are monomials, so the inner
-    # products cannot reintroduce sums and the recursion is flat.
-    partial = [Rational(coeff)] + plain
-    out_terms = [tuple(partial)]
+
+def _coefficient_bits(term: Expr) -> int:
+    """The bit lengths of the numerator and the denominator of a term's
+    coefficient together (2 for a term without one).  Unlike _split_coeff,
+    this builds no monomial node."""
+    t = type(term)
+    if t is Rational:
+        c = term.value
+    elif t is Mul and type(term.factors[0]) is Rational:
+        c = term.factors[0].value
+    else:
+        return 2
+    return c.numerator.bit_length() + c.denominator.bit_length()
+
+
+def _expand_product(coeff, plain: list, sums: list) -> Expr:
+    """coeff times the factors of ``plain`` and the sums of ``sums``, each sum
+    distributed in turn over the partial product, which keeps each distinct
+    product once with the number of ordered products that give it.
+
+    A step that starts from two products or more is charged before it forms
+    its products: one for each, plus the bit lengths of the two coefficients
+    it multiplies, multiplied together, over _MAX_POWER_BITS (a step from
+    one product forms no more products than the sum has terms).  The
+    expansion is refused once the charge passes _MAX_PRODUCTS, or a
+    coefficient passes _MAX_POWER_BITS bits."""
+    counts, spent = {mul(Rational(coeff), *plain): 1}, 0
     for s in sums:
-        out_terms = [prev + (t,) for prev in out_terms
-                     for t in (s.terms if type(s) is Add else (s,))]
-    return add(*[mul(*combo) for combo in out_terms])
+        if len(counts) > 1:
+            sizes = list(map(_coefficient_bits, counts))
+            spent += (len(sizes) * len(s.terms) * _MAX_POWER_BITS
+                      + sum(sizes) * sum(map(_coefficient_bits, s.terms)))
+            if spent > _MAX_PRODUCTS * _MAX_POWER_BITS or max(sizes) > _MAX_POWER_BITS:
+                raise EvaluationError(f"expansion too large: over {_MAX_PRODUCTS} products")
+        prev, counts = counts, {}
+        for node, count in prev.items():
+            for t in s.terms:
+                m = mul(node, t)
+                counts[m] = counts.get(m, 0) + count
+    return add(*[_scaled(count, node) for node, count in counts.items()])
 
 
 def _scaled_term(c, t: Expr) -> Expr:
@@ -498,15 +539,6 @@ def mul(*args: Expr) -> Expr:
     return Mul((Rational(coeff),) + tuple(plain))
 
 
-# power() refuses a rational raised to an integer whose exact value would
-# pass this many bits in its numerator or denominator
-_MAX_POWER_BITS = 100_000
-# and a power of a sum whose expansion costs more than this many products of
-# terms with coefficients +-1; the largest accepted, such as (p+q)^706,
-# (p+q+1)^99 or (2*p+3*q)^571, take about 1 s
-_MAX_POWER_PRODUCTS = 500_000
-
-
 def power(base: Expr, exponent) -> Expr:
     if type(exponent) is Rational:
         exponent = exponent.value
@@ -541,33 +573,9 @@ def power(base: Expr, exponent) -> Expr:
     if t is Mul and exponent.denominator == 1:
         return mul(*[power(f, exponent) for f in base.factors])
     if t is Add and exponent.denominator == 1 and exponent >= 2:
-        # expand one term at a time, carrying each distinct partial product
-        # once with the number of ordered products that give it; the terms
-        # are monomials, so the inner products cannot re-enter this branch
-        # with the same base; n steps over k terms take n C(n+k-1, k-1) > n
-        # products.  A product is charged for its coefficients, in units of
-        # 1/20,000 of a product of +-1s: 20,000, plus 10,000 when a term's
-        # coefficient is another integer, 20,000 more when one is a fraction
-        # (reduced by a gcd at each product), and n b as they grow by up to
-        # b bits a step, for b the largest bit length of a term's numerator
-        # and denominator less 2
-        k, cap = len(base.terms), _MAX_POWER_PRODUCTS
-        cs = [_split_coeff(s)[0] for s in base.terms]
-        b = max(abs(c.numerator).bit_length() + c.denominator.bit_length() for c in cs) - 2
-        charge = (20_000 + 10_000 * (b > 0) + 20_000 * any(c.denominator != 1 for c in cs)
-                  + exponent * b)
-        if exponent > cap or (exponent * math.comb(exponent + k - 1, k - 1) * charge
-                              > cap * 20_000):
-            raise EvaluationError(f"power of a sum too large: over {cap} products to expand")
-        counts = {ONE: 1}
-        for _ in range(exponent):
-            step: dict = {}
-            for node, count in counts.items():
-                for s in base.terms:
-                    m = mul(node, s)
-                    step[m] = step.get(m, 0) + count
-            counts = step
-        return add(*[_scaled(count, node) for node, count in counts.items()])
+        if 2 * exponent > _MAX_PRODUCTS:  # every step forms two products or more
+            raise EvaluationError(f"expansion too large: over {_MAX_PRODUCTS} products")
+        return _expand_product(1, [], [base] * exponent)
     return Pow(base, exponent)
 
 

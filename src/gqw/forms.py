@@ -334,21 +334,19 @@ class _FormParser(_Parser):
         a_form = isinstance(a, KForm)
         b_form = isinstance(b, KForm)
         if not a_form and not b_form:
-            return self._scalar_power(a, b, pos)
+            return super().combine_caret(a, b, pos)
         if a_form and b_form:
             return wedge(a, b)
         raise ExprSyntaxError("cannot mix a form and a scalar under ^", pos)
 
-    def combine_add(self, a, b, sign: int, pos: int):
+    def combine_add(self, a, b, pos: int):
         if isinstance(a, KForm) != isinstance(b, KForm):
             raise ExprSyntaxError("cannot add a form and a scalar", pos)
         if isinstance(a, KForm):
-            if sign < 0:
-                b = b.scale(rational(-1))
             if a.degree != b.degree:
                 raise ExprSyntaxError("cannot add forms of different degree", pos)
             return a.plus(b)
-        return super().combine_add(a, b, sign, pos)
+        return super().combine_add(a, b, pos)
 
     def negate(self, a, pos: int):
         if isinstance(a, KForm):

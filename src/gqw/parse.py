@@ -12,12 +12,15 @@ is parenthesized, p^(1/2), since p^1/2 is refused rather than read as
 either p^(1/2) or 1/2*p.  General quotients are written with negative
 exponents, e.g. p*q^(-1).  Digits are decimal digits: '²' is not one.
 
-A rational raised to an integer is computed exactly, up to the kernel's
-size limit (expr._MAX_POWER_BITS, 100,000 bits in the numerator or
-denominator); a larger one, such as the 2^(2^65536) inside p^2^2^2^2^2^2,
-is an ExprSyntaxError at its '^', and so are 0 to a negative power and a
-power of a sum past 500,000 products (expr._MAX_POWER_PRODUCTS), such as
-(p+1)^65536.  A symbol's exponent is never computed: p^2^2^2^2 is p^65536.
+An EvaluationError the kernel raises for an infix operator is an
+ExprSyntaxError at that operator.  So a rational raised to an integer past
+the kernel's size limit (expr._MAX_POWER_BITS, 100,000 bits in the
+numerator or denominator), such as the 2^(2^65536) inside p^2^2^2^2^2^2,
+and 0 to a negative power are errors at their '^', and an expansion past
+500,000 products, each charged for its coefficients (expr._MAX_PRODUCTS),
+is an error at its '^' or '*': (p+1)^65536 at offset 5,
+(p+q+1)^60*(p+q+2)^60 at offset 10.  A symbol's exponent is never
+computed: p^2^2^2^2 is p^65536.
 
 The text is split into tokens by one regular-expression pass, in full
 before parsing, so a character no token can start with is reported before
@@ -113,23 +116,15 @@ class _Parser:
         return mul(a, b)
 
     def combine_caret(self, a, b, pos: int):
-        return self._scalar_power(a, b, pos)
+        if not isinstance(b, Rational):
+            raise ExprSyntaxError("exponent must be a rational literal", pos)
+        return power(a, b.value)
 
-    def combine_add(self, a, b, sign: int, pos: int):
-        if sign < 0:
-            b = mul(MINUS_ONE, b)
+    def combine_add(self, a, b, pos: int):
         return add(a, b)
 
     def negate(self, a, pos: int):
         return mul(MINUS_ONE, a)
-
-    def _scalar_power(self, base, exp, pos: int):
-        if not isinstance(exp, Rational):
-            raise ExprSyntaxError("exponent must be a rational literal", pos)
-        try:
-            return power(base, exp.value)
-        except EvaluationError as err:  # 0^(-1), or a power too large to build
-            raise ExprSyntaxError(str(err), pos) from None
 
     # -- grammar -------------------------------------------------------------
     def parse(self):
@@ -156,11 +151,15 @@ class _Parser:
             self.k += 1
             if op == "^":
                 self._reject_bare_fraction()
-                left = self.combine_caret(left, self.expr(_BP_POW), pos)  # right associative
-            elif op == "*":
-                left = self.combine_mul(left, self.expr(_BP_MUL + 1), pos)
-            else:
-                left = self.combine_add(left, self.expr(_BP_ADD + 1), -1 if op == "-" else 1, pos)
+            right = self.expr(bp if op == "^" else bp + 1)  # ^ is right associative
+            if op == "-":  # a - b is a + (-b)
+                right = self.negate(right, pos)
+            combine = (self.combine_caret if op == "^" else
+                       self.combine_mul if op == "*" else self.combine_add)
+            try:
+                left = combine(left, right, pos)
+            except EvaluationError as err:  # 0^(-1), or a power or product too large to build
+                raise ExprSyntaxError(str(err), pos) from None
         self.depth -= 1
         return left
 

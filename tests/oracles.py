@@ -147,8 +147,9 @@ def kappa_reference(g1: Mat, g2: Mat) -> int:
 
 def mul_rebuilt(*args: Expr) -> Expr:
     """The canonical product, folded afresh on every call: exponents of equal
-    bases are summed, every factor is rebuilt by ``power_rebuilt`` and every
-    sum is distributed, with nothing stored between calls."""
+    bases are summed, every factor is rebuilt by ``power_rebuilt`` and the
+    sums are distributed one at a time, every ordered product built, as
+    ``power_rebuilt`` expands a power, with nothing stored between calls."""
     coeff, powers = Fraction(1), {}
     for a in args:
         for f in (a.factors if type(a) is Mul else (a,)):
@@ -170,10 +171,10 @@ def mul_rebuilt(*args: Expr) -> Expr:
     if coeff == 0:
         return ZERO
     if sums:
-        combos = [[rational(coeff)] + plain]
+        terms = [mul_rebuilt(rational(coeff), *plain)]
         for s in sums:
-            combos = [c + [t] for c in combos for t in s.terms]
-        return add(*[mul_rebuilt(*c) for c in combos])
+            terms = [mul_rebuilt(t, u) for t in terms for u in s.terms]
+        return add(*terms)
     if len({f.base if type(f) is Pow else f for f in plain}) != len(plain):
         return mul_rebuilt(rational(coeff), *plain)
     plain.sort(key=_key)

@@ -205,40 +205,54 @@ def test_a_power_of_a_sum_expands_in_polynomial_time():
     assert expanded.count(" + ") == 119
 
 
+EXPANSION_ERROR = "gqw.errors.ExprSyntaxError: expansion too large: over 500000 products"
+
+
 def test_a_power_of_a_sum_past_the_product_limit_fails_fast():
-    # n steps of k terms take n C(n + k - 1, k - 1) products: 13 C(19, 6) =
-    # 352,716 for seven terms to the 13th, 14 C(20, 6) = 542,640 to the 14th
-    seven = "(p + q + p*q + p^2 + q^2 + p^2*q + 1)"
-    assert parse_expr(f"{seven}^13", VOCAB).terms[0] is ONE
-    with pytest.raises(ExprSyntaxError, match=r"over 500000 products to expand \(at offset 37\)"):
-        parse_expr(f"{seven}^14", VOCAB)
-    # (p+1)^65536 built about 2e9 products and did not return
-    assert _parse_in_a_child("(p+1)^65536") == (
-        "gqw.errors.ExprSyntaxError: power of a sum too large: over 500000 products "
-        "to expand (at offset 5)")
+    # every step forms two products or more, so a power of a sum past half
+    # the limit is refused before its steps are laid out
+    for n in (250_001, 10 ** 30):
+        with pytest.raises(ExprSyntaxError, match=r"over 500000 products \(at offset 5\)"):
+            parse_expr(f"(p+1)^{n}", VOCAB)
+
+
+def test_a_power_of_a_sum_whose_products_collide_is_accepted():
+    # both were refused on a count of products that took every product to
+    # be distinct: 542,640 for the first, and for the second, i's 4-cycle
+    # leaves four partial products a step
+    seven = "(p + q + p*q + p^2 + q^2 + p^2*q + 1)^14"
+    assert _parse_in_a_child(seven).count(" + ") == 630
+    assert _parse_in_a_child("(i*p + p)^2000") == f"{2 ** 1000}*p^2000"
+
+
+def test_a_product_of_two_sums_past_the_product_limit_fails_fast():
+    # no limit guarded a product of sums: it formed 1891^2 products in about
+    # 28 s and 1 GB; the refusal is reported at the '*'
+    assert _parse_in_a_child("(p+q+1)^60*(p+q+2)^60") == f"{EXPANSION_ERROR} (at offset 10)"
 
 
 def test_a_power_of_a_sum_is_charged_for_its_coefficients(monkeypatch):
-    # at about the count of (p+q)^706, big or fractional coefficients cost
-    # more: these took 2.2 s, 3.3 s, 5.6 s and 1.9 s to expand
-    texts = ["(2*p+3*q)^706", "(123456789*p+987654321*q)^706",
-             "(123456789/1000*p+987654321/7*q)^706", "(12345*p+54321*q+6789*r+1)^40"]
-    code = ("from gqw.parse import parse_expr\n"
-            f"for text in {texts!r}:\n"
-            "    try:\n"
-            "        parse_expr(text, ('p', 'q', 'r'))\n"
-            "    except Exception as exc:\n"
-            "        print(exc)\n")
-    assert run_bounded(["-c", code], timeout=10).stdout.splitlines() == [
-        f"power of a sum too large: over 500000 products to expand (at offset {text.index('^')})"
-        for text in texts]
-    # under a cap of 1,000: n (n+1) products for two terms, each charged 1
-    # for unit coefficients and 1.5 + n/20,000 for 2 and 3
+    # each stays refused within the time bound: the first four took 2-6 s
+    # to expand, the next two form coefficients of 5.4 million and 100,000
+    # bits, and the last formed about 2e9 products
+    for text in ["(2*p+3*q)^706", "(123456789*p+987654321*q)^706",
+                 "(123456789/1000*p+987654321/7*q)^706", "(12345*p+54321*q+6789*r+1)^40",
+                 "(2^90000*p+3^50000*q)^60", "(2^141*p+3^89*q)^706", "(p+1)^65536"]:
+        code = f"from gqw.parse import parse_expr\nparse_expr({text!r}, ('p', 'q', 'r'))"
+        run = run_bounded(["-c", code])
+        assert run.stderr.strip().splitlines()[-1] == (
+            f"{EXPANSION_ERROR} (at offset {text.rindex('^')})"), text
+    # under a cap of 1,000: steps 1 to n-1 of (p+q)^n each form 2 (j+1)
+    # products, n (n+1) - 2 in all (990 for n = 31, 1,054 for 32); a
+    # product is charged a further b1 b2 / 100,000 for the bit lengths b1
+    # and b2 of the coefficients it multiplies, which lowers the largest
+    # power accepted where coefficients are large
     from gqw import expr
-    monkeypatch.setattr(expr, "_MAX_POWER_PRODUCTS", 1000)
-    for text, largest in [("(p+q)^", 31), ("(2*p+3*q)^", 25)]:
+    monkeypatch.setattr(expr, "_MAX_PRODUCTS", 1000)
+    for text, largest in [("(p+q)^", 31), ("(123456789*p+987654321*q)^", 28),
+                          ("(2^1000*p+3^1000*q)^", 4)]:
         parse_expr(f"{text}{largest}", VOCAB)
-        with pytest.raises(ExprSyntaxError, match="over 1000 products to expand"):
+        with pytest.raises(ExprSyntaxError, match="over 1000 products"):
             parse_expr(f"{text}{largest + 1}", VOCAB)
 
 
@@ -535,6 +549,18 @@ SUMS = {
 def test_powers_of_sums_match_the_expansion_by_every_ordered_product(s):
     for n in range(2, 7):
         assert power(s, n) is power_rebuilt(s, n)
+
+
+def test_a_product_of_sums_distributes_one_sum_at_a_time():
+    # as a power of a sum is expanded: with s = p + q, x s^(1/2) times the
+    # first sum gives x s, whose s is opened, so the second keeps s^(1/2)
+    # beside p and q; the product of every choice of terms at once, as mul
+    # distributed before, merged three half powers into s^(3/2)
+    h = power(add(P, Q), Fraction(1, 2))
+    args = (symbol("x"), h, add(h, ONE), add(h, rational(2)))
+    assert mul(*args) is mul_rebuilt(*args)
+    assert to_str(mul(*args)) == ("3*p*x + p*x*(p + q)^(1/2) + 3*q*x + q*x*(p + q)^(1/2)"
+                                  " + 2*x*(p + q)^(1/2)")
 
 
 def test_products_and_powers_match_a_fold_that_stores_nothing_by_identity():

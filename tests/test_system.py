@@ -515,7 +515,7 @@ def test_an_exponent_tower_in_a_poisson_bracket_exits_two_at_once():
 
 
 # (p+1)^65536 built about 2e9 products and did not return
-SUM_POWER_ERROR = "power of a sum too large: over 500000 products to expand (at offset 5)"
+SUM_POWER_ERROR = "expansion too large: over 500000 products (at offset 5)"
 
 
 def test_a_large_power_of_a_sum_in_a_system_file_exits_two_at_once(tmp_path):
@@ -529,6 +529,29 @@ def test_a_large_power_of_a_sum_in_a_system_file_exits_two_at_once(tmp_path):
 def test_a_large_power_of_a_sum_in_a_poisson_bracket_exits_two_at_once():
     run = run_bounded(["-m", "gqw.cli", "poisson", "-f", "(p+1)^65536", "-g", "q"])
     assert (run.returncode, run.stderr.strip()) == (2, f"error: {SUM_POWER_ERROR}")
+
+
+# no limit guarded a product of two sums: this one formed 1891^2 products
+# in about 28 s
+SUM_PRODUCT = "(p+q+1)^60*(p+q+2)^60"
+SUM_PRODUCT_ERROR = "expansion too large: over 500000 products (at offset 10)"
+
+
+@pytest.mark.parametrize("line, text, error", [
+    ("pq = p*q", f"pq = {SUM_PRODUCT}", f"line 20: hamiltonian 'pq': {SUM_PRODUCT_ERROR}"),
+    ("omega = dp^dq", f"omega = {SUM_PRODUCT}*dp^dq",
+     f"line 11: omega: bad form literal: {SUM_PRODUCT_ERROR}"),
+], ids=["hamiltonian", "omega"])
+def test_a_large_product_of_sums_in_a_system_file_exits_two_at_once(line, text, error, tmp_path):
+    spec = tmp_path / "product.spec"
+    spec.write_text(GOOD.replace(line, text), encoding="utf-8")
+    run = run_bounded(["-m", "gqw.cli", "check", "--system", str(spec)])
+    assert (run.returncode, run.stderr.strip()) == (2, f"error: {error}")
+
+
+def test_a_large_product_of_sums_in_a_poisson_bracket_exits_two_at_once():
+    run = run_bounded(["-m", "gqw.cli", "poisson", "-f", SUM_PRODUCT, "-g", "q"])
+    assert (run.returncode, run.stderr.strip()) == (2, f"error: {SUM_PRODUCT_ERROR}")
 
 
 @pytest.mark.parametrize("f", ["2^20000*p", "p^2^2^2^2^2"])
