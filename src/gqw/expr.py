@@ -54,6 +54,19 @@ cheap to rebuild and are not stored, which keeps the table small.  The
 table lives for the process; racing threads fill it with dict.setdefault,
 like the intern tables, so they get the same node.
 
+The first two steps of a distribution multiply input terms: the plain
+monomial by the first sum's terms, then those products by the second sum's
+terms.  Each such product is the two coefficients times the product of the
+two monomials, which ``_MONOMIAL_PRODUCTS`` keeps: it maps a monomial to a
+row that maps a monomial to the product of the two.  The same pairs recur
+across the products of a process; a probe hashes two interned nodes and
+builds no key tuple, so a product of two large sums, whose pairs never
+recur, costs little more than without the table.  Later steps multiply
+partial products, which a long power makes by the hundred thousand and
+which seldom recur, so they call mul and store nothing.  This table also
+lives for the process; its rows and their entries are filled with
+dict.setdefault.
+
 add collects terms by monomial.  A product with a coefficient keeps its
 monomial (its factors after the coefficient, as one node) in ``_mono``,
 filled on its first split and kept as long as the product, so a term is
@@ -380,6 +393,9 @@ def add(*args: Expr) -> Expr:
 
 # mul's argument tuple -> its result, for the products that distributed a sum
 _EXPANDED: dict = {}
+# monomial -> {monomial -> their product}, for the products of input terms
+# that the first two steps of _expand_product form
+_MONOMIAL_PRODUCTS: dict = {}
 
 # power() refuses a rational raised to an integer whose exact value would
 # pass this many bits in its numerator or denominator, and _expand_product
@@ -415,9 +431,13 @@ def _expand_product(coeff, plain: list, sums: list) -> Expr:
     it multiplies, multiplied together, over _MAX_POWER_BITS (a step from
     one product forms no more products than the sum has terms).  The
     expansion is refused once the charge passes _MAX_PRODUCTS, or a
-    coefficient passes _MAX_POWER_BITS bits."""
+    coefficient passes _MAX_POWER_BITS bits.
+
+    The first two steps, which multiply input terms, read the product of
+    the two monomials from _MONOMIAL_PRODUCTS and scale it by the two
+    coefficients, which gives the node mul builds."""
     counts, spent = {mul(Rational(coeff), *plain): 1}, 0
-    for s in sums:
+    for step, s in enumerate(sums):
         if len(counts) > 1:
             sizes = list(map(_coefficient_bits, counts))
             spent += (len(sizes) * len(s.terms) * _MAX_POWER_BITS
@@ -425,10 +445,26 @@ def _expand_product(coeff, plain: list, sums: list) -> Expr:
             if spent > _MAX_PRODUCTS * _MAX_POWER_BITS or max(sizes) > _MAX_POWER_BITS:
                 raise EvaluationError(f"expansion too large: over {_MAX_PRODUCTS} products")
         prev, counts = counts, {}
-        for node, count in prev.items():
-            for t in s.terms:
-                m = mul(node, t)
-                counts[m] = counts.get(m, 0) + count
+        if step < 2:
+            split = [_split_coeff(t) for t in s.terms]
+            for node, count in prev.items():
+                ca, ma = _split_coeff(node)
+                row = _MONOMIAL_PRODUCTS.get(ma)
+                if row is None:
+                    row = _MONOMIAL_PRODUCTS.setdefault(ma, {})
+                for cb, mb in split:
+                    m = row.get(mb)
+                    if m is None:
+                        m = row.setdefault(mb, mul(ma, mb))
+                    c = ca * cb
+                    if c != 1:  # so a Fraction c is neither 0 nor 1
+                        m = _scaled(c, m)
+                    counts[m] = counts.get(m, 0) + count
+        else:
+            for node, count in prev.items():
+                for t in s.terms:
+                    m = mul(node, t)
+                    counts[m] = counts.get(m, 0) + count
     return add(*[_scaled(count, node) for node, count in counts.items()])
 
 

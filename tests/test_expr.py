@@ -491,6 +491,74 @@ def test_a_product_without_a_sum_factor_is_not_stored():
     assert expr._EXPANDED == before
 
 
+def _pair_products(name):
+    """Products of sums, each formed twice with other coefficients, the
+    pair of monomials both form, and that pair's product, which is not a
+    bare monomial (or, for sin^2 + cos^2, meets its partner in the final
+    sum).  Every symbol is new to this process."""
+    x, y, z, u = (symbol(f"{name}_{v}") for v in "xyzu")
+    s = add(x, y)
+    half_i, three_halves_i = power(IMAG, Fraction(1, 2)), power(IMAG, Fraction(3, 2))
+    half_s = power(s, Fraction(1, 2))
+    sin2, cos2 = power(call("sin", u), 2), power(call("cos", u), 2)
+    pair = add(mul(sin2, x), mul(cos2, y)), add(y, x)
+    return {
+        # i^(1/2)*x * i^(3/2)*y is -x*y: a rational times a monomial
+        "i-halves": ([(mul(half_i, x), add(mul(three_halves_i, y), z)),
+                      (mul(rational(2), half_i, x),
+                       add(mul(rational(-3, 5), three_halves_i, y), z))],
+                     (mul(half_i, x), mul(three_halves_i, y)), mul(rational(-1), x, y)),
+        # s^(1/2)*x * s^(1/2)*y is x*y*s distributed: a sum
+        "sum-halves": ([(mul(half_s, x), add(mul(half_s, y), z)),
+                        (mul(rational(2, 3), half_s, x),
+                         add(mul(rational(3, 2), half_s, y), z))],
+                       (mul(half_s, x), mul(half_s, y)), add(mul(x, x, y), mul(x, y, y))),
+        # sin(u)^2*x*y + cos(u)^2*x*y collapse to x*y in the final add
+        "sin2-cos2": ([pair, (mul(rational(3), pair[0]), mul(rational(-2), pair[1]))],
+                      (mul(sin2, x), y), mul(sin2, x, y)),
+    }
+
+
+@pytest.mark.parametrize("name", ["i-halves", "sum-halves", "sin2-cos2"])
+def test_a_stored_product_of_monomials_gives_the_rebuilt_node(name):
+    # the first product fills the table of monomial products, the second,
+    # with other coefficients, reads it back and scales it
+    from gqw import expr
+    products, (ma, mb), stored = _pair_products(f"stored_{name.replace('-', '_')}")[name]
+    assert ma not in expr._MONOMIAL_PRODUCTS
+    first = mul(*products[0])
+    assert expr._MONOMIAL_PRODUCTS[ma][mb] is stored is mul_rebuilt(ma, mb)
+    assert first is mul_rebuilt(*products[0])
+    assert mul(*products[1]) is mul_rebuilt(*products[1])
+
+
+def _stored_monomial_products():
+    from gqw import expr
+    return sum(map(len, expr._MONOMIAL_PRODUCTS.values()))
+
+
+def test_the_monomial_product_table_grows_only_with_input_term_pairs():
+    # only the first two steps store their products: 3 pairs of 1 with
+    # the sum's terms, then 3 partial products times 3 terms
+    x, y = symbol("growth_x"), symbol("growth_y")
+    before = _stored_monomial_products()
+    expanded = power(add(x, y, ONE), 40)
+    assert _stored_monomial_products() - before <= 3 + 9
+    # power_rebuilt would form 3^40 ordered products: the multinomial
+    # theorem gives the same sum
+    f = math.factorial
+    assert expanded is add(*[mul(rational(f(40) // (f(a) * f(b) * f(40 - a - b))),
+                                 power(x, a), power(y, b))
+                             for a in range(41) for b in range(41 - a)])
+    assert power(add(x, y, ONE), 5) is power_rebuilt(add(x, y, ONE), 5)
+    for m, n in ((2, 3), (4, 5)):
+        first = add(*[symbol(f"growth_a{m}_{k}") for k in range(m)])
+        second = add(*[symbol(f"growth_b{n}_{k}") for k in range(n)])
+        before = _stored_monomial_products()
+        assert mul(first, second) is mul_rebuilt(first, second)
+        assert _stored_monomial_products() - before <= m + m * n
+
+
 def test_a_factor_met_once_is_kept_not_rebuilt(monkeypatch):
     x, y = symbol("kept_x"), symbol("kept_y")
     square = power(x, 2)
@@ -1231,6 +1299,23 @@ def test_threads_expanding_the_same_products_get_one_node():
         assert all(a is b for a, b in zip(results[0], other))
     assert all(expr._EXPANDED[args] is e for args, e in zip(products, results[0]))
     assert all(e is mul_rebuilt(*args) for args, e in zip(products, results[0]))
+
+
+def test_threads_expanding_products_of_two_sums_store_one_product_per_pair():
+    # threads race to fill the table of monomial products with pairs never
+    # multiplied before; each must get the stored node, one per pair
+    from gqw import expr
+    names = [f"pairrace{k}" for k in range(200)]
+    products = [(add(symbol(f"{n}_a"), mul(rational(2), symbol(f"{n}_b"))),
+                 add(mul(rational(-1, 3), symbol(f"{n}_c")), P)) for n in names]
+    results = _race(lambda: [mul(*args) for args in products])
+    for other in results[1:]:
+        assert all(a is b for a, b in zip(results[0], other))
+    assert all(e is mul_rebuilt(*args) for args, e in zip(products, results[0]))
+    for n in names:
+        a, b, c = (symbol(f"{n}_{v}") for v in "abc")
+        pairs = [(ONE, a), (ONE, b), (a, c), (a, P), (b, c), (b, P)]
+        assert all(expr._MONOMIAL_PRODUCTS[ma][mb] is mul_rebuilt(ma, mb) for ma, mb in pairs)
 
 
 def test_threads_evaluating_new_nodes_agree_with_a_tree_walk():
