@@ -6,7 +6,8 @@ class GqwError(Exception):
 
 
 class ExprSyntaxError(GqwError):
-    """Malformed expression text.  Carries the byte offset of the problem."""
+    """Malformed expression text.  Carries the character offset of the
+    problem: its index in the text, not in the text's UTF-8 bytes."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at offset {offset})")

@@ -31,6 +31,20 @@ Nesting is limited to 200 levels, CPython's own limit on parentheses.  A
 group, a call, a unary sign, an exponent and the right operand of + - *
 each open a level; deeper text is an ExprSyntaxError, "expression nested
 too deeply", at the offset of the token that opens the 201st level.
+
+parse_expr keeps, for each vocabulary, a table from the text of a region to
+the node it parses to, for the process.  A region is a whole text, a
+parenthesized group or a call's argument list; a group's or an argument
+list's key runs from its '(' to its matching ')', both included, so (p+q)
+is one key wherever it appears.  A region met again is read from the table
+and the cursor moves past its ')'; the kernel interns its nodes, so the
+stored node is the one a new parse would build.  Only the scalar grammar
+uses the table: a form carries its chart, which the text does not name.
+Only a parse that succeeded is stored, so every error keeps its message and
+offset, and a group is read or stored only when it has fewer tokens than
+the levels of nesting left, so none can hide a "nested too deeply".  One
+parse adds at most its text's length in region keys besides the whole text,
+inner regions first, as they close.
 """
 
 from __future__ import annotations
@@ -163,6 +177,12 @@ class _Parser:
         self.depth -= 1
         return left
 
+    def group(self):
+        """The expression between the '(' just read and its ')'."""
+        inner = self.expr(0)
+        self.expect_op(")")
+        return inner
+
     def _reject_bare_fraction(self):
         """p^2/2 would read as p^(2/2) and p^-1/2 as p^(-1/2): a rational
         literal right after '^', signed or not, must be parenthesized."""
@@ -192,8 +212,7 @@ class _Parser:
             if text in _FUNCTIONS:
                 if toks[self.k][0] == "(":
                     self.k += 1
-                    arg = self.expr(0)
-                    self.expect_op(")")
+                    arg = self.group()
                     if not isinstance(arg, Expr):
                         raise ExprSyntaxError("function arguments must be scalars", pos)
                     return call(text, arg)
@@ -202,9 +221,7 @@ class _Parser:
                 return Constant(text)  # interned: the one PI, IMAG or HBAR
             return self.atom_for_ident(text, pos)
         if kind == "(":
-            inner = self.expr(0)
-            self.expect_op(")")
-            return inner
+            return self.group()
         if kind == "-":
             return self.negate(self.expr(_BP_NEG), pos)
         if kind == "+":
@@ -212,11 +229,61 @@ class _Parser:
         raise ExprSyntaxError(f"unexpected {text!r}" if text else "unexpected end of input", pos)
 
 
+def _closing(toks: list) -> dict:
+    """The index of each '(' token's matching ')', for those that have one."""
+    close, opened = {}, []
+    for k, (kind, _, _) in enumerate(toks):
+        if kind == "(":
+            opened.append(k)
+        elif kind == ")" and opened:
+            close[opened.pop()] = k
+    return close
+
+
+# vocabulary (a frozenset of names) -> {region text -> the node it parses to},
+# filled by the scalar grammar only and kept for the process
+_REGIONS: dict = {}
+
+
+class _ExprParser(_Parser):
+    """The scalar grammar, reading each region parsed before from a table."""
+
+    def __init__(self, text: str, vocabulary: Sequence[str], regions: dict):
+        super().__init__(text, vocabulary)
+        self.text = text
+        self.regions = regions
+        self.close = _closing(self.toks)
+        self.room = len(text)  # the key characters this parse may still store
+
+    def group(self):
+        # a region of fewer tokens than the levels left cannot nest too
+        # deeply: each level it opens is opened by one of its tokens
+        start = self.k - 1
+        end = self.close.get(start)
+        if end is None or end - start + 1 >= _MAX_DEPTH - self.depth:
+            return super().group()
+        key = self.text[self.toks[start][2]:self.toks[end][2] + 1]
+        node = self.regions.get(key)
+        if node is not None:
+            self.k = end + 1
+            return node
+        node = super().group()
+        if len(key) <= self.room:  # inner regions close first, so they are kept
+            self.room -= len(key)
+            node = self.regions.setdefault(key, node)
+        return node
+
+
 def parse_expr(text: str, vocabulary: Sequence[str]) -> Expr:
     """Parse ``text`` into a canonical expression.
 
     Free identifiers must appear in ``vocabulary``; pi, i, hbar are always
-    available.  Raises ExprSyntaxError / UnknownSymbolError with the byte
-    offset of the problem.
+    available.  Raises ExprSyntaxError / UnknownSymbolError with the
+    character offset (the index in ``text``) of the problem.
     """
-    return _Parser(text, vocabulary).parse()
+    vocab = frozenset(vocabulary)
+    regions = _REGIONS.setdefault(vocab, {})
+    node = regions.get(text)
+    if node is None:
+        node = regions.setdefault(text, _ExprParser(text, vocab, regions).parse())
+    return node

@@ -104,6 +104,10 @@ TOO_DEEP = "expression nested too deeply"
     ("p + 0^(-1)", "division by zero in a constant power", 5),
     ("2^100001", "constant power too large: over 100000 bits", 1),
     ("p*(1/3)^(-100001)", "constant power too large: over 100000 bits", 7),
+    # the group (p) is stored before the unclosed one is reached
+    ("(p)+(p", "expected ')'", 6),
+    # an offset indexes characters: U+3000 is one, and three UTF-8 bytes
+    ("p +\u3000)", "unexpected ')'", 4),
 ])
 def test_parse_errors_name_the_problem_and_its_offset(text, message, offset):
     with pytest.raises(ExprSyntaxError) as err:
@@ -170,6 +174,124 @@ def test_nesting_up_to_the_limit_parses():
     assert parse_expr("p" + "^1" * 200, VOCAB) is P
     deep = parse_expr("sin(" * 200 + "p" + ")" * 200, VOCAB)
     assert parse_expr(to_str(deep), VOCAB) is deep
+
+
+def test_offsets_index_characters_not_utf8_bytes():
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr("é + )", ("é",))
+    assert err.value.offset == 4  # the UTF-8 byte offset is 5
+
+
+# ---------------------------------------------------------------------------
+# the table of parsed regions: a text, group or argument list parsed before
+# is read from parse._REGIONS, which must never change a result
+
+
+@pytest.fixture
+def cold_regions(monkeypatch):
+    """An empty table of parsed regions for one test."""
+    from gqw import parse
+    table = {}
+    monkeypatch.setattr(parse, "_REGIONS", table)
+    return table
+
+
+def _outcome(text, vocab=VOCAB):
+    """The node ``text`` parses to, or its error's type, message and offset."""
+    try:
+        return parse_expr(text, vocab)
+    except ExprSyntaxError as err:
+        return type(err), str(err), err.offset
+
+
+def test_an_unclosed_group_stays_an_error_once_the_closed_one_is_stored(cold_regions):
+    assert parse_expr("(p)", VOCAB) is P
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr("(p", VOCAB)
+    assert str(err.value) == "expected ')' (at offset 2)"
+    assert list(cold_regions[frozenset(VOCAB)]) == ["(p)"]
+
+
+def test_a_region_is_stored_for_its_own_vocabulary(cold_regions):
+    x = symbol("x")
+    for text, offset in [("(p+x)", 3), ("q*(p+x)", 5), ("sin(p+x)", 6)]:
+        assert _outcome(text) == (UnknownSymbolError, f"unknown symbol 'x' (at offset {offset})",
+                                  offset)
+        assert parse_expr(text, ("p", "q", "x")) is parse_expr(text, ("x", "q", "p"))
+        assert _outcome(text) == (UnknownSymbolError, f"unknown symbol 'x' (at offset {offset})",
+                                  offset)
+    assert parse_expr("(p+x)", ("p", "q", "x")) is add(P, x)
+
+
+def test_a_stored_group_does_not_lift_the_product_limit(cold_regions, monkeypatch):
+    from gqw import expr
+    monkeypatch.setattr(expr, "_MAX_PRODUCTS", 1000)
+    for stored in (False, True):
+        if stored:
+            assert parse_expr("(p+q)", VOCAB) is add(P, Q)
+        for text in ["(p+q)^32", "q*(p+q)^32"]:
+            with pytest.raises(ExprSyntaxError, match="over 1000 products") as err:
+                parse_expr(text, VOCAB)
+            assert err.value.offset == text.index("^")
+    assert "(p+q)" in cold_regions[frozenset(VOCAB)]
+
+
+@pytest.mark.parametrize("region", ["(p+q)", "sin((p+q)^2)", "(" * 9 + "p*q" + ")" * 9])
+def test_a_stored_region_nested_deeper_still_meets_the_depth_limit(region, monkeypatch):
+    # stored at depth 0, then read at each depth around the limit: every
+    # outcome is that of a parse with an empty table
+    from gqw import parse
+    texts = ["(" * n + region + ")" * n for n in range(185, 202)]
+    cold = []
+    for text in texts:
+        monkeypatch.setattr(parse, "_REGIONS", {})
+        cold.append(_outcome(text))
+    monkeypatch.setattr(parse, "_REGIONS", {})
+    parse_expr(region, VOCAB)
+    assert [_outcome(text) for text in texts] == cold
+    # the 201st parenthesis is the first in the region that opens a level
+    deepest = "(" * 200 + region + ")" * 200
+    offset = deepest.index("(", 200)
+    assert cold[texts.index(deepest)][1:] == (f"{TOO_DEEP} (at offset {offset})", offset)
+
+
+def test_a_warm_table_gives_the_node_a_cold_parse_builds(monkeypatch):
+    import random
+    from gqw import parse
+    texts = [to_str(_random_expr(random.Random(seed), 3, mul, power)) for seed in range(300)]
+    cold = []
+    for text in texts:
+        monkeypatch.setattr(parse, "_REGIONS", {})
+        cold.append(parse_expr(text, VOCAB))
+    warm = {}
+    monkeypatch.setattr(parse, "_REGIONS", warm)
+    assert all(parse_expr(t, VOCAB) is e for t, e in zip(texts, cold))
+    # without the whole texts, the regions in them are read from the table
+    regions = warm[frozenset(VOCAB)]
+    for text in texts:
+        regions.pop(text, None)
+    assert sum(key.startswith("(") for key in regions) >= 100
+    assert all(parse_expr(t, VOCAB) is e for t, e in zip(texts, cold))
+
+
+@pytest.mark.parametrize("shape", ["deep-sum", "deep-groups"])
+def test_the_table_grows_by_at_most_twice_each_texts_length(shape, cold_regions):
+    # a parse stores its whole text and at most its length again of region
+    # keys, inner regions first: all 98 groups of the second shape would
+    # store about 10,000 characters for a text of 200
+    regions = cold_regions.setdefault(frozenset(VOCAB), {})
+    for k in range(40):
+        if shape == "deep-sum":
+            terms = [f"(q+{k})"] + [f"(p+{j})" for j in range(1, 300)]
+            text = "(" * 190 + " + ".join(terms) + ")" * 190
+        else:
+            text = "(" * 99 + f"p+{k}" + ")" * 99
+        before = sum(map(len, regions))
+        node = parse_expr(text, VOCAB)
+        assert sum(map(len, regions)) - before <= 2 * len(text)
+        if shape == "deep-groups":
+            assert node is add(P, rational(k))
+    assert len(regions) > 80
 
 
 def test_constant_powers_are_exact_up_to_the_size_limit():
@@ -1340,3 +1462,18 @@ def test_threads_differentiating_new_nodes_agree_with_a_tree_walk():
     expected = [_reference_diff(e, P) for e in nodes]
     results = _race(lambda: [diff(e, P) for e in nodes])
     assert all(all(a is b for a, b in zip(r, expected)) for r in results)
+
+
+def test_threads_parsing_the_same_texts_get_one_node():
+    # threads race to store texts and regions never parsed before; each
+    # must get the node stored first
+    from gqw import parse
+    names = [f"parserace{k}" for k in range(200)]
+    vocab = ("p", "q", *names)
+    texts = [f"sin(({n} + p)^2)*({n} + p) - ({n} + p)" for n in names]
+    results = _race(lambda: [parse_expr(t, vocab) for t in texts])
+    for other in results[1:]:
+        assert all(a is b for a, b in zip(results[0], other))
+    regions = parse._REGIONS[frozenset(vocab)]
+    assert all(regions[t] is e for t, e in zip(texts, results[0]))
+    assert all(regions[f"({n} + p)"] is add(symbol(n), P) for n in names)

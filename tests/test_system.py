@@ -704,6 +704,28 @@ def _bench_inputs():
     return inputs
 
 
+def test_systems_on_the_same_coordinates_keep_their_own_chart():
+    # parsed scalar regions are stored per vocabulary; a form carries its
+    # chart, so the form grammar must not store them: shared with the
+    # scalar table, the annulus's beta came back on the bundled chart
+    from gqw import parse
+    from gqw.forms import parse_form
+    bundled = load_bundled()
+    annulus = load_spec_text(_bench_inputs().annulus_spec())
+    assert annulus.chart is not bundled.chart
+    for spec in (bundled, annulus):
+        assert spec.beta.chart is spec.chart
+        assert spec.sympl.omega.chart is spec.chart
+
+    def stored():
+        return {vocab: dict(table) for vocab, table in parse._REGIONS.items()}
+
+    before = stored()
+    for text in ["1/2*(p*dq - q*dp)", "dp^dq", "(p+q)*dp", "(p + q)^2", "sin((p))"]:
+        parse_form(text, annulus.chart)
+    assert stored() == before
+
+
 def _oracle_system(system: str):
     kind, value = system.split("=")
     if kind == "corpus":
