@@ -1,14 +1,16 @@
-"""Chart-based exterior calculus: vector fields and k-forms for k <= 2.
+"""Chart-based exterior calculus: vector fields and k-forms of every degree.
 
 Everything lives on a single global chart with a domain predicate; this
 covers products of intervals, the punctured plane, and trivialized bundles.
-Coefficients are symbolic expressions.  Degree-3 forms and higher are out
-of scope: the exterior derivative of a degree-2 form is only available on
-2-dimensional charts (where it vanishes identically).
+Coefficients are symbolic expressions.  A k-form keeps one coefficient per
+increasing index tuple of length k, so forms go up to the chart's dimension;
+a form of higher degree has no coefficients and is zero.
 """
 
 from __future__ import annotations
 
+import functools
+from itertools import combinations
 from typing import Sequence, Tuple
 
 from .errors import ChartMismatchError, DegreeError, ExprSyntaxError
@@ -52,9 +54,15 @@ class Chart:
     def dim(self) -> int:
         return len(self.coords)
 
-    def pairs(self):
-        n = self.dim
-        return [(i, j) for i in range(n) for j in range(i + 1, n)]
+    def indices(self, k: int) -> Tuple[Tuple[int, ...], ...]:
+        """The increasing index tuples of length k, in lexicographic order:
+        one per coefficient of a k-form, none when k exceeds the dimension."""
+        return _index_tuples(self.dim, k)
+
+
+@functools.lru_cache(maxsize=None)
+def _index_tuples(n: int, k: int) -> Tuple[Tuple[int, ...], ...]:
+    return tuple(combinations(range(n), k))
 
 
 def _same_chart(a, b):
@@ -106,20 +114,19 @@ def zero_vf(chart: Chart) -> VectorField:
 
 
 class KForm:
-    """Differential form of degree 0, 1, or 2.
-
-    Degree-0: a single scalar coefficient.  Degree-1: one coefficient per
-    dx_i.  Degree-2: one coefficient per strictly increasing pair (i, j),
-    in lexicographic order.  ``_values`` keeps the form's value on each
-    tuple of fields it was evaluated on, so each is computed once.
+    """Differential form of degree k >= 0: one coefficient of
+    dx_I = dx_i1^...^dx_ik per tuple I of ``chart.indices(k)``, so a 0-form
+    has a single scalar coefficient and a form above the chart's dimension
+    none.  ``_values`` keeps the form's value on each tuple of fields it was
+    evaluated on, so each is computed once.
     """
 
     __slots__ = ("chart", "degree", "coeffs", "_values")
 
     def __init__(self, chart: Chart, degree: int, coeffs: Sequence[Expr]):
-        if degree not in (0, 1, 2):
+        if degree < 0:
             raise DegreeError(f"unsupported form degree {degree}")
-        expected = {0: 1, 1: chart.dim, 2: len(chart.pairs())}[degree]
+        expected = len(chart.indices(degree))
         if len(coeffs) != expected:
             raise ValueError(f"degree-{degree} form needs {expected} coefficients")
         self.chart = chart
@@ -137,12 +144,11 @@ class KForm:
 
     def __repr__(self):
         xs = self.chart.coords
-        if self.degree == 0:
-            return repr(self.coeffs[0])
-        if self.degree == 1:
-            return " + ".join(f"({c})*d{x}" for c, x in zip(self.coeffs, xs))
-        return " + ".join(
-            f"({c})*d{xs[i]}^d{xs[j]}" for c, (i, j) in zip(self.coeffs, self.chart.pairs()))
+        terms = []
+        for c, idx in zip(self.coeffs, self.chart.indices(self.degree)):
+            wedge = "^".join(f"d{xs[i]}" for i in idx)
+            terms.append(f"({c})*{wedge}" if idx else f"({c})")
+        return " + ".join(terms) or "0"
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
@@ -158,7 +164,7 @@ class KForm:
                      [add(a, b) for a, b in zip(self.coeffs, other.coeffs)])
 
     def __call__(self, *fields: VectorField) -> Expr:
-        """Evaluate on vector fields (1-form on one, 2-form on two)."""
+        """Evaluate a k-form on k vector fields."""
         if len(fields) != self.degree:
             raise DegreeError(f"degree-{self.degree} form takes {self.degree} fields")
         for v in fields:
@@ -169,16 +175,23 @@ class KForm:
         return out
 
     def _evaluate(self, fields) -> Expr:
-        if self.degree == 1:
-            (v,) = fields
-            return add(*[mul(c, vc) for c, vc in zip(self.coeffs, v.components)])
-        u, v = fields
-        terms = []
-        for c, (i, j) in zip(self.coeffs, self.chart.pairs()):
-            terms.append(mul(c, add(
-                mul(u.components[i], v.components[j]),
-                mul(rational(-1), u.components[j], v.components[i]))))
-        return add(*terms)
+        # a(v_1..v_k) = sum_I a_I det[v_r^(I_s)]
+        return add(*[mul(c, _det([[v.components[i] for i in idx] for v in fields]))
+                     for c, idx in zip(self.coeffs, self.chart.indices(self.degree))])
+
+
+def _signed(odd, *factors: Expr) -> Expr:
+    """The product of ``factors``, negated when ``odd``."""
+    return mul(rational(-1), *factors) if odd else mul(*factors)
+
+
+def _det(m) -> Expr:
+    """Determinant of a square matrix of expressions by expansion along its
+    first row; a single row is its entry, the empty matrix 1."""
+    if len(m) < 2:
+        return m[0][0] if m else rational(1)
+    return add(*[_signed(j % 2, entry, _det([row[:j] + row[j + 1:] for row in m[1:]]))
+                 for j, entry in enumerate(m[0])])
 
 
 def scalar_form(chart: Chart, f: Expr) -> KForm:
@@ -186,42 +199,44 @@ def scalar_form(chart: Chart, f: Expr) -> KForm:
 
 
 def exterior_derivative(a: KForm) -> KForm:
-    """d on forms of degree 0 or 1.  d of a degree-2 form would have degree
-    3, which is out of scope; on 2-dimensional charts callers can rely on it
-    vanishing (lie_derivative does)."""
+    """d a: the coefficient on J is the alternating sum over the positions p
+    of J of d(a_{J without J_p})/dx_{J_p}."""
     chart = a.chart
     xs = [symbol(x) for x in chart.coords]
     if a.degree == 0:
         return KForm(chart, 1, [diff(a.coeffs[0], x) for x in xs])
-    if a.degree == 1:
-        coeffs = []
-        for (i, j) in chart.pairs():
-            coeffs.append(add(diff(a.coeffs[j], xs[i]),
-                              mul(rational(-1), diff(a.coeffs[i], xs[j]))))
-        return KForm(chart, 2, coeffs)
-    raise DegreeError("exterior derivative of a degree-2 form is unsupported "
-                      "(degree-3 forms are out of scope)")
+    coeff = dict(zip(chart.indices(a.degree), a.coeffs))
+    out = []
+    for idx in chart.indices(a.degree + 1):
+        terms = []
+        for p, i in enumerate(idx):
+            term = diff(coeff[idx[:p] + idx[p + 1:]], xs[i])
+            terms.append(mul(rational(-1), term) if p % 2 else term)
+        out.append(add(*terms))
+    return KForm(chart, a.degree + 1, out)
 
 
 def interior_product(v: VectorField, a: KForm) -> KForm:
+    """v . a: the coefficient on J sums v_m a_I over the m outside J, with
+    I = J plus m, signed by the position of m in I."""
     if a.degree == 0:
         raise DegreeError("interior product needs a form of degree >= 1")
     _same_chart(v, a)
     chart = a.chart
     if a.degree == 1:
         return scalar_form(chart, a(v))
-    # (v . a)_k = sum_{i<k} a_{ik} v_i - sum_{j>k} a_{kj} v_j
-    n = chart.dim
-    idx = {pair: c for pair, c in zip(chart.pairs(), a.coeffs)}
+    coeff = dict(zip(chart.indices(a.degree), a.coeffs))
     out = []
-    for k in range(n):
+    for idx in chart.indices(a.degree - 1):
         terms = []
-        for i in range(k):
-            terms.append(mul(idx[(i, k)], v.components[i]))
-        for j in range(k + 1, n):
-            terms.append(mul(rational(-1), idx[(k, j)], v.components[j]))
-        out.append(add(*terms) if terms else ZERO)
-    return KForm(chart, 1, out)
+        for m, vm in enumerate(v.components):
+            if m in idx:
+                continue
+            p = sum(i < m for i in idx)
+            c = coeff[idx[:p] + (m,) + idx[p:]]
+            terms.append(_signed(p % 2, c, vm))
+        out.append(add(*terms))
+    return KForm(chart, a.degree - 1, out)
 
 
 def lie_bracket(u: VectorField, v: VectorField) -> VectorField:
@@ -233,20 +248,12 @@ def lie_bracket(u: VectorField, v: VectorField) -> VectorField:
 
 
 def lie_derivative(v: VectorField, a: KForm) -> KForm:
-    """Cartan formula L_v a = v . da + d(v . a).
-
-    For a degree-2 form the term v . da needs a degree-3 exterior
-    derivative, which only exists (as zero) on 2-dimensional charts.
-    """
+    """Cartan's formula L_v a = v . da + d(v . a); a 0-form has no v . a."""
     _same_chart(v, a)
+    out = interior_product(v, exterior_derivative(a))
     if a.degree == 0:
-        return scalar_form(a.chart, v.apply(a.coeffs[0]))
-    if a.degree == 1:
-        return interior_product(v, exterior_derivative(a)).plus(
-            exterior_derivative(interior_product(v, a)))
-    if a.chart.dim <= 2:
-        return exterior_derivative(interior_product(v, a))
-    raise DegreeError("Lie derivative of a degree-2 form needs a 2-dimensional chart")
+        return out
+    return out.plus(exterior_derivative(interior_product(v, a)))
 
 
 class ChartMap:
@@ -275,30 +282,20 @@ class ChartMap:
 
 
 def pullback(phi: ChartMap, a: KForm) -> KForm:
-    """phi^* a, computed by substitution and the Jacobian of phi."""
+    """phi^* a, computed by substitution and the Jacobian J of phi: the
+    coefficient on L sums a_I(phi) det J[I, L] over I."""
     if a.chart.coords != phi.target.coords:
         raise ChartMismatchError("form does not live on the map's target chart")
     src = phi.source
     sub = phi.substitution()
     sx = [symbol(x) for x in src.coords]
-    if a.degree == 0:
-        return scalar_form(src, subs(a.coeffs[0], sub))
     jac = [[diff(comp, x) for x in sx] for comp in phi.components]
-    if a.degree == 1:
-        out = []
-        for k in range(src.dim):
-            out.append(add(*[mul(subs(c, sub), jac[j][k])
-                             for j, c in enumerate(a.coeffs)]))
-        return KForm(src, 1, out)
+    cs = [subs(c, sub) for c in a.coeffs]
     out = []
-    for (k, l) in src.pairs():
-        terms = []
-        for c, (i, j) in zip(a.coeffs, a.chart.pairs()):
-            terms.append(mul(subs(c, sub), add(
-                mul(jac[i][k], jac[j][l]),
-                mul(rational(-1), jac[i][l], jac[j][k]))))
-        out.append(add(*terms))
-    return KForm(src, 2, out)
+    for cols in src.indices(a.degree):
+        out.append(add(*[mul(c, _det([[jac[i][k] for k in cols] for i in rows]))
+                         for c, rows in zip(cs, a.chart.indices(a.degree))]))
+    return KForm(src, a.degree, out)
 
 
 # ---------------------------------------------------------------------------
@@ -355,19 +352,23 @@ class _FormParser(_Parser):
 
 
 def wedge(a: KForm, b: KForm) -> KForm:
+    """a ^ b: the coefficient on K sums a_I b_J over the splittings of K into
+    I and J, signed by the shuffle that sorts I followed by J."""
     _same_chart(a, b)
     chart = a.chart
-    if a.degree == 0:
-        return b.scale(a.coeffs[0])
-    if b.degree == 0:
-        return a.scale(b.coeffs[0])
-    if a.degree + b.degree > 2:
-        raise DegreeError("wedge product of degree > 2 is out of scope")
+    k, l = a.degree, b.degree
+    ca = dict(zip(chart.indices(k), a.coeffs))
+    cb = dict(zip(chart.indices(l), b.coeffs))
+    shift = k * (k - 1) // 2  # the position sum of I when it comes first
     out = []
-    for (i, j) in chart.pairs():
-        out.append(add(mul(a.coeffs[i], b.coeffs[j]),
-                       mul(rational(-1), a.coeffs[j], b.coeffs[i])))
-    return KForm(chart, 2, out)
+    for idx in chart.indices(k + l):
+        terms = []
+        for pos in combinations(range(k + l), k):
+            i = tuple(idx[p] for p in pos)
+            j = tuple(x for x in idx if x not in i)
+            terms.append(_signed((sum(pos) - shift) % 2, ca[i], cb[j]))
+        out.append(add(*terms))
+    return KForm(chart, k + l, out)
 
 
 def parse_form(text: str, chart: Chart):

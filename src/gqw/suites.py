@@ -44,7 +44,8 @@ from .errors import NumericError, SystemSpecError
 from .expr import Expr, HBAR, IMAG, PI, ZERO, add, mul, power, rational, symbol
 from .flows import commutator_residual
 from .forms import (
-    VectorField, exterior_derivative, interior_product, lie_bracket, scalar_form, zero_vf,
+    VectorField, exterior_derivative, interior_product, lie_bracket, lie_derivative,
+    scalar_form, zero_vf,
 )
 from .mpc_bundle import (
     E_mpc, F_mpc, StructuredVF, delta_operator,
@@ -61,7 +62,7 @@ from .mpc_group import (
 )
 from .parse import parse_expr
 from .sample import DomainSampler, expr_equal, worst_of
-from .symplectic import hamiltonian_vf, lie_derivative_omega, poisson, poisson_ways
+from .symplectic import hamiltonian_vf, poisson, poisson_ways
 from .system import SystemSpec
 
 
@@ -263,7 +264,7 @@ def poisson_checks(spec: SystemSpec) -> List[Check]:
 
     def flows_preserve_omega():
         for f in hs:
-            for c in lie_derivative_omega(f, s).coeffs:
+            for c in lie_derivative(hamiltonian_vf(f, s), s.omega).coeffs:
                 yield c, ZERO
 
     return [

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from .errors import DegeneracyError
-from .expr import Expr, ZERO, add, diff, evalf, mul, power, rational, symbol
+from .expr import Expr, ZERO, add, evalf, mul, power, rational
 from .forms import Chart, KForm, VectorField, exterior_derivative, interior_product, scalar_form
 from .sample import expr_equal
 
@@ -76,27 +76,19 @@ class SymplecticChart:
     def _coefficient_matrix(self) -> Matrix:
         n = self.chart.dim
         m = [[ZERO] * n for _ in range(n)]
-        for c, (i, j) in zip(self.omega.coeffs, self.chart.pairs()):
+        for c, (i, j) in zip(self.omega.coeffs, self.chart.indices(2)):
             m[i][j] = c
             m[j][i] = mul(rational(-1), c)
         return m
 
     def _check_closed(self):
-        # the degree-3 coefficients of d(omega) must vanish identically;
-        # KForm itself stays capped at degree 2, so expand them inline
-        xs = [symbol(x) for x in self.chart.coords]
-        idx = {pair: c for pair, c in zip(self.chart.pairs(), self.omega.coeffs)}
-        n = self.chart.dim
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    c = add(diff(idx[(j, k)], xs[i]),
-                            mul(rational(-1), diff(idx[(i, k)], xs[j])),
-                            diff(idx[(i, j)], xs[k]))
-                    if not c.is_zero():
-                        raise DegeneracyError(
-                            f"omega is not closed: d-omega coefficient {c} on "
-                            f"(d{xs[i]},d{xs[j]},d{xs[k]})")
+        # the coefficients of d(omega) must vanish identically
+        xs = self.chart.coords
+        for c, idx in zip(exterior_derivative(self.omega).coeffs, self.chart.indices(3)):
+            if not c.is_zero():
+                raise DegeneracyError(
+                    f"omega is not closed: d-omega coefficient {c} on "
+                    f"({','.join('d' + xs[i] for i in idx)})")
 
     def _check_nondegenerate(self, pf: Expr):
         # |det W| = Pf(W)^2
@@ -159,9 +151,3 @@ def poisson_ways(f: Expr, g: Expr, s: SymplecticChart) -> Dict[str, Expr]:
         "interior": interior_product(xi_f, dg).coeffs[0],
     }
 
-
-def lie_derivative_omega(f: Expr, s: SymplecticChart) -> KForm:
-    """L_{xi_f} omega, computed as d(xi_f . omega); the d(omega) term of the
-    Cartan formula is dropped because closedness is validated at
-    construction."""
-    return exterior_derivative(interior_product(hamiltonian_vf(f, s), s.omega))

@@ -94,7 +94,7 @@ def _pullback_at(v: VectorField, a: KForm, x: Sequence[float],
     ay = coeffs_at(y)
     if a.degree == 1:
         return [sum(ay[i] * jac[i][k] for i in range(n)) for k in range(n)]
-    pairs = chart.pairs()
+    pairs = chart.indices(2)
     out = []
     for (k, l) in pairs:
         pb = 0.0

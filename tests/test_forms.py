@@ -1,16 +1,18 @@
 """Exterior calculus on charts: d, interior product, brackets, pullback."""
 
+import itertools
 import math
 
 import pytest
 
 from gqw.errors import ChartMismatchError, DegreeError, ExprSyntaxError
-from gqw.expr import ZERO, add, call, diff, mul, power, rational, symbol
+from gqw.expr import ZERO, add, call, diff, evalf, mul, power, rational, symbol
 from gqw.flows import commutator_residual, flow_commutator
 from gqw.forms import (
-    Chart, ChartMap, VectorField, exterior_derivative, interior_product,
+    Chart, ChartMap, KForm, VectorField, exterior_derivative, interior_product,
     lie_bracket, lie_derivative, parse_form, pullback, scalar_form, wedge,
 )
+from gqw.parse import parse_expr
 from gqw.sample import DomainSampler, expr_equal
 
 from oracles import loop_commutator, pullback_under_flow, vf_rhs
@@ -23,6 +25,30 @@ def chart():
     s = DomainSampler(coords=("p", "q"), box={"p": (-2, 2), "q": (-2, 2)},
                       positive=(add(power(P, 2), power(Q, 2)),), seed=42)
     return Chart(s)
+
+
+def box_chart(dim):
+    coords = ("x", "y", "z", "w")[:dim]
+    return Chart(DomainSampler(coords=coords, box={c: (-1, 1) for c in coords}, seed=dim))
+
+
+# per dimension: three 1-forms, two 2-forms, and a vector field
+HIGHER = {
+    3: (("x*y*dz - z^2*dx + dy", "sin(x)*dy + y*z*dz", "dx + x*z*dy - y*dz"),
+        ("(x*y)*dx^dy + z*dy^dz + (x - z^2)*dx^dz", "dx^dz - y*dy^dz"),
+        "y*z, x + z^2, x*y"),
+    4: (("x*w*dz - y^2*dx + dw", "cos(z)*dy + x*dw", "dx + y*w*dz - z*dy"),
+        ("(x*w)*dx^dy + y*dz^dw + x*z*dy^dz", "dx^dw + w^2*dy^dz - dx^dz"),
+        "y*w, x + z^2, x*y, z - w"),
+}
+
+
+def higher(dim):
+    chart = box_chart(dim)
+    ones, twos, field = HIGHER[dim]
+    v = VectorField(chart, [parse_expr(t, chart.coords) for t in field.split(", ")])
+    return (chart, [parse_form(t, chart) for t in ones],
+            [parse_form(t, chart) for t in twos], v)
 
 
 @pytest.mark.parametrize("coords, message", [
@@ -254,16 +280,26 @@ def test_lie_derivative_hand_checked(chart):
     assert lie_derivative(v, a) == parse_form("dq", chart)
 
 
-@pytest.mark.parametrize("form_text,degree", [("p*dq - q^2*dp", 1), ("(p*q)*dp^dq", 2)])
-def test_lie_derivative_matches_flow_pullback(chart, form_text, degree):
-    v = VectorField(chart, [mul(P, Q), add(P, power(Q, 2))])
+@pytest.mark.parametrize("dim, form_text, degree", [
+    pytest.param(2, "p*dq - q^2*dp", 1, id="p*dq - q^2*dp-1"),
+    pytest.param(2, "(p*q)*dp^dq", 2, id="(p*q)*dp^dq-2"),
+    pytest.param(3, HIGHER[3][1][0], 2, id="3d-2"),
+    pytest.param(4, HIGHER[4][1][0], 2, id="4d-2"),
+])
+def test_lie_derivative_matches_flow_pullback(chart, dim, form_text, degree):
+    if dim == 2:
+        v = VectorField(chart, [mul(P, Q), add(P, power(Q, 2))])
+    else:
+        chart, _, _, v = higher(dim)
     a = parse_form(form_text, chart)
+    assert a.degree == degree
     la = lie_derivative(v, a)
-    for x in [(0.8, 0.5), (-0.9, 1.1)]:
+    for x in [(0.8, 0.5, -0.3, 0.6), (-0.9, 1.1, 0.4, -0.2)]:
+        x = x[:v.chart.dim]
         oracle = pullback_under_flow(v, a, x, h=1e-4)
-        env = {"p": x[0], "q": x[1], "hbar": 1.0}
-        from gqw.expr import evalf
+        env = dict(zip(v.chart.coords, x), hbar=1.0)
         exact = [evalf(c, env).real for c in la.coeffs]
+        assert len(oracle) == len(exact)
         for o, e in zip(oracle, exact):
             assert abs(o - e) < 1e-3
 
@@ -373,16 +409,88 @@ def test_plain_scalar_text_parses_to_expr(chart):
     assert e == add(power(P, 2), power(Q, 2))
 
 
-def test_exterior_derivative_of_degree_two_rejected(chart):
-    with pytest.raises(DegreeError):
-        exterior_derivative(parse_form("dp^dq", chart))
+# ---------------------------------------------------------------------------
+# forms of every degree: one index rule on charts of dimension 3 and 4
 
 
-def test_lie_derivative_of_degree_two_needs_surface():
-    coords = ("a", "b", "c")
-    s = DomainSampler(coords=coords, box={k: (-1, 1) for k in coords})
-    big = Chart(s)
-    v = VectorField(big, [rational(1), ZERO, ZERO])
-    w = parse_form("da^db", big)
+@pytest.mark.parametrize("dim", [3, 4])
+def test_d_squared_vanishes_on_one_forms(dim):
+    chart, ones, twos, _ = higher(dim)
+    for a in ones:
+        dda = exterior_derivative(exterior_derivative(a))
+        assert dda.degree == 3 and len(dda.coeffs) == math.comb(dim, 3)
+        assert dda.is_zero()
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_contracting_a_two_form_twice_with_one_field_vanishes(dim):
+    _, _, twos, v = higher(dim)
+    for a in twos:
+        assert interior_product(v, interior_product(v, a)).is_zero()
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_wedge_of_three_one_forms_is_associative(dim):
+    _, (a, b, c), _, _ = higher(dim)
+    assert wedge(wedge(a, b), c) == wedge(a, wedge(b, c))
+    assert wedge(wedge(a, b), c).degree == 3
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_wedge_is_graded_commutative(dim):
+    chart, ones, twos, _ = higher(dim)
+    forms = [scalar_form(chart, parse_expr("x*y + 1", chart.coords))] + ones + twos
+    for a in forms:
+        for b in forms:
+            sign = rational((-1) ** (a.degree * b.degree))
+            assert wedge(a, b) == wedge(b, a).scale(sign)
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_d_and_the_interior_product_are_graded_derivations(dim):
+    # d(a^b) = da^b + (-1)^k a^db and v.(a^b) = (v.a)^b + (-1)^k a^(v.b)
+    # for a of degree k, checked by sampling
+    chart, ones, twos, v = higher(dim)
+    for a, b in [(ones[0], ones[1]), (ones[2], twos[0]), (twos[1], ones[0])]:
+        sign = rational((-1) ** a.degree)
+        cases = [
+            (exterior_derivative(wedge(a, b)),
+             wedge(exterior_derivative(a), b).plus(wedge(a, exterior_derivative(b)).scale(sign))),
+            (interior_product(v, wedge(a, b)),
+             wedge(interior_product(v, a), b).plus(wedge(a, interior_product(v, b)).scale(sign))),
+        ]
+        for lhs, rhs in cases:
+            assert lhs.degree == rhs.degree
+            for x, y in zip(lhs.coeffs, rhs.coeffs):
+                assert expr_equal(x, y, chart.sampler)[0]
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_the_volume_form_evaluates_and_pulls_back_by_the_determinant(dim):
+    chart = box_chart(dim)
+    xs = [symbol(c) for c in chart.coords]
+    vol = parse_form("^".join(f"d{c}" for c in chart.coords), chart)
+    assert vol.degree == dim and vol.coeffs == (rational(1),)
+    rows = [[2, -1, 0, 3], [1, 3, 1, 0], [0, 1, -2, 1], [-1, 0, 2, 1]]
+    rows = [row[:dim] for row in rows[:dim]]
+    det = sum(math.prod(rows[i][s[i]] for i in range(dim)) * (-1) ** sum(
+        s[i] > s[j] for i in range(dim) for j in range(i + 1, dim))
+        for s in itertools.permutations(range(dim)))
+    assert det != 0
+    fields = [VectorField(chart, [rational(e) for e in row]) for row in rows]
+    assert vol(*fields) == rational(det)
+    # the linear map with Jacobian rows[k][j] = d(x_k')/dx_j
+    linear = ChartMap(chart, chart, [add(*[mul(rational(e), x) for e, x in zip(row, xs)])
+                                     for row in rows])
+    assert pullback(linear, vol) == vol.scale(rational(det))
+
+
+def test_the_derivative_of_a_top_degree_form_has_no_coefficients(chart):
+    dw = exterior_derivative(parse_form("(p*q)*dp^dq", chart))
+    assert dw.degree == 3 and dw.coeffs == () and dw.is_zero()
+    assert wedge(parse_form("dp", chart), parse_form("dp^dq", chart)).coeffs == ()
+
+
+def test_a_negative_degree_is_refused(chart):
     with pytest.raises(DegreeError):
-        lie_derivative(v, w)
+        KForm(chart, -1, [])
