@@ -212,7 +212,7 @@ def quantomorphism_membership(z: StructuredVF) -> Tuple[float, float, float]:
     # the constant left-invariant u(1) part drops out of L_zeta gamma
     la = connection_lie_derivative(z.bundle.circle, z.base, z.tau_r)
     return (worst_residual(((c, ZERO) for c in la.coeffs), sampler),
-            math.sqrt(sum(v * v for v in z.a_l)),
+            math.sqrt(math.fsum(v * v for v in z.a_l)),
             worst_residual(zip(z.a_r, z.bundle.linearization(z.base)), sampler))
 
 
@@ -296,7 +296,7 @@ def pushforward_residual(bundle: MpcPrequant, fmap: Callable, x: Sequence[float]
 
     def gap() -> float:
         v = [rng.uniform(-1, 1) for _ in range(7)]
-        norm = math.sqrt(sum(c * c for c in v))
+        norm = math.sqrt(math.fsum(c * c for c in v))
         v = [c / norm for c in v]
         want = gamma_numeric(bundle, x, v)
         got = gamma_numeric(bundle, *complex_step(fmap, x, v))

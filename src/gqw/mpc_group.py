@@ -53,7 +53,8 @@ def mat_inv(x: Mat) -> Mat:
 
 
 def mat_sub_norm(x: Mat, y: Mat) -> float:
-    return math.sqrt(sum((u - v) ** 2 for u, v in zip(x, y)))
+    # fsum: the built-in sum of floats rounds differently from Python 3.12 on
+    return math.sqrt(math.fsum((u - v) ** 2 for u, v in zip(x, y)))
 
 
 def normalize_det(x: Mat) -> Mat:

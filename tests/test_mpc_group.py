@@ -40,6 +40,17 @@ def test_mat_exp_rotation_generator_is_rotation():
         assert mat_sub_norm(mat_exp(x), rotation(theta)) < 1e-12
 
 
+def test_mat_sub_norm_sums_its_squares_exactly():
+    # the built-in sum of floats rounds at each step up to Python 3.11 and is
+    # compensated from 3.12 on, so |I - R(pi/2)| read 2.0 on one and
+    # 1.9999999999999998 on the other; the exact sum reads the same on all
+    from fractions import Fraction
+    for x, y in [(IDENTITY, rotation(math.pi / 2)), (rotation(0.1), rotation(2.9))]:
+        exact = float(sum(Fraction((u - v) ** 2) for u, v in zip(x, y)))
+        assert mat_sub_norm(x, y) == math.sqrt(exact)
+    assert mat_sub_norm(IDENTITY, rotation(math.pi / 2)) == 1.9999999999999998
+
+
 def test_mat_exp_diagonal():
     for a in (0.0, 0.7, -3.0):
         e, f, g, h = mat_exp((a, 0.0, 0.0, -a))

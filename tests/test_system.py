@@ -797,9 +797,9 @@ def test_flow_oracles_pass_and_catch_a_scaled_or_unlifted_bracket(system, monkey
 # SHA-256 of the CLI's JSON output, `gqw check --format json --seed S` for
 # `all` and `gqw group selftest --format json --seed S` for `group`
 REPORT_DIGESTS = {
-    ("all", 42): "94e33df83fa5a9dce522a53c05419db8ad17ff2354b69aa32a75e95d0841028f",
-    ("all", 7): "58f0fd756ab2cf7f1fd0e506781b578d7db2df84fe4b30705f57d85c9a41256f",
-    ("all", 7919): "aab56ed773fe915a796ae527107ae30f6ab445ca3123e3068c7d13708f1823ab",
+    ("all", 42): "78f9c7b0aeb4be9ce66942de7216832f82e7cceaa9f6bed19dd783bc8a316dac",
+    ("all", 7): "d03f062a2b2d27ad65750a3aecddd810a0133cffb0efdf77550c9d631c62edb0",
+    ("all", 7919): "8ebb7f5a7dab932c6f18d232251c23d85999a8cf193c7ad2522594b0057da5ca",
     ("group", 42): "9665167c201f02a36494ee351e8f7dfbb1ad3b017f15a0024a4488e01e20fadb",
     ("group", 7): "c9aa26003e980e63b4fa1aa0d5a946b738298315b60d9b8ba483cd7cb09433cd",
     ("group", 7919): "c738b935231bdad13cafbc3a458d223468cd0f914a4b6bce7ee4e3055a9af82e",
@@ -1059,8 +1059,8 @@ CONSTANT_AREA = GOOD.replace("omega = dp^dq", "omega = 2*dp^dq").replace(
 
 # SHA-256 of `gqw check --format json --seed S --system <POLAR>`
 POLAR_DIGESTS = {
-    42: "58b16c4242071e909306ef652f42492d62842e3be19149746caf877630386bde",
-    7: "20aab992dc9a52fb669560ce35cb55174fbdfd87361c928f85e12330c019c79f",
+    42: "9d1ad72ba13724663cebe9946d28e27f1ee7ea8cc07f097e3a678867760ab4aa",
+    7: "9bf8b47eac28f22e4f3d5345f213816edeb2d005a51229be059e9924ef92d49c",
 }
 
 
