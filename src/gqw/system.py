@@ -32,8 +32,8 @@ d(beta) = omega and nondegeneracy of omega at the sampled points.
 from __future__ import annotations
 
 import functools
-import importlib.resources
 import math
+import os
 import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -301,8 +301,10 @@ def load_spec(path: str, **overrides) -> SystemSpec:
 
 
 def bundled_spec_text() -> str:
-    resource = importlib.resources.files("gqw.data").joinpath("punctured_plane.spec")
-    return resource.read_text(encoding="utf-8")
+    # a plain open: importlib.resources imports inspect from Python 3.12 on
+    path = os.path.join(os.path.dirname(__file__), "data", "punctured_plane.spec")
+    with open(path, encoding="utf-8") as f:
+        return f.read()
 
 
 def load_bundled(**overrides) -> SystemSpec:
