@@ -4,7 +4,7 @@ The package machine-verifies, at desk scale, the standard constructions on
 trivialized prequantization bundles over a single chart:
 
 * a small exact expression kernel with randomized equality testing,
-* chart-based exterior calculus (forms of degree <= 2),
+* chart-based exterior calculus (forms up to the chart's dimension),
 * Hamiltonian fields and the Poisson algebra,
 * the circle-bundle picture: connection, horizontal lifts, the E/F
   isomorphism between functions and connection-preserving fields, and the
