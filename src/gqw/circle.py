@@ -87,11 +87,17 @@ def lifted_rhs(z: CircleLiftedVF) -> RHS:
     return components_rhs(z.bundle.chart, z.base.components + (z.fiber,))
 
 
+def shifted_hamiltonian(f: Expr, y: PrequantCircle) -> Expr:
+    """f + beta(xi_f): the function of the base that E's central part and
+    the operators r(f) and delta_f are built on."""
+    return add(y.beta(hamiltonian_vf(f, y.sympl)), f)
+
+
 def E_circle(f: Expr, y: PrequantCircle) -> CircleLiftedVF:
-    """Horizontal lift of the Hamiltonian field plus (1/(2 pi hbar)) f * vertical."""
-    xi = hamiltonian_vf(f, y.sympl)
-    hor = horizontal_lift(xi, y)
-    return CircleLiftedVF(y, xi, add(hor.fiber, mul(TWO_PI_HBAR_INV, f)))
+    """Horizontal lift of the Hamiltonian field plus (1/(2 pi hbar)) f * vertical:
+    the fiber coefficient is (f + beta(xi_f)) / (2 pi hbar)."""
+    return CircleLiftedVF(y, hamiltonian_vf(f, y.sympl),
+                          mul(TWO_PI_HBAR_INV, shifted_hamiltonian(f, y)))
 
 
 def bracket_lifted(z1: CircleLiftedVF, z2: CircleLiftedVF) -> CircleLiftedVF:
@@ -147,9 +153,11 @@ def connection_nabla(xi: VectorField, u: Expr, y: PrequantCircle) -> Expr:
 
 
 def ks_operator(f: Expr, u: Expr, y: PrequantCircle) -> Expr:
-    """r(f) u = (i hbar nabla_{xi_f} + f) u."""
+    """r(f) u = (i hbar nabla_{xi_f} + f) u = i hbar xi_f u + (f + beta(xi_f)) u:
+    the i hbar of the operator cancels the 1/(i hbar) of the connection, so the
+    section is multiplied once, by ``shifted_hamiltonian``."""
     xi = hamiltonian_vf(f, y.sympl)
-    return add(mul(IMAG, HBAR, connection_nabla(xi, u, y)), mul(f, u))
+    return add(mul(IMAG, HBAR, xi.apply(u)), mul(shifted_hamiltonian(f, y), u))
 
 
 def vertical_action(u: Expr) -> Expr:

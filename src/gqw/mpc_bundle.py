@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 from .circle import (
-    I_HBAR_INV, TWO_PI_HBAR_INV, TWO_PI_I, PrequantCircle, connection_lie_derivative,
+    I_HBAR_INV, PrequantCircle, connection_lie_derivative, shifted_hamiltonian,
 )
 from .errors import (
     DegenerateParameterError, NotQuantomorphismError, UnsupportedFieldError,
@@ -174,9 +174,10 @@ def hat_lift(f: Expr, bundle: MpcPrequant) -> StructuredVF:
 
 
 def E_mpc(f: Expr, bundle: MpcPrequant) -> StructuredVF:
-    """hat lift plus (1/(2 pi hbar)) f times the central vertical generator."""
-    z = hat_lift(f, bundle)
-    tau = add(z.tau_r, mul(TWO_PI_HBAR_INV, TWO_PI_I, f))
+    """hat lift plus (1/(2 pi hbar)) f times the central vertical generator:
+    the frame lift with central coefficient (i/hbar)(f + beta(xi_f))."""
+    z = frame_lift(f, bundle)
+    tau = mul(rational(-1), I_HBAR_INV, shifted_hamiltonian(f, bundle.circle))
     return StructuredVF(bundle, z.base, a_r=z.a_r, tau_r=tau)
 
 
@@ -357,17 +358,17 @@ def delta_operator(f: Expr, u: Expr, bundle: MpcPrequant) -> Expr:
     central circle acts on the fiber by scalars.
 
     The horizontal lift acts by base derivatives, the linear fiber field
-    (A(m) g)_{ij} d/dg_{ij}, and -tau(m) from the central part (the vertical
-    generator acts on equivariant functions as -2 pi i); then (1/(i hbar)) f
-    is added.
+    (A(m) g)_{ij} d/dg_{ij}, and -tau(m) = (1/(i hbar)) beta(xi_f) from the
+    central part (the vertical generator acts on equivariant functions as
+    -2 pi i); then (1/(i hbar)) f is added.  The two multiplications of u
+    are one: delta_f u = xi_f u + sum (A g)_{ij} du/dg_{ij}
+    + (1/(i hbar)) (f + beta(xi_f)) u, taken by a single sum.
     """
-    z = hat_lift(f, bundle)
-    out = z.base.apply(u)
+    z = frame_lift(f, bundle)
     gmat = tuple(symbol(s) for s in section_sampler(bundle).coords[2:])
-    for coeff, gsym in zip(emat_mul(z.a_r, gmat), gmat):
-        out = add(out, mul(coeff, diff(u, gsym)))
-    out = add(out, mul(rational(-1), z.tau_r, u))
-    return add(out, mul(I_HBAR_INV, f, u))
+    return add(z.base.apply(u),
+               *[mul(coeff, diff(u, gsym)) for coeff, gsym in zip(emat_mul(z.a_r, gmat), gmat)],
+               mul(I_HBAR_INV, shifted_hamiltonian(f, bundle.circle), u))
 
 
 # ---------------------------------------------------------------------------

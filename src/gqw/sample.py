@@ -149,12 +149,15 @@ class DomainSampler:
 def expr_equal(a: Expr, b: Expr, sampler: DomainSampler) -> Tuple[bool, float]:
     """Decide a == b on the sampler's domain; returns (verdict, residual).
 
-    The difference is canonicalized first, so identities that normalize to a
-    structural zero report residual exactly 0.0.  Otherwise it is evaluated
-    at admissible points of the ``{seed}:equal`` stream, at the sampler's
-    hbar, and stops at its first witness: the first residual over the
-    tolerance decides False and is the residual returned, as a check row
-    stops at its first residual over its bound.  A true comparison evaluates
+    Nodes are interned, so ``a is b`` exactly when the difference would be
+    ZERO: that case returns (True, 0.0) without forming it or drawing a
+    point.  Otherwise the difference is canonicalized first, so identities
+    that normalize to a structural zero report residual exactly 0.0.  A
+    difference that does not cancel is evaluated at admissible points of the
+    ``{seed}:equal`` stream, at the sampler's hbar, and stops at its first
+    witness: the first residual over the tolerance decides False and is the
+    residual returned, as a check row stops at its first residual over its
+    bound.  A true comparison evaluates
     ``n_samples`` points and returns the largest of their residuals.  Points
     where the difference fails to evaluate are skipped, within the sampler's
     draw cap; one admissible point over the tolerance still decides False,
@@ -164,6 +167,8 @@ def expr_equal(a: Expr, b: Expr, sampler: DomainSampler) -> Tuple[bool, float]:
     not the domain.  A symbol the sampler does not bind fails at every point
     and raises UnboundSymbolError at once.
     """
+    if a is b:
+        return True, 0.0
     delta = add(a, mul(rational(-1), b))
     if delta.is_zero():
         return True, 0.0

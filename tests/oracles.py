@@ -13,21 +13,29 @@ product g1 g2 by its own call; the product never reads the kernel's table of
 expanded products and rebuilds every factor through its power; the sum
 splits and rebuilds every term and always runs the sin^2 + cos^2 pass; the
 tokenizer walks the text one character at a time, by the str predicates,
-with no regular expression."""
+with no regular expression; the prequantum operators and the two E maps are
+built as the connection reads them, r(f) through nabla and delta_f from the
+horizontal lift, term by term, with f and beta(xi_f) multiplied apart."""
 
 import cmath
 import math
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence
 
+from gqw.circle import (
+    I_HBAR_INV, TWO_PI_HBAR_INV, TWO_PI_I, CircleLiftedVF, PrequantCircle, connection_nabla,
+    horizontal_lift,
+)
 from gqw.errors import ExprSyntaxError
 from gqw.expr import (
-    IMAG, MINUS_ONE, ONE, ZERO, Add, Expr, Mul, Pow, Rational, _key, _pythagoras,
-    add, evalf, rational,
+    HBAR, IMAG, MINUS_ONE, ONE, ZERO, Add, Expr, Mul, Pow, Rational, _key, _pythagoras,
+    add, diff, evalf, mul, rational, symbol,
 )
 from gqw.flows import RHS, components_rhs, rk4_step
 from gqw.forms import KForm, VectorField
+from gqw.mpc_bundle import MpcPrequant, StructuredVF, emat_mul, hat_lift, section_sampler
 from gqw.mpc_group import Mat, MpElement, automorphy_angle, mat_mul, mp_identity
+from gqw.symplectic import hamiltonian_vf
 
 
 def vf_rhs(v: VectorField) -> RHS:
@@ -281,3 +289,35 @@ def reference_tokenize(text: str) -> list:
         raise ExprSyntaxError(f"unexpected character {c!r}", k)
     toks.append(("end", "", n))
     return toks
+
+
+def ks_operator_via_nabla(f: Expr, u: Expr, y: PrequantCircle) -> Expr:
+    """r(f) u = i hbar nabla_{xi_f} u + f u, with nabla as the connection
+    defines it."""
+    xi = hamiltonian_vf(f, y.sympl)
+    return add(mul(IMAG, HBAR, connection_nabla(xi, u, y)), mul(f, u))
+
+
+def E_circle_via_horizontal_lift(f: Expr, y: PrequantCircle) -> CircleLiftedVF:
+    """The horizontal lift of xi_f, then (1/(2 pi hbar)) f added to its fiber."""
+    xi = hamiltonian_vf(f, y.sympl)
+    return CircleLiftedVF(y, xi, add(horizontal_lift(xi, y).fiber, mul(TWO_PI_HBAR_INV, f)))
+
+
+def E_mpc_via_hat_lift(f: Expr, bundle: MpcPrequant) -> StructuredVF:
+    """The hat lift, then (1/(2 pi hbar)) f times the central generator 2 pi i."""
+    z = hat_lift(f, bundle)
+    tau = add(z.tau_r, mul(TWO_PI_HBAR_INV, TWO_PI_I, f))
+    return StructuredVF(bundle, z.base, a_r=z.a_r, tau_r=tau)
+
+
+def delta_operator_via_hat_lift(f: Expr, u: Expr, bundle: MpcPrequant) -> Expr:
+    """delta_f u from the hat lift one term at a time: the base derivative,
+    each fiber derivative, -tau u, then (1/(i hbar)) f u."""
+    z = hat_lift(f, bundle)
+    out = z.base.apply(u)
+    gmat = tuple(symbol(s) for s in section_sampler(bundle).coords[2:])
+    for coeff, gsym in zip(emat_mul(z.a_r, gmat), gmat):
+        out = add(out, mul(coeff, diff(u, gsym)))
+    out = add(out, mul(rational(-1), z.tau_r, u))
+    return add(out, mul(I_HBAR_INV, f, u))

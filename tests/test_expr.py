@@ -1035,6 +1035,26 @@ def test_expr_equal_symmetric():
     assert expr_equal(a, b, sampler()) == expr_equal(b, a, sampler())
 
 
+@pytest.mark.parametrize("text", ["sin(p)^2 + exp(q)*(p+q)^(1/2)", "p + z"],
+                         ids=["bound", "unbound-z"])
+def test_a_node_equals_itself_without_a_difference_or_a_draw(text, monkeypatch):
+    # nodes are interned, so a is b exactly when a - b is ZERO: the one node
+    # is decided before the kernel forms the difference, and no stream is
+    # opened.  The unbound z never reaches evalf, as before the shortcut.
+    from gqw import sample
+
+    a = parse_expr(text, VOCAB + ("z",))
+
+    def refused(*args):
+        raise AssertionError("expr_equal built a difference")
+
+    monkeypatch.setattr(sample, "add", refused)
+    monkeypatch.setattr(sample, "mul", refused)
+    s = sampler()
+    assert expr_equal(a, a, s) == (True, 0.0)
+    assert s._streams == {}
+
+
 def test_a_symbol_the_sampler_does_not_bind_raises_at_once():
     # it fails at every point: expr_equal and the domain test skipped each
     # point and raised "could not find 32 usable points in 32000 draws"
