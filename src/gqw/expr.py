@@ -35,13 +35,21 @@ is a Python-level modular inverse: a rational is keyed by its int or by
 (numerator, denominator), and a power by (base, int) or (base, numerator,
 denominator).  A probe that finds the node hashes only ints and nodes.
 
-evalf runs one closure per node, ``env -> complex``: it is built on the
-node's first evaluation from its children's closures and kept in the node,
-like the node's sort key, so each node is dispatched on its type once per
-process.  A sum or product folds its leading constants (rationals, i, pi)
-into one start value when its closure is built, and those constants get no
-closure of their own, so an evaluation makes one closure call per node that
-reads the point, with the float operations of a plain tree walk.
+A node's evaluator maps columns to a column: given the values of each name
+at m points, it returns the node's m values there.  It is built on the
+node's first evaluation from its children's evaluators and kept in the
+node, like the node's sort key, so each node is dispatched on its type once
+per process.  A sum or product folds its leading constants (rationals, i,
+pi) into one start value when its evaluator is built, and those constants
+get no evaluator of their own; it then adds or multiplies the columns of
+its other children in order.  Each point therefore sees the float
+operations of a plain tree walk in the walk's order, and its value is bit
+for bit the walk's.  evalf(e, env) is the case of one point.  A Block holds
+points that are evaluated together: evalf at one of them computes the
+node's column over all of them, with one evaluator call per node that
+reads the points, and the block's other points read their values from that
+column.  If the column raises, each point of the block is evaluated alone,
+and raises or not as it would outside a block.
 
 mul keeps each product that distributed a sum in ``_EXPANDED``, a table
 from its argument tuple to the result, and answers a repeat from it, so a
@@ -86,13 +94,14 @@ All operations are pure; expressions may be shared freely across threads.
 Threads that build the same node at once get one node: the table is filled
 with dict.setdefault, and the first node stored wins.  Threads that evaluate
 or differentiate a node for the first time at once each store an equal
-value: an equivalent closure, or the same derivative node.
+value: an equivalent evaluator, or the same derivative node.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 import sys
 from fractions import Fraction
 from typing import Mapping
@@ -102,7 +111,7 @@ from .errors import EvaluationError, UnboundSymbolError
 __all__ = [
     "Expr", "Rational", "Symbol", "Constant", "Add", "Mul", "Pow", "Call",
     "PI", "IMAG", "HBAR", "ZERO", "ONE", "rational", "symbol", "add", "mul",
-    "power", "call", "diff", "evalf", "subs", "to_str",
+    "power", "call", "diff", "evalf", "Block", "subs", "to_str",
 ]
 
 _FUNCTIONS = ("cos", "exp", "sin")
@@ -706,9 +715,14 @@ def _diff(e: Expr, v: Symbol) -> Expr:
 def evalf(e: Expr, env: Mapping[str, complex]) -> complex:
     """Evaluate over complex doubles.  pi and i are bound; hbar and all
     symbols come from ``env``.  Raises EvaluationError on unbound symbols,
-    division by zero, or non-finite results."""
+    division by zero, or non-finite results.  At a point of a ``Block`` the
+    value is read from the node's column over the block, computed on the
+    first such read; if the column raises, each point is evaluated alone."""
     try:
-        val = _compiled(e)(env)
+        if type(env) is _BlockPoint and (column := env.block._column(e)) is not None:
+            val = column[env.index]
+        else:
+            val = _compiled(e)({name: [complex(v)] for name, v in env.items()}, 1)[0]
     except ZeroDivisionError as exc:
         raise EvaluationError("division by zero during evaluation") from exc
     except (OverflowError, ValueError) as exc:
@@ -716,6 +730,45 @@ def evalf(e: Expr, env: Mapping[str, complex]) -> complex:
     if not cmath.isfinite(val):
         raise EvaluationError("non-finite value during evaluation")
     return val
+
+
+class _BlockPoint(dict):
+    """The environment of one point of a block: a plain ``env`` dict that
+    also names its block and its place in it."""
+
+    __slots__ = ("block", "index")
+
+
+class Block:
+    """Points evaluated together, one column at a time.  ``points`` are the
+    environments given, as dicts that ``evalf`` accepts like any other; all
+    bind the same names.  ``evalf(e, point)`` computes e's column over every
+    point of the block once and keeps it as the block's one ``(node,
+    column)`` pair, so the other points of the block read their values from
+    it.  A column that raises is kept as None, and each point is then
+    evaluated alone, raising as it would outside a block."""
+
+    __slots__ = ("points", "_columns", "_last")
+
+    def __init__(self, envs):
+        self.points = []
+        for k, env in enumerate(envs):
+            point = _BlockPoint(env)
+            point.block, point.index = self, k
+            self.points.append(point)
+        names = envs[0] if envs else ()
+        self._columns = {name: [complex(env[name]) for env in envs] for name in names}
+        self._last = (None, None)
+
+    def _column(self, e: Expr):
+        last = self._last  # one read: threads may store other pairs meanwhile
+        if last[0] is not e:
+            try:
+                column = _compiled(e)(self._columns, len(self.points))
+            except (ArithmeticError, ValueError, EvaluationError):
+                column = None
+            self._last = last = (e, column)
+        return last[1]
 
 
 def _constant(e: Expr):
@@ -731,11 +784,14 @@ def _constant(e: Expr):
 
 
 def _compiled(e: Expr):
-    """The node's evaluator ``env -> complex``, built once from its
-    children's evaluators and kept in the node (filling it twice stores an
-    equivalent closure).  A sum or product folds its leading constants into
-    its start value, so a call adds or multiplies in order, as a tree walk
-    does, with one closure call per child that reads the environment."""
+    """The node's evaluator ``(columns, m) -> column``: ``columns`` maps each
+    name to its list of values at m points, and the result is the list of
+    the node's values there.  It is built once from the children's
+    evaluators and kept in the node (filling it twice stores an equivalent
+    evaluator).  A sum or product folds its leading constants into its start
+    value, then adds or multiplies the columns of the other children in
+    order, so each point sees the float operations of a tree walk, with one
+    evaluator call per child that reads the points."""
     try:
         return e._fn
     except AttributeError:
@@ -744,15 +800,15 @@ def _compiled(e: Expr):
     value = _constant(e)
     if value is not None:
 
-        def fn(env):
-            return value
-    elif t is Symbol or t is Constant:  # a symbol or hbar: read from env
+        def fn(columns, m):
+            return [value] * m
+    elif t is Symbol or t is Constant:  # a symbol or hbar: read from the columns
         name = e.name
         unbound = f"unbound {'constant' if e is HBAR else 'symbol'} '{name}'"
 
-        def fn(env):
+        def fn(columns, m):
             try:
-                return complex(env[name])
+                return columns[name]
             except KeyError:
                 raise UnboundSymbolError(unbound) from None
     elif t is Add or t is Mul:
@@ -766,40 +822,27 @@ def _compiled(e: Expr):
             start = start + c if t is Add else start * c
             k += 1
         rest = tuple([_compiled(x) for x in children[k:]])
-        if t is Add:
+        op = operator.add if t is Add else operator.mul
 
-            def fn(env):
-                out = start
-                for term in rest:
-                    out = out + term(env)
-                return out
-        else:
-
-            def fn(env):
-                out = start
-                for f in rest:
-                    out *= f(env)
-                return out
-    elif t is Pow and e.exponent.denominator == 1:
-        base, n = _compiled(e.base), e.exponent.numerator
-
-        def fn(env):
-            return base(env) ** n
+        def fn(columns, m):
+            out = [start] * m
+            for child in rest:
+                out = list(map(op, out, child(columns, m)))
+            return out
     elif t is Pow:
-        base, x, positive = _compiled(e.base), float(e.exponent), e.exponent > 0
+        # Python's complex power gives 0 for a zero base to a positive
+        # exponent and raises ZeroDivisionError for a negative one, the
+        # check a tree walk makes before it takes a fractional power
+        base = _compiled(e.base)
+        x = e.exponent if type(e.exponent) is int else float(e.exponent)
 
-        def fn(env):
-            b = base(env)
-            if b == 0:
-                if positive:
-                    return complex(0)
-                raise ZeroDivisionError
-            return b ** x
+        def fn(columns, m):
+            return [b ** x for b in base(columns, m)]
     elif t is Call:
         f, arg = getattr(cmath, e.fn), _compiled(e.arg)
 
-        def fn(env):
-            return f(arg(env))
+        def fn(columns, m):
+            return list(map(f, arg(columns, m)))
     else:
         raise TypeError(type(e))
     e._fn = fn

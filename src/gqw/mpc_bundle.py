@@ -340,16 +340,22 @@ def eta_ad_residual(n: int, rng: random.Random) -> float:
 # the operator representation on centrally-equivariant sections
 
 
-def section_sampler(bundle: MpcPrequant) -> DomainSampler:
-    """The context a section encoding is written and decided in: the chart's
-    sampler over its coordinates and then the fiber entries, which no
-    coordinate may share, each drawn from [-1, 1]."""
+def _fiber_symbols(bundle: MpcPrequant) -> Tuple[str, ...]:
+    """FIBER_SYMBOLS, the names of a section encoding's fiber entries, once
+    no coordinate of the bundle's chart shares one."""
     for c in bundle.chart.coords:
         if c in FIBER_SYMBOLS:
             raise UnsupportedFieldError(
                 f"coordinate '{c}' clashes with the fiber entries {', '.join(FIBER_SYMBOLS)} "
                 f"of the section encoding: rename it")
-    return bundle.chart.sampler.extended(dict.fromkeys(FIBER_SYMBOLS, (-1.0, 1.0)))
+    return FIBER_SYMBOLS
+
+
+def section_sampler(bundle: MpcPrequant) -> DomainSampler:
+    """The context a section encoding is written and decided in: the chart's
+    sampler over its coordinates and then the fiber entries, which no
+    coordinate may share, each drawn from [-1, 1]."""
+    return bundle.chart.sampler.extended(dict.fromkeys(_fiber_symbols(bundle), (-1.0, 1.0)))
 
 
 def delta_operator(f: Expr, u: Expr, bundle: MpcPrequant) -> Expr:
@@ -365,7 +371,7 @@ def delta_operator(f: Expr, u: Expr, bundle: MpcPrequant) -> Expr:
     + (1/(i hbar)) (f + beta(xi_f)) u, taken by a single sum.
     """
     z = frame_lift(f, bundle)
-    gmat = tuple(symbol(s) for s in section_sampler(bundle).coords[2:])
+    gmat = tuple(symbol(s) for s in _fiber_symbols(bundle))
     return add(z.base.apply(u),
                *[mul(coeff, diff(u, gsym)) for coeff, gsym in zip(emat_mul(z.a_r, gmat), gmat)],
                mul(I_HBAR_INV, shifted_hamiltonian(f, bundle.circle), u))

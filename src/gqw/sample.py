@@ -18,31 +18,42 @@ drawing further.  A request sees exactly the points, and raises at exactly
 the draw, that a fresh sampler would.  Filling a stream mutates the sampler,
 so a sampler is not safe to share across threads while its streams fill;
 gqw itself is single-threaded.
+
+Once the ``{seed}:equal`` stream holds n_samples points within its draw
+cap, expr_equal reads its second to n_samples-th points as one expr.Block
+kept on the stream: the difference is evaluated over them as one column,
+and each point is still read through evalf.  A comparison thus sees the
+values, skips the points and raises at the draw that a point-by-point
+evaluation would.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from itertools import chain, islice
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from .errors import EvaluationError, SamplingError, UnboundSymbolError
-from .expr import Expr, evalf, add, mul, rational
+from .expr import Block, Expr, evalf, add, mul, rational
 
 _MAX_RESAMPLE = 1000
 
 
 class _Stream:
     """The state of one ``{seed}:{tag}`` stream: its rng, the number of draws
-    made so far, and the admissible points found, each with the index of the
-    draw that found it."""
+    made so far, the admissible points found, each with the index of the
+    draw that found it, and, for the ``{seed}:equal`` stream, the Block of
+    its second to n_samples-th points once ``_comparison_draws`` has built
+    it."""
 
-    __slots__ = ("rng", "drawn", "found")
+    __slots__ = ("rng", "drawn", "found", "block")
 
     def __init__(self, rng: random.Random):
         self.rng = rng
         self.drawn = 0
         self.found: List[Tuple[int, Dict[str, float]]] = []
+        self.block: Optional[Block] = None
 
 
 # the context's defaults, which the system loader also reads
@@ -105,17 +116,17 @@ class DomainSampler:
                 return False
         return True
 
-    def _draws(self, n: int, seed_tag: str) -> Iterator[Dict[str, float]]:
-        """Admissible points of the ``{seed}:{seed_tag}`` stream, each a fresh
-        ``env`` dict; raises SamplingError after 1000 * n draws from the
-        stream's start.  Points found earlier are replayed, then the stream
-        extends."""
+    def _draws(self, n: int, seed_tag: str, start: int = 0) -> Iterator[Dict[str, float]]:
+        """Admissible points of the ``{seed}:{seed_tag}`` stream from its
+        ``start``-th on, each a fresh ``env`` dict; raises SamplingError after
+        1000 * n draws from the stream's start.  Points found earlier are
+        replayed, then the stream extends."""
         stream = self._streams.get(seed_tag)
         if stream is None:
             stream = self._streams[seed_tag] = _Stream(self.rng(seed_tag))
         found = stream.found
         cap = _MAX_RESAMPLE * max(n, 1)
-        k = 0
+        k = start
         while True:
             if k < len(found):
                 at, pt = found[k]
@@ -138,6 +149,24 @@ class DomainSampler:
                 found.append((stream.drawn - 1, pt))
         raise SamplingError(f"could not find {n} usable points in {cap} draws")
 
+    def _comparison_draws(self) -> Iterator[Dict[str, float]]:
+        """The points of ``_draws(n_samples, "equal")``, as expr_equal reads
+        them.  Once the stream holds n_samples points within that draw cap,
+        its second to n_samples-th points come as the points of one Block,
+        built on first use and kept on the stream, so that a comparison
+        evaluates them as one column; the first point still comes alone, so
+        a comparison that fails there stops after one evaluation."""
+        n = self.n_samples
+        stream = self._streams.get("equal")
+        if stream is not None and stream.block is None:
+            found = stream.found
+            if len(found) >= n and found[n - 1][0] < _MAX_RESAMPLE * n:
+                stream.block = Block([pt for _, pt in found[1:n]])
+        if stream is None or stream.block is None:
+            return self._draws(n, "equal")
+        return chain(islice(self._draws(n, "equal"), 1), stream.block.points,
+                     self._draws(n, "equal", n))
+
     def points(self, n: Optional[int] = None, seed_tag: str = "") -> List[Dict[str, float]]:
         """Deterministic list of admissible sample points, each an ``env``
         dict that binds the coordinates and hbar."""
@@ -158,7 +187,10 @@ def expr_equal(a: Expr, b: Expr, sampler: DomainSampler) -> Tuple[bool, float]:
     witness: the first residual over the tolerance decides False and is the
     residual returned, as a check row stops at its first residual over its
     bound.  A true comparison evaluates
-    ``n_samples`` points and returns the largest of their residuals.  Points
+    ``n_samples`` points and returns the largest of their residuals.  On a
+    stream that already holds n_samples points, the first is evaluated
+    alone and the others as one block (see the module docstring); the
+    values are those of evaluating each point alone.  Points
     where the difference fails to evaluate are skipped, within the sampler's
     draw cap; one admissible point over the tolerance still decides False,
     however many failed before it.  If the cap is reached after
@@ -173,7 +205,7 @@ def expr_equal(a: Expr, b: Expr, sampler: DomainSampler) -> Tuple[bool, float]:
     if delta.is_zero():
         return True, 0.0
     n = sampler.n_samples
-    draws = sampler._draws(n, "equal")
+    draws = sampler._comparison_draws()
     worst = 0.0
     count = 0
     skipped = 0

@@ -15,26 +15,29 @@ splits and rebuilds every term and always runs the sin^2 + cos^2 pass; the
 tokenizer walks the text one character at a time, by the str predicates,
 with no regular expression; the prequantum operators and the two E maps are
 built as the connection reads them, r(f) through nabla and delta_f from the
-horizontal lift, term by term, with f and beta(xi_f) multiplied apart."""
+horizontal lift, term by term, with f and beta(xi_f) multiplied apart; an
+expression's value is a plain tree walk at one point; and a sampled
+comparison draws its own stream and evaluates every point alone."""
 
 import cmath
 import math
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from gqw.circle import (
     I_HBAR_INV, TWO_PI_HBAR_INV, TWO_PI_I, CircleLiftedVF, PrequantCircle, connection_nabla,
     horizontal_lift,
 )
-from gqw.errors import ExprSyntaxError
+from gqw.errors import EvaluationError, ExprSyntaxError, SamplingError, UnboundSymbolError
 from gqw.expr import (
-    HBAR, IMAG, MINUS_ONE, ONE, ZERO, Add, Expr, Mul, Pow, Rational, _key, _pythagoras,
-    add, diff, evalf, mul, rational, symbol,
+    HBAR, IMAG, MINUS_ONE, ONE, PI, ZERO, Add, Call, Expr, Mul, Pow, Rational, Symbol, _key,
+    _pythagoras, add, diff, evalf, mul, rational, symbol,
 )
 from gqw.flows import RHS, components_rhs, rk4_step
 from gqw.forms import KForm, VectorField
 from gqw.mpc_bundle import MpcPrequant, StructuredVF, emat_mul, hat_lift, section_sampler
 from gqw.mpc_group import Mat, MpElement, automorphy_angle, mat_mul, mp_identity
+from gqw.sample import DomainSampler
 from gqw.symplectic import hamiltonian_vf
 
 
@@ -250,6 +253,69 @@ def add_rebuilt(*args: Expr) -> Expr:
     if not out:
         return ZERO
     return out[0] if len(out) == 1 else Add(tuple(out))
+
+
+def evalf_walk(e: Expr, env) -> complex:
+    """The value of e at one point by a plain tree walk over the node
+    classes, the spec of ``evalf``: a sum adds its terms in order from the
+    int 0, a product multiplies its factors in order from complex(1), and a
+    zero base gives 0 to a positive fractional power and raises
+    ZeroDivisionError to a negative one.  Numeric failures raise as Python
+    raises them; a non-finite value is returned."""
+    if type(e) is Rational:
+        return complex(e.value.numerator / e.value.denominator)
+    if e is PI:
+        return complex(math.pi)
+    if e is IMAG:
+        return 1j
+    if type(e) is Symbol or e is HBAR:
+        return complex(env[e.name])
+    if type(e) is Add:
+        return sum(evalf_walk(t, env) for t in e.terms)
+    if type(e) is Mul:
+        out = complex(1)
+        for f in e.factors:
+            out *= evalf_walk(f, env)
+        return out
+    if type(e) is Pow:
+        b = evalf_walk(e.base, env)
+        if e.exponent.denominator == 1:
+            return b ** e.exponent.numerator
+        if b == 0:
+            if e.exponent > 0:
+                return complex(0)
+            raise ZeroDivisionError
+        return b ** float(e.exponent)
+    assert type(e) is Call
+    return getattr(cmath, e.fn)(evalf_walk(e.arg, env))
+
+
+def expr_equal_pointwise(a: Expr, b: Expr, sampler: DomainSampler) -> Tuple[bool, float]:
+    """``expr_equal`` by its definition, on a stream of its own: draw after
+    draw of the ``{seed}:equal`` rng, each admissible point evaluated alone
+    by ``evalf``, skipping the points where the difference fails to
+    evaluate; the first residual over the tolerance decides False, and
+    n_samples residuals within it decide True.  Past 1000 * n_samples draws
+    it raises SamplingError."""
+    delta = add(a, mul(MINUS_ONE, b))
+    rng, n = sampler.rng("equal"), sampler.n_samples
+    worst, count = 0.0, 0
+    for _ in range(1000 * n):
+        pt = sampler.env([rng.uniform(*sampler.box[c]) for c in sampler.coords])
+        try:
+            if not sampler.admissible(pt):
+                continue
+            r = abs(evalf(delta, pt))
+        except UnboundSymbolError:
+            raise
+        except EvaluationError:
+            continue
+        if r > sampler.tolerance:
+            return False, r
+        worst, count = max(worst, r), count + 1
+        if count == n:
+            return True, worst
+    raise SamplingError(f"{count} of {n} points evaluated in {1000 * n} draws")
 
 
 def reference_tokenize(text: str) -> list:

@@ -45,6 +45,24 @@ print(json.dumps({"residual": residual, "n_samples": spec.samples,
 """
 
 
+# two identities decided on one sampler: the second reads the second to n-th
+# points of the warm {seed}:equal stream as one block
+BLOCK_SCRIPT = """
+import json
+import gqw
+from layertrace import Tracer
+
+spec = gqw.load_bundled()
+pairs = [(gqw.parse_expr(a, spec.coords), gqw.parse_expr(b, spec.coords))
+         for a, b in [("exp(p)*exp(q)", "exp(p + q)"), ("sin(2*p)", "2*sin(p)*cos(p)")]]
+tracer = Tracer()
+tracer.install()
+verdicts = [gqw.expr_equal(a, b, spec.chart.sampler)[0] for a, b in pairs]
+print(json.dumps({"verdicts": verdicts, "n_samples": spec.samples,
+                  "metrics": tracer.finish()["metrics"]}))
+"""
+
+
 def _traced(script: str) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -76,6 +94,16 @@ def test_tracer_counts_each_point_of_a_sampled_identity():
     metrics = result["metrics"]
     assert metrics["sample.expr_equal.calls"] == 1
     assert metrics["sample.points_evaluated"] == result["n_samples"]
+
+
+def test_tracer_counts_each_point_of_a_block():
+    # the points of a block are read through the public evalf one by one,
+    # so the tracer counts them as it counts the points evaluated alone
+    result = _traced(BLOCK_SCRIPT)
+    assert result["verdicts"] == [True, True]
+    metrics = result["metrics"]
+    assert metrics["sample.expr_equal.calls"] == 2
+    assert metrics["sample.points_evaluated"] == 2 * result["n_samples"]
 
 
 def _layertrace():

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,13 +12,13 @@ from gqw.errors import (
     EvaluationError, ExprSyntaxError, SamplingError, UnboundSymbolError, UnknownSymbolError,
 )
 from gqw.expr import (
-    HBAR, IMAG, ONE, PI, ZERO, Add, Call, Constant, Mul, Pow, Rational, Symbol, add, call,
-    diff, evalf, mul, power, rational, subs, symbol, to_str,
+    HBAR, IMAG, ONE, PI, ZERO, Add, Block, Call, Constant, Mul, Pow, Rational, Symbol, add,
+    call, diff, evalf, mul, power, rational, subs, symbol, to_str,
 )
 from gqw.parse import _tokenize, parse_expr
 from gqw.sample import DomainSampler, expr_equal
 from bounded import run_bounded
-from oracles import add_rebuilt, mul_rebuilt, power_rebuilt, reference_tokenize
+from oracles import add_rebuilt, evalf_walk, mul_rebuilt, power_rebuilt, reference_tokenize
 
 P = symbol("p")
 Q = symbol("q")
@@ -256,7 +257,6 @@ def test_a_stored_region_nested_deeper_still_meets_the_depth_limit(region, monke
 
 
 def test_a_warm_table_gives_the_node_a_cold_parse_builds(monkeypatch):
-    import random
     from gqw import parse
     texts = [to_str(_random_expr(random.Random(seed), 3, mul, power)) for seed in range(300)]
     cold = []
@@ -754,7 +754,6 @@ def test_a_product_of_sums_distributes_one_sum_at_a_time():
 
 
 def test_products_and_powers_match_a_fold_that_stores_nothing_by_identity():
-    import random
     composite = set()
     for seed in range(600):
         kernel = _random_expr(random.Random(seed), 3, mul, power)
@@ -805,7 +804,6 @@ def test_a_rational_times_one_node_is_the_distributed_product(x):
 
 
 def test_a_rational_times_a_seeded_tree_is_the_distributed_product():
-    import random
     for seed in range(120):
         x = _random_expr(random.Random(seed), 3, mul, power)
         for c in SCALES:
@@ -1201,38 +1199,6 @@ def test_small_request_after_a_large_one_keeps_its_own_cap():
 # evaluation
 
 
-def _reference_evalf(e, env):
-    """A plain tree walk over the node classes, the evaluator's spec."""
-    if isinstance(e, Rational):
-        return complex(e.value.numerator / e.value.denominator)
-    if e is PI:
-        return complex(math.pi)
-    if e is IMAG:
-        return 1j
-    if e is HBAR:
-        return complex(env["hbar"])
-    if isinstance(e, Symbol):
-        return complex(env[e.name])
-    if isinstance(e, Add):
-        return sum(_reference_evalf(t, env) for t in e.terms)
-    if isinstance(e, Mul):
-        out = complex(1)
-        for f in e.factors:
-            out *= _reference_evalf(f, env)
-        return out
-    if isinstance(e, Pow):
-        b = _reference_evalf(e.base, env)
-        if e.exponent.denominator == 1:
-            return b ** e.exponent.numerator
-        if b == 0:
-            if e.exponent > 0:
-                return complex(0)
-            raise ZeroDivisionError
-        return b ** float(e.exponent)
-    assert isinstance(e, Call)
-    return getattr(cmath, e.fn)(_reference_evalf(e.arg, env))
-
-
 EVAL_POINTS = ({"p": 0.7, "q": -1.3, "hbar": 1.5},
                {"p": -2.0, "q": 0.25, "hbar": 1.0},
                {"p": 0.0, "q": 1.0, "hbar": -0.5},
@@ -1254,7 +1220,7 @@ EVAL_POINTS = ({"p": 0.7, "q": -1.3, "hbar": 1.5},
 def test_evalf_matches_a_tree_walk_bit_for_bit(e):
     for env in EVAL_POINTS:
         try:
-            ref = _reference_evalf(e, env)
+            ref = evalf_walk(e, env)
         except (ZeroDivisionError, OverflowError, ValueError):
             ref = None
         if ref is None or not (math.isfinite(ref.real) and math.isfinite(ref.imag)):
@@ -1270,7 +1236,7 @@ def test_constant_children_are_folded_into_their_parent():
     # so it never gets an evaluator of its own
     c = rational(12347, 9973)
     for e in (mul(c, P, Q), add(c, P)):
-        assert evalf(e, EVAL_POINTS[0]) == _reference_evalf(e, EVAL_POINTS[0])
+        assert evalf(e, EVAL_POINTS[0]) == evalf_walk(e, EVAL_POINTS[0])
         assert not hasattr(c, "_fn")
 
 
@@ -1286,6 +1252,81 @@ def test_evalf_errors_survive_the_cached_evaluator(make, env):
         with pytest.raises(EvaluationError):
             evalf(e, env)
     assert e._fn is make()._fn
+
+
+# ---------------------------------------------------------------------------
+# blocks: each node evaluated over many points as one column
+
+# zeros of either sign, negative bases under a half power on both sides of
+# its cut, and values whose powers and exponentials overflow
+HARD_POINTS = ({"p": 0.0, "q": 0.0, "hbar": 0.0},
+               {"p": -0.0, "q": 0.0, "hbar": 1.0},
+               {"p": -0.0, "q": -0.0, "hbar": -0.0},
+               {"p": -1.5, "q": -0.0, "hbar": 1.0},
+               {"p": -2.0, "q": 0.5, "hbar": -1.0},
+               {"p": 1.0, "q": -800.0, "hbar": 1e300})
+
+
+def _assert_block_matches_the_walk(e, envs):
+    """evalf at each point of a Block over ``envs`` gives the tree walk's
+    value there bit for bit, signed zeros included, and raises
+    EvaluationError where the walk raises or is not finite.  The block keeps
+    one column for e, which is None exactly when the walk raises at some
+    point, so that every point was then evaluated alone."""
+    block = Block(envs)
+    raised = False
+    for point, env in zip(block.points, envs):
+        assert point == env
+        try:
+            ref = evalf_walk(e, env)
+        except (ZeroDivisionError, OverflowError, ValueError):
+            ref, raised = None, True
+        if ref is None or not cmath.isfinite(ref):
+            with pytest.raises(EvaluationError):
+                evalf(e, point)
+        else:
+            got = evalf(e, point)
+            assert (got.real.hex(), got.imag.hex()) == (ref.real.hex(), ref.imag.hex())
+        if point.index == 0:
+            last = block._last
+    assert block._last is last and last[0] is e
+    assert (last[1] is None) == raised
+
+
+_coordinate = st.floats(-3.0, 3.0)  # 0.0 and -0.0 included
+_envs = st.lists(st.builds(lambda p, q, h: {"p": p, "q": q, "hbar": h},
+                           _coordinate, _coordinate, _coordinate), min_size=1, max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32), _envs)
+def test_block_values_match_the_tree_walk_bit_for_bit(seed, envs):
+    e = _random_expr(random.Random(seed), 3, mul, power)
+    _assert_block_matches_the_walk(e, envs)
+    _assert_block_matches_the_walk(e, list(HARD_POINTS))
+    for env in HARD_POINTS:  # one hard point raises the column of the drawn ones
+        _assert_block_matches_the_walk(e, envs + [env])
+
+
+@pytest.mark.parametrize("text", [
+    "exp(800*p)", "(p + q)^(1/2)", "(p*q)^(-1/2) + hbar", "sin(q)*hbar^(-1) - (p - 1)^(3/2)",
+    "p^2*q + sin(p)*hbar + cos(q)^2 + 1/3", "1/3 + i + pi + p*q - q^(1/2)",
+])
+def test_block_values_match_the_tree_walk_at_hand_picked_points(text):
+    e = parse_expr(text, VOCAB)
+    points = list(EVAL_POINTS + HARD_POINTS)
+    _assert_block_matches_the_walk(e, points)
+    for env in points:
+        _assert_block_matches_the_walk(e, [env])
+        _assert_block_matches_the_walk(e, list(EVAL_POINTS) + [env])
+
+
+def test_a_block_reads_an_unbound_symbol_at_each_point():
+    block = Block([{"p": 1.0}, {"p": 2.0}])
+    for point in block.points:
+        with pytest.raises(UnboundSymbolError, match="unbound symbol 'q'"):
+            evalf(add(P, Q), point)
+    assert evalf(P, block.points[1]) == 2.0
 
 
 def test_half_powers_merging_to_integers_stay_canonical():
@@ -1467,7 +1508,7 @@ def test_threads_evaluating_new_nodes_agree_with_a_tree_walk():
     nodes = [add(power(symbol(n), 3), mul(rational(2, 7), call("sin", symbol(n))), PI)
              for n in names]
     env = {n: 0.01 * k for k, n in enumerate(names)}
-    expected = [_reference_evalf(e, env) for e in nodes]
+    expected = [evalf_walk(e, env) for e in nodes]
     results = _race(lambda: [evalf(e, env) for e in nodes])
     assert all(r == expected for r in results)
 

@@ -19,7 +19,7 @@ from bounded import run_bounded
 from gqw import suites
 from gqw.circle import CircleLiftedVF
 from gqw.cli import main
-from gqw.errors import SystemSpecError, UnsupportedFieldError
+from gqw.errors import SamplingError, SystemSpecError, UnsupportedFieldError
 from gqw.expr import ZERO, diff, mul, rational, symbol
 from gqw.forms import VectorField
 from gqw.mpc_bundle import MpcPrequant, StructuredVF, delta_operator
@@ -27,6 +27,7 @@ from gqw.parse import parse_expr
 from gqw.sample import expr_equal
 from gqw.suites import run_suite
 from gqw.system import bundled_spec_text, load_bundled, load_spec, load_spec_text
+from oracles import expr_equal_pointwise
 
 GOOD = bundled_spec_text()
 
@@ -724,6 +725,41 @@ def test_systems_on_the_same_coordinates_keep_their_own_chart():
     for text in ["1/2*(p*dq - q*dp)", "dp^dq", "(p+q)*dp", "(p + q)^2", "sin((p))"]:
         parse_form(text, annulus.chart)
     assert stored() == before
+
+
+# comparisons that overflow at some points of the bundled box: exp(800*p)
+# overflows for p > 0.887, exp(-800*p) for p < -0.887, and the points where
+# the difference fails to evaluate are skipped
+OVERFLOWING = [("exp(800*p)*sin(q)*exp(-800*p)", "sin(q)"),
+               ("exp(800*p)*exp(q)", "exp(800*p + q)"),
+               ("exp(-800*p)*exp(800*p + q)", "exp(q)")]
+
+
+def _outcome(compare):
+    try:
+        return compare()
+    except SamplingError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("samples", [None, 1, 2])
+@pytest.mark.parametrize("chart", ["plane", "annulus"])
+def test_sampled_comparisons_match_a_pointwise_oracle(chart, samples):
+    # on a warm {seed}:equal stream, expr_equal evaluates the second to n-th
+    # points as one block; each comparison still gives the verdict and the
+    # residual of evaluating its points one at a time on a fresh stream
+    inputs = _bench_inputs()
+    text = GOOD if chart == "plane" else inputs.annulus_spec()
+    sampler = load_spec_text(text, samples=samples).chart.sampler
+    pairs = [(lhs, rhs) for _, lhs, rhs, _ in inputs.identity_corpus(1, 16)] + OVERFLOWING
+    outcomes = []
+    for lhs, rhs in pairs + pairs:  # the second round runs on a warm stream
+        a, b = parse_expr(lhs, sampler.coords), parse_expr(rhs, sampler.coords)
+        fresh = load_spec_text(text, samples=samples).chart.sampler
+        got = _outcome(lambda: expr_equal(a, b, sampler))
+        assert got == _outcome(lambda: expr_equal_pointwise(a, b, fresh)), (lhs, rhs)
+        outcomes.append(got if isinstance(got, type) else got[0])
+    assert outcomes.count(True) > 4 and outcomes.count(False) > 4, outcomes
 
 
 def _oracle_system(system: str):
