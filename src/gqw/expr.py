@@ -35,21 +35,23 @@ is a Python-level modular inverse: a rational is keyed by its int or by
 (numerator, denominator), and a power by (base, int) or (base, numerator,
 denominator).  A probe that finds the node hashes only ints and nodes.
 
-A node's evaluator maps columns to a column: given the values of each name
-at m points, it returns the node's m values there.  It is built on the
-node's first evaluation from its children's evaluators and kept in the
-node, like the node's sort key, so each node is dispatched on its type once
-per process.  A sum or product folds its leading constants (rationals, i,
-pi) into one start value when its evaluator is built, and those constants
-get no evaluator of their own; it then adds or multiplies the columns of
-its other children in order.  Each point therefore sees the float
-operations of a plain tree walk in the walk's order, and its value is bit
-for bit the walk's.  evalf(e, env) is the case of one point.  A Block holds
-points that are evaluated together: evalf at one of them computes the
-node's column over all of them, with one evaluator call per node that
-reads the points, and the block's other points read their values from that
-column.  If the column raises, each point of the block is evaluated alone,
-and raises or not as it would outside a block.
+evalf runs one closure per node, ``env -> complex``: it is built on the
+node's first evaluation from its children's closures and kept in the node,
+like the node's sort key, so each node is dispatched on its type once per
+process.  A sum or product folds its leading constants (rationals, i, pi)
+into one start value when its closure is built, and those constants get no
+closure of their own, so an evaluation makes one closure call per node that
+reads the point, with the float operations of a plain tree walk.
+
+A Block holds points that are evaluated together: evalf at one of them
+computes the node's column over all of them with a second evaluator kept in
+the node, ``(columns, m) -> column``, and the block's other points read
+their values from that column.  It makes one call per node that reads the
+points, and each point sees the float operations of the closure in the
+closure's order, so its value is bit for bit the one evalf gives it alone.
+A column evaluator is built only for nodes evaluated in a block.  If the
+column raises, each point of the block is evaluated alone, and raises or
+not as it would outside a block.
 
 mul keeps each product that distributed a sum in ``_EXPANDED``, a table
 from its argument tuple to the result, and answers a repeat from it, so a
@@ -123,7 +125,7 @@ class Expr:
     interned: each node class builds one node per distinct field tuple, so
     ``==`` and ``hash`` are object identity."""
 
-    __slots__ = ("_sortkey", "_fn", "_d")
+    __slots__ = ("_sortkey", "_fn", "_col", "_d")
 
     def __repr__(self):
         return to_str(self)
@@ -722,7 +724,7 @@ def evalf(e: Expr, env: Mapping[str, complex]) -> complex:
         if type(env) is _BlockPoint and (column := env.block._column(e)) is not None:
             val = column[env.index]
         else:
-            val = _compiled(e)({name: [complex(v)] for name, v in env.items()}, 1)[0]
+            val = _compiled(e)(env)
     except ZeroDivisionError as exc:
         raise EvaluationError("division by zero during evaluation") from exc
     except (OverflowError, ValueError) as exc:
@@ -741,12 +743,18 @@ class _BlockPoint(dict):
 
 class Block:
     """Points evaluated together, one column at a time.  ``points`` are the
-    environments given, as dicts that ``evalf`` accepts like any other; all
-    bind the same names.  ``evalf(e, point)`` computes e's column over every
-    point of the block once and keeps it as the block's one ``(node,
-    column)`` pair, so the other points of the block read their values from
-    it.  A column that raises is kept as None, and each point is then
-    evaluated alone, raising as it would outside a block."""
+    environments given, as dicts that ``evalf`` accepts like any other.
+    ``evalf(e, point)`` computes e's column over every point of the block
+    once and keeps it as the block's one ``(node, column)`` pair, so the
+    other points of the block read their values from it.  A column that
+    raises, or reads a name that is not a number at every point, is kept as
+    None, and each point is then evaluated alone, raising as it would
+    outside a block.
+
+    A Block exists so that a batch is still read one ``evalf`` call per
+    point, which is how the benchmark's layer tracer counts points.  Once
+    gqw counts its evaluated points itself, expr_equal can evaluate a plain
+    batch of points and this class goes (ROADMAP item 4)."""
 
     __slots__ = ("points", "_columns", "_last")
 
@@ -756,15 +764,19 @@ class Block:
             point = _BlockPoint(env)
             point.block, point.index = self, k
             self.points.append(point)
-        names = envs[0] if envs else ()
-        self._columns = {name: [complex(env[name]) for env in envs] for name in names}
+        self._columns = {}
+        for name in (envs[0] if envs else ()):
+            try:
+                self._columns[name] = [complex(env[name]) for env in envs]
+            except (KeyError, TypeError, ValueError):
+                pass  # a node that reads the name fails its column
         self._last = (None, None)
 
     def _column(self, e: Expr):
         last = self._last  # one read: threads may store other pairs meanwhile
         if last[0] is not e:
             try:
-                column = _compiled(e)(self._columns, len(self.points))
+                column = _column_fn(e)(self._columns, len(self.points))
             except (ArithmeticError, ValueError, EvaluationError):
                 column = None
             self._last = last = (e, column)
@@ -783,15 +795,32 @@ def _constant(e: Expr):
     return None
 
 
+def _folded(e):
+    """A sum's or product's start value, its leading constant children
+    folded in order, and its other children."""
+    t = type(e)
+    children = e.terms if t is Add else e.factors
+    start = 0 if t is Add else complex(1)  # sum() starts from the int 0
+    k = 0
+    while k < len(children):
+        c = _constant(children[k])
+        if c is None:
+            break
+        start = start + c if t is Add else start * c
+        k += 1
+    return start, children[k:]
+
+
+def _unbound(e) -> str:
+    return f"unbound {'constant' if e is HBAR else 'symbol'} '{e.name}'"
+
+
 def _compiled(e: Expr):
-    """The node's evaluator ``(columns, m) -> column``: ``columns`` maps each
-    name to its list of values at m points, and the result is the list of
-    the node's values there.  It is built once from the children's
-    evaluators and kept in the node (filling it twice stores an equivalent
-    evaluator).  A sum or product folds its leading constants into its start
-    value, then adds or multiplies the columns of the other children in
-    order, so each point sees the float operations of a tree walk, with one
-    evaluator call per child that reads the points."""
+    """The node's evaluator ``env -> complex``, built once from its
+    children's evaluators and kept in the node (filling it twice stores an
+    equivalent closure).  A sum or product folds its leading constants into
+    its start value, so a call adds or multiplies in order, as a tree walk
+    does, with one closure call per child that reads the environment."""
     try:
         return e._fn
     except AttributeError:
@@ -800,11 +829,80 @@ def _compiled(e: Expr):
     value = _constant(e)
     if value is not None:
 
+        def fn(env):
+            return value
+    elif t is Symbol or t is Constant:  # a symbol or hbar: read from env
+        name, unbound = e.name, _unbound(e)
+
+        def fn(env):
+            try:
+                return complex(env[name])
+            except KeyError:
+                raise UnboundSymbolError(unbound) from None
+    elif t is Add or t is Mul:
+        start, children = _folded(e)
+        rest = tuple([_compiled(x) for x in children])
+        if t is Add:
+
+            def fn(env):
+                out = start
+                for term in rest:
+                    out = out + term(env)
+                return out
+        else:
+
+            def fn(env):
+                out = start
+                for f in rest:
+                    out *= f(env)
+                return out
+    elif t is Pow and e.exponent.denominator == 1:
+        base, n = _compiled(e.base), e.exponent.numerator
+
+        def fn(env):
+            return base(env) ** n
+    elif t is Pow:
+        base, x, positive = _compiled(e.base), float(e.exponent), e.exponent > 0
+
+        def fn(env):
+            b = base(env)
+            if b == 0:
+                if positive:
+                    return complex(0)
+                raise ZeroDivisionError
+            return b ** x
+    elif t is Call:
+        f, arg = getattr(cmath, e.fn), _compiled(e.arg)
+
+        def fn(env):
+            return f(arg(env))
+    else:
+        raise TypeError(type(e))
+    e._fn = fn
+    return fn
+
+
+def _column_fn(e: Expr):
+    """The node's column evaluator ``(columns, m) -> column``: ``columns``
+    maps each name to its list of complex values at m points, and the
+    result is the list of the node's values there, each bit for bit what
+    ``_compiled(e)`` gives at that point.  It is built on the node's first
+    evaluation in a Block, from its children's column evaluators, and kept
+    in the node like ``_compiled``'s.  A sum or product adds or multiplies
+    the columns of its children after its folded constants, in order, so
+    each point sees the float operations of the point evaluator."""
+    try:
+        return e._col
+    except AttributeError:
+        pass
+    t = type(e)
+    value = _constant(e)
+    if value is not None:
+
         def fn(columns, m):
             return [value] * m
-    elif t is Symbol or t is Constant:  # a symbol or hbar: read from the columns
-        name = e.name
-        unbound = f"unbound {'constant' if e is HBAR else 'symbol'} '{name}'"
+    elif t is Symbol or t is Constant:
+        name, unbound = e.name, _unbound(e)
 
         def fn(columns, m):
             try:
@@ -812,16 +910,8 @@ def _compiled(e: Expr):
             except KeyError:
                 raise UnboundSymbolError(unbound) from None
     elif t is Add or t is Mul:
-        children = e.terms if t is Add else e.factors
-        start = 0 if t is Add else complex(1)  # sum() starts from the int 0
-        k = 0
-        while k < len(children):
-            c = _constant(children[k])
-            if c is None:
-                break
-            start = start + c if t is Add else start * c
-            k += 1
-        rest = tuple([_compiled(x) for x in children[k:]])
+        start, children = _folded(e)
+        rest = tuple([_column_fn(x) for x in children])
         op = operator.add if t is Add else operator.mul
 
         def fn(columns, m):
@@ -832,20 +922,20 @@ def _compiled(e: Expr):
     elif t is Pow:
         # Python's complex power gives 0 for a zero base to a positive
         # exponent and raises ZeroDivisionError for a negative one, the
-        # check a tree walk makes before it takes a fractional power
-        base = _compiled(e.base)
+        # check the point evaluator makes before a fractional power
+        base = _column_fn(e.base)
         x = e.exponent if type(e.exponent) is int else float(e.exponent)
 
         def fn(columns, m):
             return [b ** x for b in base(columns, m)]
     elif t is Call:
-        f, arg = getattr(cmath, e.fn), _compiled(e.arg)
+        f, arg = getattr(cmath, e.fn), _column_fn(e.arg)
 
         def fn(columns, m):
             return list(map(f, arg(columns, m)))
     else:
         raise TypeError(type(e))
-    e._fn = fn
+    e._col = fn
     return fn
 
 

@@ -20,9 +20,10 @@ so a sampler is not safe to share across threads while its streams fill;
 gqw itself is single-threaded.
 
 Once the ``{seed}:equal`` stream holds n_samples points within its draw
-cap, expr_equal reads its second to n_samples-th points as one expr.Block
-kept on the stream: the difference is evaluated over them as one column,
-and each point is still read through evalf.  A comparison thus sees the
+cap, expr_equal reads its first point as one expr.Block and its second to
+n_samples-th points as another, both kept on the stream: the difference is
+evaluated over each block as one column, and each point is still read
+through evalf.  A comparison thus sees the
 values, skips the points and raises at the draw that a point-by-point
 evaluation would.
 """
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import chain, islice
+from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from .errors import EvaluationError, SamplingError, UnboundSymbolError
@@ -43,17 +44,16 @@ _MAX_RESAMPLE = 1000
 class _Stream:
     """The state of one ``{seed}:{tag}`` stream: its rng, the number of draws
     made so far, the admissible points found, each with the index of the
-    draw that found it, and, for the ``{seed}:equal`` stream, the Block of
-    its second to n_samples-th points once ``_comparison_draws`` has built
-    it."""
+    draw that found it, and the blocks ``_comparison_draws`` builds from
+    them once."""
 
-    __slots__ = ("rng", "drawn", "found", "block")
+    __slots__ = ("rng", "drawn", "found", "blocks")
 
     def __init__(self, rng: random.Random):
         self.rng = rng
         self.drawn = 0
         self.found: List[Tuple[int, Dict[str, float]]] = []
-        self.block: Optional[Block] = None
+        self.blocks: Optional[Tuple[Block, Block]] = None
 
 
 # the context's defaults, which the system loader also reads
@@ -152,20 +152,25 @@ class DomainSampler:
     def _comparison_draws(self) -> Iterator[Dict[str, float]]:
         """The points of ``_draws(n_samples, "equal")``, as expr_equal reads
         them.  Once the stream holds n_samples points within that draw cap,
-        its second to n_samples-th points come as the points of one Block,
-        built on first use and kept on the stream, so that a comparison
-        evaluates them as one column; the first point still comes alone, so
-        a comparison that fails there stops after one evaluation."""
+        its first point comes as a Block of its own and its second to
+        n_samples-th points as the points of one Block, so that a comparison
+        that fails at the first point stops after one evaluation and one
+        that passes evaluates the others as one column.  The difference is
+        a new node in nearly every comparison, and a block evaluates it with
+        column evaluators only, so its per-point closures are never built.
+        The blocks are built once and kept on the stream: building them
+        converts and copies every point."""
         n = self.n_samples
         stream = self._streams.get("equal")
-        if stream is not None and stream.block is None:
-            found = stream.found
-            if len(found) >= n and found[n - 1][0] < _MAX_RESAMPLE * n:
-                stream.block = Block([pt for _, pt in found[1:n]])
-        if stream is None or stream.block is None:
+        if stream is None:
             return self._draws(n, "equal")
-        return chain(islice(self._draws(n, "equal"), 1), stream.block.points,
-                     self._draws(n, "equal", n))
+        if stream.blocks is None:
+            found = stream.found
+            if len(found) < n or found[n - 1][0] >= _MAX_RESAMPLE * n:
+                return self._draws(n, "equal")
+            stream.blocks = (Block([found[0][1]]), Block([pt for _, pt in found[1:n]]))
+        first, rest = stream.blocks
+        return chain(first.points, rest.points, self._draws(n, "equal", n))
 
     def points(self, n: Optional[int] = None, seed_tag: str = "") -> List[Dict[str, float]]:
         """Deterministic list of admissible sample points, each an ``env``
@@ -188,8 +193,8 @@ def expr_equal(a: Expr, b: Expr, sampler: DomainSampler) -> Tuple[bool, float]:
     residual returned, as a check row stops at its first residual over its
     bound.  A true comparison evaluates
     ``n_samples`` points and returns the largest of their residuals.  On a
-    stream that already holds n_samples points, the first is evaluated
-    alone and the others as one block (see the module docstring); the
+    stream that already holds n_samples points, the first is evaluated as
+    a block of one and the others as one block (see the module docstring); the
     values are those of evaluating each point alone.  Points
     where the difference fails to evaluate are skipped, within the sampler's
     draw cap; one admissible point over the tolerance still decides False,

@@ -1232,12 +1232,33 @@ def test_evalf_matches_a_tree_walk_bit_for_bit(e):
 
 
 def test_constant_children_are_folded_into_their_parent():
-    # a rational factor or term is read when its parent's evaluator is built,
-    # so it never gets an evaluator of its own
+    # a rational factor or term is read when its parent's evaluators are
+    # built, so it never gets an evaluator of its own
     c = rational(12347, 9973)
     for e in (mul(c, P, Q), add(c, P)):
         assert evalf(e, EVAL_POINTS[0]) == evalf_walk(e, EVAL_POINTS[0])
-        assert not hasattr(c, "_fn")
+        assert evalf(e, Block(EVAL_POINTS).points[0]) == evalf_walk(e, EVAL_POINTS[0])
+        assert not hasattr(c, "_fn") and not hasattr(c, "_col")
+
+
+def test_evalf_reads_only_the_names_the_expression_names():
+    # an entry of env the node never reads is never converted to a number
+    env = {"p": 1.0, "q": 2.0, "tag": "x", "note": None}
+    assert evalf(P, env) == 1
+    assert evalf(add(P, mul(rational(3), Q)), env) == 7
+    block = Block([env, {**env, "p": 5.0}])
+    assert [evalf(add(P, Q), pt) for pt in block.points] == [3, 7]
+    with pytest.raises(EvaluationError, match="numeric failure"):
+        evalf(add(P, symbol("tag")), env)
+    for point in block.points:  # a column that reads "tag" fails; each point alone raises
+        with pytest.raises(EvaluationError, match="numeric failure"):
+            evalf(add(P, symbol("tag")), point)
+
+
+def test_a_point_evaluated_alone_builds_no_column_evaluator():
+    e = parse_expr("sin(p)*q^(1/2) + 7/3*p*q + exp(hbar)", VOCAB)
+    evalf(e, EVAL_POINTS[0])
+    assert hasattr(e, "_fn") and not hasattr(e, "_col")
 
 
 @pytest.mark.parametrize("make, env", [
