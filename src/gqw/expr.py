@@ -35,23 +35,22 @@ is a Python-level modular inverse: a rational is keyed by its int or by
 (numerator, denominator), and a power by (base, int) or (base, numerator,
 denominator).  A probe that finds the node hashes only ints and nodes.
 
-evalf runs one closure per node, ``env -> complex``: it is built on the
-node's first evaluation from its children's closures and kept in the node,
-like the node's sort key, so each node is dispatched on its type once per
-process.  A sum or product folds its leading constants (rationals, i, pi)
-into one start value when its closure is built, and those constants get no
-closure of their own, so an evaluation makes one closure call per node that
-reads the point, with the float operations of a plain tree walk.
+evalf runs one evaluator per node, ``(columns, m) -> column``, which maps
+the values of each name at m points to the node's values there.  It is
+built on the node's first evaluation from its children's evaluators and
+kept in the node, like the node's sort key, so each node is dispatched on
+its type once per process.  A sum or product folds its leading constants
+(rationals, i, pi) into one start value when its evaluator is built, and
+those constants get no evaluator of their own, so an evaluation makes one
+call per node that reads the points, and each point sees the float
+operations of a plain tree walk.  A point evaluated alone is a column of
+one, whose names are converted to numbers as the node reads them.
 
 A Block holds points that are evaluated together: evalf at one of them
-computes the node's column over all of them with a second evaluator kept in
-the node, ``(columns, m) -> column``, and the block's other points read
-their values from that column.  It makes one call per node that reads the
-points, and each point sees the float operations of the closure in the
-closure's order, so its value is bit for bit the one evalf gives it alone.
-A column evaluator is built only for nodes evaluated in a block.  If the
-column raises, each point of the block is evaluated alone, and raises or
-not as it would outside a block.
+computes the node's column over all of them, and the block's other points
+read their values from that column, so each gets the value evalf gives it
+alone, bit for bit.  If the column raises, each point of the block is
+evaluated alone, and raises or not as it would outside a block.
 
 mul keeps each product that distributed a sum in ``_EXPANDED``, a table
 from its argument tuple to the result, and answers a repeat from it, so a
@@ -125,7 +124,7 @@ class Expr:
     interned: each node class builds one node per distinct field tuple, so
     ``==`` and ``hash`` are object identity."""
 
-    __slots__ = ("_sortkey", "_fn", "_col", "_d")
+    __slots__ = ("_sortkey", "_col", "_d")
 
     def __repr__(self):
         return to_str(self)
@@ -717,14 +716,18 @@ def _diff(e: Expr, v: Symbol) -> Expr:
 def evalf(e: Expr, env: Mapping[str, complex]) -> complex:
     """Evaluate over complex doubles.  pi and i are bound; hbar and all
     symbols come from ``env``.  Raises EvaluationError on unbound symbols,
-    division by zero, or non-finite results.  At a point of a ``Block`` the
-    value is read from the node's column over the block, computed on the
-    first such read; if the column raises, each point is evaluated alone."""
+    a symbol bound to a value that is not a number, division by zero, or
+    non-finite results.  A point is evaluated as a column of one.  At a
+    point of a ``Block`` the value is read from the node's column over the
+    block, computed on the first such read; if the column raises, each
+    point is evaluated alone."""
     try:
         if type(env) is _BlockPoint and (column := env.block._column(e)) is not None:
             val = column[env.index]
         else:
-            val = _compiled(e)(env)
+            point = _Point()  # dict's own __init__: cheaper than one in Python
+            point.env = env
+            val = _column_fn(e)(point, 1)[0]
     except ZeroDivisionError as exc:
         raise EvaluationError("division by zero during evaluation") from exc
     except (OverflowError, ValueError) as exc:
@@ -732,6 +735,23 @@ def evalf(e: Expr, env: Mapping[str, complex]) -> complex:
     if not cmath.isfinite(val):
         raise EvaluationError("non-finite value during evaluation")
     return val
+
+
+class _Point(dict):
+    """The columns of one point evaluated alone: a name's column of one is
+    converted from ``env`` on the name's first read, so an entry of ``env``
+    that no node reads is never converted."""
+
+    __slots__ = ("env",)
+
+    def __missing__(self, name):
+        value = self.env[name]  # a KeyError: the symbol is unbound
+        try:
+            column = self[name] = [complex(value)]
+        except (TypeError, ValueError):
+            raise EvaluationError(f"numeric failure: '{name}' is bound to a "
+                                  f"{type(value).__name__}, not a number") from None
+        return column
 
 
 class _BlockPoint(dict):
@@ -795,102 +815,19 @@ def _constant(e: Expr):
     return None
 
 
-def _folded(e):
-    """A sum's or product's start value, its leading constant children
-    folded in order, and its other children."""
-    t = type(e)
-    children = e.terms if t is Add else e.factors
-    start = 0 if t is Add else complex(1)  # sum() starts from the int 0
-    k = 0
-    while k < len(children):
-        c = _constant(children[k])
-        if c is None:
-            break
-        start = start + c if t is Add else start * c
-        k += 1
-    return start, children[k:]
-
-
 def _unbound(e) -> str:
     return f"unbound {'constant' if e is HBAR else 'symbol'} '{e.name}'"
 
 
-def _compiled(e: Expr):
-    """The node's evaluator ``env -> complex``, built once from its
-    children's evaluators and kept in the node (filling it twice stores an
-    equivalent closure).  A sum or product folds its leading constants into
-    its start value, so a call adds or multiplies in order, as a tree walk
-    does, with one closure call per child that reads the environment."""
-    try:
-        return e._fn
-    except AttributeError:
-        pass
-    t = type(e)
-    value = _constant(e)
-    if value is not None:
-
-        def fn(env):
-            return value
-    elif t is Symbol or t is Constant:  # a symbol or hbar: read from env
-        name, unbound = e.name, _unbound(e)
-
-        def fn(env):
-            try:
-                return complex(env[name])
-            except KeyError:
-                raise UnboundSymbolError(unbound) from None
-    elif t is Add or t is Mul:
-        start, children = _folded(e)
-        rest = tuple([_compiled(x) for x in children])
-        if t is Add:
-
-            def fn(env):
-                out = start
-                for term in rest:
-                    out = out + term(env)
-                return out
-        else:
-
-            def fn(env):
-                out = start
-                for f in rest:
-                    out *= f(env)
-                return out
-    elif t is Pow and e.exponent.denominator == 1:
-        base, n = _compiled(e.base), e.exponent.numerator
-
-        def fn(env):
-            return base(env) ** n
-    elif t is Pow:
-        base, x, positive = _compiled(e.base), float(e.exponent), e.exponent > 0
-
-        def fn(env):
-            b = base(env)
-            if b == 0:
-                if positive:
-                    return complex(0)
-                raise ZeroDivisionError
-            return b ** x
-    elif t is Call:
-        f, arg = getattr(cmath, e.fn), _compiled(e.arg)
-
-        def fn(env):
-            return f(arg(env))
-    else:
-        raise TypeError(type(e))
-    e._fn = fn
-    return fn
-
-
 def _column_fn(e: Expr):
-    """The node's column evaluator ``(columns, m) -> column``: ``columns``
-    maps each name to its list of complex values at m points, and the
-    result is the list of the node's values there, each bit for bit what
-    ``_compiled(e)`` gives at that point.  It is built on the node's first
-    evaluation in a Block, from its children's column evaluators, and kept
-    in the node like ``_compiled``'s.  A sum or product adds or multiplies
-    the columns of its children after its folded constants, in order, so
-    each point sees the float operations of the point evaluator."""
+    """The node's evaluator ``(columns, m) -> column``: ``columns`` maps
+    each name to its list of complex values at m points, and the result is
+    the list of the node's values there.  It is built on the node's first
+    evaluation from its children's evaluators and kept in the node (filling
+    it twice stores an equivalent evaluator).  A sum or product folds its
+    leading constants (rationals, i, pi) into one start value when it is
+    built, and then adds or multiplies its other children's columns in
+    order, so each point sees the float operations of a tree walk."""
     try:
         return e._col
     except AttributeError:
@@ -910,9 +847,14 @@ def _column_fn(e: Expr):
             except KeyError:
                 raise UnboundSymbolError(unbound) from None
     elif t is Add or t is Mul:
-        start, children = _folded(e)
-        rest = tuple([_column_fn(x) for x in children])
+        children = e.terms if t is Add else e.factors
+        start = 0 if t is Add else complex(1)  # sum() starts from the int 0
         op = operator.add if t is Add else operator.mul
+        k = 0
+        while k < len(children) and (c := _constant(children[k])) is not None:
+            start = op(start, c)
+            k += 1
+        rest = tuple([_column_fn(x) for x in children[k:]])
 
         def fn(columns, m):
             out = [start] * m
@@ -921,8 +863,7 @@ def _column_fn(e: Expr):
             return out
     elif t is Pow:
         # Python's complex power gives 0 for a zero base to a positive
-        # exponent and raises ZeroDivisionError for a negative one, the
-        # check the point evaluator makes before a fractional power
+        # exponent and raises ZeroDivisionError for a negative one
         base = _column_fn(e.base)
         x = e.exponent if type(e.exponent) is int else float(e.exponent)
 

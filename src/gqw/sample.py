@@ -20,12 +20,11 @@ so a sampler is not safe to share across threads while its streams fill;
 gqw itself is single-threaded.
 
 Once the ``{seed}:equal`` stream holds n_samples points within its draw
-cap, expr_equal reads its first point as one expr.Block and its second to
-n_samples-th points as another, both kept on the stream: the difference is
-evaluated over each block as one column, and each point is still read
-through evalf.  A comparison thus sees the
-values, skips the points and raises at the draw that a point-by-point
-evaluation would.
+cap, expr_equal reads its first point alone and its second to n_samples-th
+points as one expr.Block, kept on the stream: the difference is evaluated
+over the block as one column, and each point is still read through evalf.
+A comparison thus sees the values, skips the points and raises at the draw
+that a point-by-point evaluation would.
 """
 
 from __future__ import annotations
@@ -44,16 +43,16 @@ _MAX_RESAMPLE = 1000
 class _Stream:
     """The state of one ``{seed}:{tag}`` stream: its rng, the number of draws
     made so far, the admissible points found, each with the index of the
-    draw that found it, and the blocks ``_comparison_draws`` builds from
+    draw that found it, and the block ``_comparison_draws`` builds from
     them once."""
 
-    __slots__ = ("rng", "drawn", "found", "blocks")
+    __slots__ = ("rng", "drawn", "found", "block")
 
     def __init__(self, rng: random.Random):
         self.rng = rng
         self.drawn = 0
         self.found: List[Tuple[int, Dict[str, float]]] = []
-        self.blocks: Optional[Tuple[Block, Block]] = None
+        self.block: Optional[Block] = None
 
 
 # the context's defaults, which the system loader also reads
@@ -152,25 +151,21 @@ class DomainSampler:
     def _comparison_draws(self) -> Iterator[Dict[str, float]]:
         """The points of ``_draws(n_samples, "equal")``, as expr_equal reads
         them.  Once the stream holds n_samples points within that draw cap,
-        its first point comes as a Block of its own and its second to
-        n_samples-th points as the points of one Block, so that a comparison
-        that fails at the first point stops after one evaluation and one
-        that passes evaluates the others as one column.  The difference is
-        a new node in nearly every comparison, and a block evaluates it with
-        column evaluators only, so its per-point closures are never built.
-        The blocks are built once and kept on the stream: building them
-        converts and copies every point."""
+        its first point comes as a plain dict and its second to n_samples-th
+        points as the points of one Block, so that a comparison that fails
+        at the first point stops after one evaluation and one that passes
+        evaluates the others as one column.  The block is built once and
+        kept on the stream: building it converts and copies every point."""
         n = self.n_samples
         stream = self._streams.get("equal")
         if stream is None:
             return self._draws(n, "equal")
-        if stream.blocks is None:
-            found = stream.found
+        found = stream.found
+        if stream.block is None:
             if len(found) < n or found[n - 1][0] >= _MAX_RESAMPLE * n:
                 return self._draws(n, "equal")
-            stream.blocks = (Block([found[0][1]]), Block([pt for _, pt in found[1:n]]))
-        first, rest = stream.blocks
-        return chain(first.points, rest.points, self._draws(n, "equal", n))
+            stream.block = Block([pt for _, pt in found[1:n]])
+        return chain((dict(found[0][1]),), stream.block.points, self._draws(n, "equal", n))
 
     def points(self, n: Optional[int] = None, seed_tag: str = "") -> List[Dict[str, float]]:
         """Deterministic list of admissible sample points, each an ``env``
@@ -193,8 +188,8 @@ def expr_equal(a: Expr, b: Expr, sampler: DomainSampler) -> Tuple[bool, float]:
     residual returned, as a check row stops at its first residual over its
     bound.  A true comparison evaluates
     ``n_samples`` points and returns the largest of their residuals.  On a
-    stream that already holds n_samples points, the first is evaluated as
-    a block of one and the others as one block (see the module docstring); the
+    stream that already holds n_samples points, the first is evaluated
+    alone and the others as one block (see the module docstring); the
     values are those of evaluating each point alone.  Points
     where the difference fails to evaluate are skipped, within the sampler's
     draw cap; one admissible point over the tolerance still decides False,

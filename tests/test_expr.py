@@ -1232,13 +1232,13 @@ def test_evalf_matches_a_tree_walk_bit_for_bit(e):
 
 
 def test_constant_children_are_folded_into_their_parent():
-    # a rational factor or term is read when its parent's evaluators are
+    # a rational factor or term is read when its parent's evaluator is
     # built, so it never gets an evaluator of its own
     c = rational(12347, 9973)
     for e in (mul(c, P, Q), add(c, P)):
         assert evalf(e, EVAL_POINTS[0]) == evalf_walk(e, EVAL_POINTS[0])
         assert evalf(e, Block(EVAL_POINTS).points[0]) == evalf_walk(e, EVAL_POINTS[0])
-        assert not hasattr(c, "_fn") and not hasattr(c, "_col")
+        assert not hasattr(c, "_col")
 
 
 def test_evalf_reads_only_the_names_the_expression_names():
@@ -1255,10 +1255,25 @@ def test_evalf_reads_only_the_names_the_expression_names():
             evalf(add(P, symbol("tag")), point)
 
 
-def test_a_point_evaluated_alone_builds_no_column_evaluator():
+@pytest.mark.parametrize("value", [None, [1.0]], ids=["none", "list"])
+def test_a_symbol_bound_to_a_non_number_fails_to_evaluate(value):
+    e = mul(symbol("bad_value"), symbol("bad_value"))
+    env = {"bad_value": value, "p": 1.0}
+    with pytest.raises(EvaluationError, match="numeric failure: 'bad_value'"):
+        evalf(e, env)
+    block = Block([{"bad_value": 2.0, "p": 1.0}, env])
+    assert evalf(e, block.points[0]) == 4.0  # the column fails; each point is alone
+    with pytest.raises(EvaluationError, match="numeric failure: 'bad_value'"):
+        evalf(e, block.points[1])
+
+
+def test_a_point_alone_and_a_block_share_one_evaluator():
     e = parse_expr("sin(p)*q^(1/2) + 7/3*p*q + exp(hbar)", VOCAB)
-    evalf(e, EVAL_POINTS[0])
-    assert hasattr(e, "_fn") and not hasattr(e, "_col")
+    alone = evalf(e, EVAL_POINTS[0])
+    fn = e._col
+    block = Block(EVAL_POINTS)
+    assert evalf(e, block.points[0]) == alone
+    assert e._col is fn and block._last[0] is e and block._last[1] is not None
 
 
 @pytest.mark.parametrize("make, env", [
@@ -1269,10 +1284,10 @@ def test_a_point_evaluated_alone_builds_no_column_evaluator():
 ], ids=["unbound-symbol", "unbound-hbar", "zero-to-negative-half", "exp-overflow"])
 def test_evalf_errors_survive_the_cached_evaluator(make, env):
     e = make()
-    for _ in range(2):  # the second call runs the closure cached by the first
+    for _ in range(2):  # the second call runs the evaluator cached by the first
         with pytest.raises(EvaluationError):
             evalf(e, env)
-    assert e._fn is make()._fn
+    assert e._col is make()._col
 
 
 # ---------------------------------------------------------------------------
@@ -1523,7 +1538,7 @@ def test_threads_expanding_products_of_two_sums_store_one_product_per_pair():
 
 
 def test_threads_evaluating_new_nodes_agree_with_a_tree_walk():
-    # threads race to build and store the closures of nodes never evaluated
+    # threads race to build and store the evaluators of nodes never evaluated
     # before; every value must still be the tree walk's
     names = [f"evalrace{k}" for k in range(300)]
     nodes = [add(power(symbol(n), 3), mul(rational(2, 7), call("sin", symbol(n))), PI)

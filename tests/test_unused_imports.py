@@ -18,6 +18,10 @@ Public code has a reader too: every public module-level function and class
 of gqw is named outside its own body somewhere in ``src/gqw``, ``tests/``
 or ``perfbench/`` (a re-export in ``__init__.py`` counts), so a function
 whose last caller is gone does not stay behind.
+
+Every ``__slots__`` name of a gqw class is read as an attribute somewhere
+in ``src/gqw``, so a field whose last reader is gone does not stay behind
+either.
 """
 
 import ast
@@ -186,6 +190,50 @@ def test_the_check_sees_an_unread_public_definition():
 
 def test_every_public_definition_is_read():
     assert unread_public_definitions(_tree_sources()) == []
+
+
+def slot_names(source: str):
+    """(line, name) of each string in a class's ``__slots__`` tuple."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                            for t in node.targets)):
+                found.extend((node.lineno, n.value) for n in ast.walk(node.value)
+                             if isinstance(n, ast.Constant) and isinstance(n.value, str))
+    return found
+
+
+def attributes_read(source: str):
+    return {n.attr for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+def unread_slots(sources):
+    """``(module, line, name)`` of each ``__slots__`` name that no source
+    reads as an attribute; ``sources`` maps a module to its text."""
+    read = set().union(*map(attributes_read, sources.values()))
+    return sorted((module, line, name) for module, text in sources.items()
+                  for line, name in slot_names(text) if name not in read)
+
+
+def test_the_check_sees_an_unread_slot():
+    src = ("class A:\n    __slots__ = ('x', 'y', '_z')\n"
+           "    def f(self):\n        self.y = 1\n        return self._z\n"
+           "class B:\n    __slots__ = ('w',)\n")
+    assert unread_slots({"m.py": src, "n.py": "def g(b):\n    return b.w\n"}) == [
+        ("m.py", 2, "x"), ("m.py", 2, "y")]
+
+
+def test_every_slot_is_read():
+    sources = {}
+    for module in sorted(f for f in os.listdir(SRC) if f.endswith(".py")):
+        with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+            sources[module] = fh.read()
+    assert unread_slots(sources) == []
 
 
 def context_leaks(source: str):
